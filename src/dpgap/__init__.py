@@ -3,4 +3,4 @@ Lavrentiev gap on the planar checkerboard geometry."""
 
 __version__ = "0.1.0"
 
-from . import errors, kernels  # noqa: F401
+from . import errors  # noqa: F401

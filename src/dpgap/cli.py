@@ -15,12 +15,12 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import classifier, cutoffs, geometry
-from .errors import DpgapError, NumericalError, PreconditionError, RangeError
+from .errors import (DpgapError, NonConvergedError, NumericalError, PreconditionError,
+                     RangeError)
 from .fem.solve import OBJECTIVE_DIRICHLET, OBJECTIVE_G, gap_experiment
 from .orlicz import LogPower, conjugate_log_power, conjugate_numeric, luxemburg_norm
 
@@ -107,16 +107,13 @@ def _cmd_phase_diagram(args):
     alphas = _parse_floats(args.alphas if args.alphas else args.grid)
     betas = _parse_floats(args.betas if args.betas else args.grid)
 
-    def cell(ab):
-        a, b = ab
+    def cell(a, b):
         try:
             return (a, b, classifier.classify_alpha_beta(a, b, p=args.p).verdict)
         except PreconditionError:
             return (a, b, "SinglePhase")
 
-    cells = [(a, b) for a in sorted(alphas) for b in sorted(betas)]
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-        rows = list(pool.map(cell, cells))  # map preserves (alpha, beta) order
+    rows = [cell(a, b) for a in sorted(alphas) for b in sorted(betas)]
     if args.format == "json":
         _write_text(args.out, _dump_json(
             [{"alpha": a, "beta": b, "verdict": v} for a, b, v in rows]))
@@ -132,6 +129,11 @@ def _cmd_gap(args):
     report = gap_experiment(args.alpha, args.beta, levels,
                             grading=args.grading, mode=mode,
                             force_g=args.force_g)
+    stalled = [lv["n"] for lv in report.levels if not lv["converged"]]
+    if stalled:
+        raise NonConvergedError(
+            f"Newton did not converge on mesh level(s) n = "
+            f"{', '.join(map(str, stalled))}")
     _write_text(args.out, _dump_json(report.to_dict()))
     if args.table:
         print(f"{'n':>6} {'E1':>16} {'E2':>16} {'s_opt':>16} {'sep':>16}")
@@ -251,7 +253,6 @@ def _build_parser():
     p.add_argument("--alphas", default=None)
     p.add_argument("--betas", default=None)
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--workers", type=int, default=4)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_phase_diagram)

@@ -82,9 +82,6 @@ class DofField:
         return cls(mesh, np.asarray(func(mesh.nodes[:, 0], mesh.nodes[:, 1]),
                                     dtype=np.float64))
 
-    def boundary_values(self):
-        return self.values[self.mesh.boundary_mask]
-
     def with_boundary(self, data):
         """Copy with boundary nodes overwritten by data (scalar or vector)."""
         v = self.values.copy()

@@ -278,8 +278,9 @@ def cone_trace_diagnostic(u, mesh, radii, n_angles=41):
     radii = np.asarray(sorted(float(r) for r in radii))
     if np.any(radii < mesh.h_min):
         raise RangeError("trace radius below the smallest mesh ring")
-    if np.any(radii > 1.0):
-        raise RangeError("trace radius outside the domain")
+    if np.any(radii >= 1.0):
+        raise RangeError("trace radius must be below 1: the log-log fit "
+                         "takes log(log(1/r)), which needs r < 1")
     ang_top = np.linspace(np.deg2rad(65.0), np.deg2rad(115.0), n_angles)
     ang_bot = ang_top + np.pi
     evaluate = u.evaluate if hasattr(u, "evaluate") else (

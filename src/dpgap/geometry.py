@@ -115,19 +115,17 @@ def eval_b2(x1, x2):
     return b if x1.size > 1 else b[:, 0]
 
 
-def eval_a2_matrix(x1, x2):
-    """Matrix potential (read-only exposure): theta(|x1|/|x2|)/(2|x1|) * [[0,-x1],[x1,0]].
-
-    Only its row-wise divergence (= b2) is load-bearing; spot-checked in tests.
-    """
-    x1 = float(x1)
-    x2 = float(x2)
-    if x1 == 0.0:
-        return np.zeros((2, 2))
-    s = abs(x1) / abs(x2) if x2 != 0.0 else np.inf
-    th = float(theta(s))
-    c = th / (2.0 * abs(x1))
-    return np.array([[0.0, -c * x1], [c * x1, 0.0]])
+def _simpson_rule(n_quad):
+    """Composite Simpson nodes and weights on [-1, 1], n_quad rounded up to even."""
+    n = int(n_quad)
+    if n % 2:
+        n += 1
+    xs = np.linspace(-1.0, 1.0, n + 1)
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= (2.0 / n) / 3.0
+    return xs, w
 
 
 def boundary_flux(n_quad):
@@ -137,46 +135,28 @@ def boundary_flux(n_quad):
     """
     if n_quad < 64:
         raise ValueError("n_quad >= 64 required")
-    n = int(n_quad)
-    if n % 2:
-        n += 1
-    xs = np.linspace(-1.0, 1.0, n + 1)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (2.0 / n) / 3.0
-
     total = 0.0
-    # top / bottom: nu = (0, +-1)
-    for x2s, sgn in ((1.0, 1.0), (-1.0, -1.0)):
-        x2 = np.full_like(xs, x2s)
-        integrand = sgn * eval_b2(xs, x2)[1] * eval_u2(xs, x2)
-        total += float(np.sum(w * integrand))
-    # right / left: nu = (+-1, 0)
-    for x1s, sgn in ((1.0, 1.0), (-1.0, -1.0)):
-        x1 = np.full_like(xs, x1s)
-        integrand = sgn * eval_b2(x1, xs)[0] * eval_u2(x1, xs)
-        total += float(np.sum(w * integrand))
+    # a plain loop keeps the summation order fixed; sum() compensates on
+    # Python >= 3.12 and would change the last bits
+    for value in boundary_flux_segments(n_quad).values():
+        total += value
     return total
 
 
 def boundary_flux_segments(n_quad):
     """Per-side contributions, for the support audit of the flux integrand."""
-    n = int(n_quad)
-    if n % 2:
-        n += 1
-    xs = np.linspace(-1.0, 1.0, n + 1)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (2.0 / n) / 3.0
+    xs, w = _simpson_rule(n_quad)
     sides = {}
-    for nameside, (x2s, sgn) in (("top", (1.0, 1.0)), ("bottom", (-1.0, -1.0))):
+    # top / bottom: nu = (0, +-1)
+    for side, x2s, sgn in (("top", 1.0, 1.0), ("bottom", -1.0, -1.0)):
         x2 = np.full_like(xs, x2s)
-        sides[nameside] = float(np.sum(w * sgn * eval_b2(xs, x2)[1] * eval_u2(xs, x2)))
-    for nameside, (x1s, sgn) in (("right", (1.0, 1.0)), ("left", (-1.0, -1.0))):
+        integrand = sgn * eval_b2(xs, x2)[1] * eval_u2(xs, x2)
+        sides[side] = float(np.sum(w * integrand))
+    # right / left: nu = (+-1, 0)
+    for side, x1s, sgn in (("right", 1.0, 1.0), ("left", -1.0, -1.0)):
         x1 = np.full_like(xs, x1s)
-        sides[nameside] = float(np.sum(w * sgn * eval_b2(x1, xs)[0] * eval_u2(x1, xs)))
+        integrand = sgn * eval_b2(x1, xs)[0] * eval_u2(x1, xs)
+        sides[side] = float(np.sum(w * integrand))
     return sides
 
 

@@ -18,10 +18,11 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from . import kernels
 from .errors import DomainError, NormOverflowError, UnboundedConjugateError
 
 _T_MAX = 1.0e300
+# above this argument the integrand is evaluated in log space
+_LOG_SWITCH = 1.0e8
 _CONJ_BRACKET = (1.0e-12, 1.0e12)
 
 # smallest acceptable slope ratio Phi'(t0) t0 / Phi(t0) at the knot; below 1
@@ -93,6 +94,56 @@ def _find_knot(p, gamma, scale):
     return t0, a2, a1
 
 
+# The evaluators below take the knot data (t0, a2, a1) of ``_find_knot``: below
+# t0 the quadratic substitute a2*t^2 + a1*t is used (a2 and a1 already contain
+# ``scale``); t0 = 0 disables it.
+
+def _logpower_eval(t, p, gamma, scale, t0, a2, a1):
+    out = np.empty_like(t)
+    small = t < t0
+    big = t > _LOG_SWITCH
+    mid = ~(small | big)
+
+    tm = t[mid]
+    out[mid] = scale * tm**p * np.log(np.e + tm) ** gamma
+
+    if np.any(small):
+        ts = t[small]
+        out[small] = a2 * ts * ts + a1 * ts
+    if np.any(big):
+        with np.errstate(over="ignore"):
+            out[big] = np.exp(_logpower_log_eval(np.log(t[big]), p, gamma, scale))
+    return out
+
+
+def _logpower_deriv(t, p, gamma, scale, t0, a2, a1):
+    out = np.empty_like(t)
+    small = t < t0
+    reg = ~small
+
+    tr = t[reg]
+    L = np.log(np.e + tr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = scale * tr ** (p - 1.0) * L ** (gamma - 1.0)
+        out[reg] = base * (p * L + gamma * tr / (np.e + tr))
+    # t = 0 in the raw branch: derivative limit is 0 for p > 1
+    out[reg & (t == 0.0)] = 0.0
+
+    if np.any(small):
+        out[small] = 2.0 * a2 * t[small] + a1
+    return out
+
+
+def _logpower_log_eval(ln_t, p, gamma, scale):
+    """log of the raw integrand, overflow-safe for huge arguments."""
+    ln_t = np.asarray(ln_t, dtype=np.float64)
+    big = ln_t > 40.0
+    L = np.empty_like(ln_t)
+    L[big] = ln_t[big] + np.log1p(np.exp(1.0 - ln_t[big]))
+    L[~big] = np.log(np.e + np.exp(ln_t[~big]))
+    return np.log(scale) + p * ln_t + gamma * np.log(L)
+
+
 @dataclass(frozen=True)
 class LogPower:
     """Integrand t^p log^gamma(e+t), convexified near 0 when needed."""
@@ -117,12 +168,12 @@ class LogPower:
     def __call__(self, t):
         t = _check_arg(t)
         t0, a2, a1 = self._knot
-        return kernels.logpower_eval(t, self.p, self.gamma, self.scale, t0, a2, a1)
+        return _logpower_eval(t, self.p, self.gamma, self.scale, t0, a2, a1)
 
     def deriv(self, t):
         t = _check_arg(t)
         t0, a2, a1 = self._knot
-        return kernels.logpower_deriv(t, self.p, self.gamma, self.scale, t0, a2, a1)
+        return _logpower_deriv(t, self.p, self.gamma, self.scale, t0, a2, a1)
 
     def deriv_ratio(self, t, floor=1e-12):
         """Phi'(t)/t with the argument floored to avoid 0/0 in assembly."""
@@ -141,7 +192,7 @@ class LogPower:
 
     def log_eval(self, ln_t):
         """log Phi(t) given ln t; raw branch only, for overflow-free tails."""
-        return kernels.logpower_log_eval(ln_t, self.p, self.gamma, self.scale)
+        return _logpower_log_eval(ln_t, self.p, self.gamma, self.scale)
 
     def conjugate_params(self):
         return conjugate_log_power(self.p, self.gamma)
@@ -395,20 +446,6 @@ class DoublePhase:
     def eval_at(self, points, t):
         a = self.weight_at(points)
         return np.asarray(self.phi(t)) + a * np.asarray(self.psi(t))
-
-    def deriv_at(self, points, t):
-        a = self.weight_at(points)
-        return np.asarray(self.phi.deriv(t)) + a * np.asarray(self.psi.deriv(t))
-
-    def comparability_constants(self, t_grid=None):
-        """(c3, c4) with phi <= c3 psi + c4 on the sampled grid."""
-        if t_grid is None:
-            t_grid = np.logspace(-6.0, 9.0, 600)
-        pv = np.asarray(self.phi(t_grid))
-        sv = np.asarray(self.psi(t_grid))
-        c3 = float(np.max(np.where(sv > 0, pv / np.where(sv == 0, 1.0, sv), 0.0)))
-        c4 = float(max(0.0, np.max(pv - c3 * sv)))
-        return c3, c4
 
 
 def double_phase_log(alpha, beta, p=2.0, scale=1.0):

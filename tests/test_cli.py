@@ -1,11 +1,13 @@
 """Command-line harness: dispatch, exit codes, artifacts, round trips."""
 
 import csv
+import functools
 import json
 
 import pytest
 
 from dpgap.cli import main
+from dpgap.fem import solve
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -77,6 +79,17 @@ class TestGap:
         level = report["levels"][0]
         assert {"n", "h_min", "E1", "E2", "s_opt", "sep_value"} <= set(level)
         assert level["E1"] <= level["E2"] + 1e-10
+
+    def test_non_convergence_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(solve, "minimize",
+                            functools.partial(solve.minimize, max_iterations=1))
+        code, out, err = run(capsys, "gap", "--alpha", "2", "--beta", "2",
+                             "--levels", "16")
+        assert out == ""
+        assert code == 3
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("SOLVER_NON_CONVERGED: ")
 
 
 class TestCutoff:

@@ -242,3 +242,12 @@ class TestConeTrace:
         u = DofField.zeros(mesh16)
         with pytest.raises(RangeError):
             cone_trace_diagnostic(u, mesh16, radii=[1e-9])
+
+    def test_radius_one_rejected(self, mesh16):
+        # the fit takes log(log(1/r)), which is -inf at r = 1
+        u = EnrichedField(DofField.zeros(mesh16), 1.0)
+        radii = np.geomspace(mesh16.h_min, 1.0, 12)
+        with pytest.raises(RangeError, match="r < 1"):
+            cone_trace_diagnostic(u, mesh16, radii=radii)
+        table, _ = cone_trace_diagnostic(u, mesh16, radii=radii[:-1])
+        assert len(table) == 11

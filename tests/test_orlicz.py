@@ -23,10 +23,15 @@ class TestLogPower:
     def test_log_factor(self):
         f = LogPower(2.0, 3.0)
         assert f(5.0) == pytest.approx(25.0 * np.log(np.e + 5.0) ** 3)
+        assert float(LogPower(2.0, 1.0)(3.0)) == pytest.approx(
+            9.0 * np.log(np.e + 3.0))
 
     def test_zero_maps_to_zero(self):
         for g in (-3.0, -1.0, 0.0, 2.0):
-            assert float(LogPower(2.0, g)(0.0)) == 0.0
+            f = LogPower(2.0, g)
+            assert float(f(0.0)) == 0.0
+            if f.knot == 0.0:  # the raw formula has slope 0 at the origin
+                assert float(f.deriv(0.0)) == 0.0
 
     def test_scale_factor(self):
         assert float(LogPower(2.0, 1.0, scale=3.0)(7.0)) == pytest.approx(
@@ -44,6 +49,22 @@ class TestLogPower:
         f = LogPower(2.0, -1.5)
         t = np.logspace(1.0, 8.0, 40)  # above any convexification knot
         assert np.allclose(np.exp(f.log_eval(np.log(t))), f(t), rtol=1e-12)
+        # above 1e8 the integrand itself is evaluated in log space
+        t = np.logspace(8.0, 100.0, 60)
+        for p, gamma in ((2.0, -1.5), (2.0, 2.0), (3.0, 0.5)):
+            direct = t**p * np.log(np.e + t) ** gamma
+            np.testing.assert_allclose(LogPower(p, gamma)(t), direct, rtol=1e-12)
+
+    def test_knot_continuity(self):
+        # below the knot the quadratic substitute takes over; it matches the
+        # raw formula in value and slope at t0
+        f = LogPower(2.0, -3.0)
+        t0 = f.knot
+        assert t0 > 0.0
+        below = np.nextafter(t0, 0.0)
+        assert float(f(below)) == pytest.approx(float(f(t0)), rel=1e-12)
+        assert float(f.deriv(below)) == pytest.approx(float(f.deriv(t0)), rel=1e-12)
+        assert 0.0 < float(f(0.5 * t0)) <= 0.5 * float(f(t0))  # convex, f(0) = 0
 
     @given(st.floats(1.2, 4.0), st.floats(-4.0, 4.0))
     @settings(max_examples=60, deadline=None)
