@@ -3,6 +3,13 @@
 The enriched minimization starts from the conforming minimizer with zero jump
 amplitude and only ever descends, so the space-nesting inequality E1 <= E2
 holds by construction, not just in the limit.
+
+Each Newton direction is one sparse LU solve with a minimum-degree ordering
+of A^T + A. In the enriched space only the nodal block is factored and the
+jump amplitude s, the one dof that couples to every enriched element, is
+eliminated by its Schur complement. A point whose gradient is exactly zero,
+such as the G-mode conforming start u = 0, gets the zero direction without
+any factorization.
 """
 
 from __future__ import annotations
@@ -100,6 +107,29 @@ class _Objective:
         return H[idx][:, idx].tocsc()
 
 
+def _newton_direction(H, g, bordered):
+    """Solve (H + 1e-14 I) d = -g with a minimum-degree ordering.
+
+    With ``bordered`` the last unknown is the jump amplitude s: only the
+    nodal block K is factored, once for the two right-hand sides -g_u and
+    the border column c, and s is eliminated by its Schur complement
+    h_ss - c.z. A zero Schur complement gives a non-finite direction. A
+    zero gradient gives d = 0 without a factorization.
+    """
+    if not np.any(g):
+        return np.zeros_like(g)
+    H = H + 1e-14 * sp.eye(H.shape[0], format="csc")
+    if not bordered:
+        return spla.spsolve(H, -g, permc_spec="MMD_AT_PLUS_A")
+    c = H[:-1, -1].toarray().ravel()
+    yz = spla.spsolve(H[:-1, :-1], np.column_stack([-g[:-1], c]),
+                      permc_spec="MMD_AT_PLUS_A")
+    y, z = yz[:, 0], yz[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_s = (-g[-1] - c @ y) / (H[-1, -1] - c @ z)
+        return np.append(y - d_s * z, d_s)
+
+
 def _newton(obj, x0, max_iterations=MAX_ITERATIONS):
     x = np.asarray(x0, dtype=np.float64).copy()
     f = obj.value(x)
@@ -115,9 +145,8 @@ def _newton(obj, x0, max_iterations=MAX_ITERATIONS):
         use_newton = quad_failures < 3
         d = None
         if use_newton:
-            H = obj.hess(x)
             try:
-                d = spla.spsolve(H + 1e-14 * sp.eye(H.shape[0], format="csc"), -g)
+                d = _newton_direction(obj.hess(x), g, obj.enriched)
             except RuntimeError:
                 d = None
             if d is None or not np.all(np.isfinite(d)) or float(d @ g) >= 0.0:

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from dpgap.errors import GapPreconditionError, RangeError
 from dpgap.fem import (DofField, EnrichedField, build_mesh, cone_trace_diagnostic,
                        functional_G, gap_experiment, linear_term_vector,
                        minimize, modular_energy, scaling_probe,
                        separating_functional)
+from dpgap.fem import solve
 from dpgap.fem.assembly import (ANALYTIC, SOLENOIDAL_EXACT, modular_gradient,
                                 modular_hessian)
 from dpgap.fem.fields import enrichment_gradient, enrichment_value
@@ -197,6 +200,79 @@ class TestMinimize:
             assert g < 0.0
         # G(tE) ~ -t as t -> 0
         assert rows[0][1] / rows[0][0] == pytest.approx(-1.0, abs=0.05)
+
+
+class _SingularBorderObjective:
+    """f = |x|^2 / 2 with a stand-in Hessian whose Schur complement is 0."""
+
+    enriched = True
+
+    def __init__(self):
+        a = 1.0 + 1e-14  # the diagonal after the solver's 1e-14 shift
+        self.H = sp.csc_matrix(np.array([[1.0, 0.0, a],
+                                         [0.0, 1.0, 0.0],
+                                         [a, 0.0, 1.0]]))
+
+    def value(self, x):
+        return 0.5 * float(x @ x)
+
+    def grad(self, x):
+        return x.copy()
+
+    def hess(self, x):
+        return self.H
+
+
+class TestNewtonDirection:
+    @pytest.mark.parametrize("space, objective", [(ENRICHED, OBJECTIVE_G),
+                                                  (CONFORMING, OBJECTIVE_DIRICHLET)])
+    def test_matches_full_solve(self, mesh16, space, objective):
+        pair = double_phase_log(2.0, 2.0)
+        bdata = np.asarray(eval_u2(mesh16.nodes[mesh16.boundary_mask, 0],
+                                   mesh16.nodes[mesh16.boundary_mask, 1]))
+        obj = solve._Objective(space, objective, pair, mesh16, boundary_data=bdata)
+        rng = np.random.default_rng(11)
+        x = 0.3 * rng.standard_normal(len(mesh16.interior))
+        if obj.enriched:
+            x = np.append(x, 0.3)
+        H, g = obj.hess(x), obj.grad(x)
+        d = solve._newton_direction(H, g, obj.enriched)
+        ref = spla.spsolve(H + 1e-14 * sp.eye(H.shape[0], format="csc"), -g)
+        assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_stationary_start_factors_nothing(self, mesh, monkeypatch):
+        calls = []
+        original = solve.spla.spsolve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solve.spla, "spsolve", counting)
+        pair = double_phase_log(2.0, 2.0)
+        res = minimize(CONFORMING, OBJECTIVE_G, pair, mesh)
+        assert len(calls) == 0
+        assert res.converged and res.iterations == 1
+        assert res.value == 0.0
+        minimize(ENRICHED, OBJECTIVE_G, pair, mesh)
+        assert len(calls) >= 1
+
+    def test_singular_border_falls_back_to_gradient(self, monkeypatch):
+        directions = []
+        original = solve._newton_direction
+
+        def recording(H, g, bordered):
+            directions.append(original(H, g, bordered))
+            return directions[-1]
+
+        monkeypatch.setattr(solve, "_newton_direction", recording)
+        x, f, _, converged, _ = solve._newton(_SingularBorderObjective(),
+                                              np.array([1.0, 2.0, 3.0]))
+        assert not np.all(np.isfinite(directions[0]))
+        # the gradient step -x lands on the minimizer of |x|^2 / 2
+        assert converged
+        np.testing.assert_array_equal(x, 0.0)
+        assert f == 0.0
 
 
 class TestGapExperiment:
