@@ -19,8 +19,7 @@ import sys
 import numpy as np
 
 from . import classifier, cutoffs, geometry
-from .errors import (DpgapError, NonConvergedError, NumericalError, PreconditionError,
-                     RangeError)
+from .errors import DpgapError, NonConvergedError, PreconditionError, RangeError
 from .fem.solve import OBJECTIVE_DIRICHLET, OBJECTIVE_G, gap_experiment
 from .orlicz import LogPower, conjugate_log_power, conjugate_numeric, luxemburg_norm
 
@@ -358,9 +357,6 @@ def main(argv=None):
     except PreconditionError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except NumericalError as exc:
-        print(f"{exc.code}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except DpgapError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

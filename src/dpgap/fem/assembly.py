@@ -1,8 +1,12 @@
 """Energy, gradient, Hessian and linear-term assembly on the criss-cross mesh.
 
-Conforming fields have a constant gradient per element, so their modular
-terms collapse to one evaluation per element; enriched fields are integrated
-at the quadrature points where the analytic enrichment gradient lives.
+Energy, gradient and Hessian share one path over integration points. For a
+conforming field the points are the elements themselves: its gradient is
+constant per element, so each element is one point weighted by its area. For
+an enriched field the points are the quadrature points, where the analytic
+enrichment gradient lives, and per-point terms are summed into their owning
+elements. The only branch is the work that the jump amplitude s adds: d/ds,
+the border row and column of the Hessian, and its corner entry.
 Summation orders are fixed (element order, then quadrature order) so repeated
 runs are bit-identical.
 """
@@ -14,22 +18,12 @@ import scipy.sparse as sp
 
 from ..errors import EnergyOverflowError
 from ..geometry import eval_b2
-from .fields import DofField, EnrichedField, enrichment_quad_gradient
+from .fields import EnrichedField, enrichment_quad_gradient
 
 _GRAD_FLOOR = 1e-12
 
 ANALYTIC = "analytic"
 SOLENOIDAL_EXACT = "solenoidal_exact"
-
-
-def _phase_weights(mesh, per_quad):
-    return mesh.phase[mesh.qel] if per_quad else mesh.phase
-
-
-def _field_parts(u):
-    if isinstance(u, EnrichedField):
-        return u.base, float(u.s)
-    return u, None
 
 
 def _split_pair(pair):
@@ -39,38 +33,55 @@ def _split_pair(pair):
     return pair, None
 
 
-def _integrand_values(pair, t, a):
+def _integrand(pair, t, a, order):
+    """Phi(t), Phi'(t)/t or Phi''(t) for order 0, 1 or 2, Phi = phi + a psi.
+
+    Phi'/t takes its small-t analytic limit below the gradient floor.
+    """
+    def term(f):
+        if order == 0:
+            return np.asarray(f(t))
+        if order == 1:
+            return np.asarray(f.deriv_ratio(t, floor=_GRAD_FLOOR))
+        return np.asarray(f.second_deriv(t))
+
     phi, psi = _split_pair(pair)
-    vals = np.asarray(phi(t))
+    vals = term(phi)
     if psi is not None:
-        vals = vals + a * np.asarray(psi(t))
+        vals = vals + a * term(psi)
     return vals
 
 
-def _integrand_derivs(pair, t, a):
-    """(kappa1, kappa2) = (Phi'', Phi'/t) with the small-t analytic limit."""
-    phi, psi = _split_pair(pair)
-    k2 = np.asarray(phi.deriv_ratio(t, floor=_GRAD_FLOOR))
-    k1 = np.asarray(phi.second_deriv(t))
-    if psi is not None:
-        k2 = k2 + a * np.asarray(psi.deriv_ratio(t, floor=_GRAD_FLOOR))
-        k1 = k1 + a * np.asarray(psi.second_deriv(t))
-    return k1, k2
+def _points(u, mesh):
+    """(g, |g|, weight, phase, qel, ge) at the integration points of u.
+
+    A conforming field is evaluated once per element, weighted by the area;
+    qel and ge are then None. An enriched field is evaluated at the
+    quadrature points, owned by the elements qel, and ge is the enrichment
+    gradient there.
+    """
+    if isinstance(u, EnrichedField):
+        g = u.quad_gradients()
+        return (g, np.linalg.norm(g, axis=1), mesh.qw, mesh.phase[mesh.qel],
+                mesh.qel, enrichment_quad_gradient(mesh))
+    g = u.element_gradients()
+    return g, np.linalg.norm(g, axis=1), mesh.area, mesh.phase, None, None
+
+
+def _per_element(values, qel, mesh):
+    """Sum per-point values into their elements (conforming points are elements)."""
+    if qel is None:
+        return values
+    out = np.zeros((mesh.n_elements,) + values.shape[1:])
+    np.add.at(out, qel, values)
+    return out
 
 
 def modular_energy(u, pair, mesh=None):
     """Quadrature of phi(|grad u|) + a psi(|grad u|) over the mesh."""
-    base, s = _field_parts(u)
-    mesh = mesh or base.mesh
-    if s is None:
-        t = np.linalg.norm(base.element_gradients(), axis=1)
-        vals = _integrand_values(pair, t, mesh.phase)
-        total = float(np.sum(mesh.area * vals))
-    else:
-        g = base.quad_gradients() + s * enrichment_quad_gradient(mesh)
-        t = np.linalg.norm(g, axis=1)
-        vals = _integrand_values(pair, t, mesh.phase[mesh.qel])
-        total = float(np.sum(mesh.qw * vals))
+    mesh = mesh or u.mesh
+    _, t, w, a, _, _ = _points(u, mesh)
+    total = float(np.sum(w * _integrand(pair, t, a, 0)))
     if not np.isfinite(total):
         raise EnergyOverflowError("non-finite modular energy")
     return total
@@ -78,80 +89,44 @@ def modular_energy(u, pair, mesh=None):
 
 def modular_gradient(u, pair, mesh=None):
     """(nodal gradient (Nv,), d/ds or None) of the modular energy."""
-    base, s = _field_parts(u)
-    mesh = mesh or base.mesh
+    mesh = mesh or u.mesh
+    g, t, w, a, qel, ge = _points(u, mesh)
+    m = (w * _integrand(pair, t, a, 1))[:, None] * g  # (points, 2)
+    contrib = np.einsum("ejk,ek->ej", mesh.grad_basis, _per_element(m, qel, mesh))
     nodal = np.zeros(mesh.n_vertices)
-    if s is None:
-        g = base.element_gradients()
-        t = np.linalg.norm(g, axis=1)
-        _, k2 = _integrand_derivs(pair, t, mesh.phase)
-        m = (mesh.area * k2)[:, None] * g  # (Ne, 2)
-        contrib = np.einsum("ejk,ek->ej", mesh.grad_basis, m)
-        np.add.at(nodal, mesh.tris, contrib)
-        return nodal, None
-    ge = enrichment_quad_gradient(mesh)
-    g = base.quad_gradients() + s * ge
-    t = np.linalg.norm(g, axis=1)
-    _, k2 = _integrand_derivs(pair, t, mesh.phase[mesh.qel])
-    m = (mesh.qw * k2)[:, None] * g  # (Nq, 2)
-    per_elem = np.zeros((mesh.n_elements, 2))
-    np.add.at(per_elem, mesh.qel, m)
-    contrib = np.einsum("ejk,ek->ej", mesh.grad_basis, per_elem)
     np.add.at(nodal, mesh.tris, contrib)
-    s_grad = float(np.sum(m * ge))
-    return nodal, s_grad
+    if ge is None:
+        return nodal, None
+    return nodal, float(np.sum(m * ge))
 
 
 def modular_hessian(u, pair, mesh=None):
     """Sparse Hessian over nodal dofs (+ trailing s dof when enriched)."""
-    base, s = _field_parts(u)
-    mesh = mesh or base.mesh
-    nv = mesh.n_vertices
-    if s is None:
-        g = base.element_gradients()
-        t = np.linalg.norm(g, axis=1)
-        k1, k2 = _integrand_derivs(pair, t, mesh.phase)
-        w = mesh.area
-        H = _pointwise_hessian(g, t, k1, k2)  # (Ne, 2, 2)
-        B = mesh.grad_basis
-        K = np.einsum("ejk,ekl,eml->ejm", B, H, B) * w[:, None, None]
-        rows = np.repeat(mesh.tris, 3, axis=1).ravel()
-        cols = np.tile(mesh.tris, (1, 3)).ravel()
-        mat = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(nv, nv))
-        return mat.tocsr()
-    ge = enrichment_quad_gradient(mesh)
-    g = base.quad_gradients() + s * ge
-    t = np.linalg.norm(g, axis=1)
-    k1, k2 = _integrand_derivs(pair, t, mesh.phase[mesh.qel])
-    H = _pointwise_hessian(g, t, k1, k2)  # (Nq, 2, 2)
-    w = mesh.qw
-    Hge = np.einsum("qkl,ql->qk", H, ge)
-    # node-node block, accumulated per element in 2x2 form first
-    M = np.zeros((mesh.n_elements, 2, 2))
-    np.add.at(M, mesh.qel, H * w[:, None, None])
+    mesh = mesh or u.mesh
+    g, t, w, a, qel, ge = _points(u, mesh)
+    H = _pointwise_hessian(g, t, _integrand(pair, t, a, 2), _integrand(pair, t, a, 1))
     B = mesh.grad_basis
+    # node-node block, weighted and summed per element in 2x2 form first
+    M = _per_element(H * w[:, None, None], qel, mesh)
     K = np.einsum("ejk,ekl,eml->ejm", B, M, B)
     rows = [np.repeat(mesh.tris, 3, axis=1).ravel()]
     cols = [np.tile(mesh.tris, (1, 3)).ravel()]
     vals = [K.ravel()]
-    # node-s cross terms
-    cross_e = np.zeros((mesh.n_elements, 2))
-    np.add.at(cross_e, mesh.qel, w[:, None] * Hge)
-    cross = np.einsum("ejk,ek->ej", B, cross_e)  # (Ne, 3)
-    rows.append(mesh.tris.ravel())
-    cols.append(np.full(mesh.tris.size, nv, dtype=np.int64))
-    vals.append(cross.ravel())
-    rows.append(np.full(mesh.tris.size, nv, dtype=np.int64))
-    cols.append(mesh.tris.ravel())
-    vals.append(cross.ravel())
-    # s-s entry
-    ss = float(np.sum(w * np.einsum("qk,qk->q", ge, Hge)))
-    rows.append(np.array([nv]))
-    cols.append(np.array([nv]))
-    vals.append(np.array([ss]))
+    n = nv = mesh.n_vertices
+    if ge is not None:
+        Hge = np.einsum("qkl,ql->qk", H, ge)
+        # node-s cross terms: the border row and column
+        cross = np.einsum("ejk,ek->ej", B, _per_element(w[:, None] * Hge, qel, mesh))
+        border = np.full(mesh.tris.size, nv, dtype=np.int64)
+        rows += [mesh.tris.ravel(), border, [nv]]
+        cols += [border, mesh.tris.ravel(), [nv]]
+        # s-s entry
+        ss = float(np.sum(w * np.einsum("qk,qk->q", ge, Hge)))
+        vals += [cross.ravel(), cross.ravel(), [ss]]
+        n = nv + 1
     mat = sp.coo_matrix((np.concatenate(vals),
                          (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(nv + 1, nv + 1))
+                        shape=(n, n))
     return mat.tocsr()
 
 
@@ -193,8 +168,7 @@ def linear_term_vector(mesh, mode=ANALYTIC):
     L_s = float(np.sum(mesh.qw * np.einsum("qk,qk->q", b, ge)))
     L = np.zeros(mesh.n_vertices)
     if mode == ANALYTIC:
-        per_elem = np.zeros((mesh.n_elements, 2))
-        np.add.at(per_elem, mesh.qel, mesh.qw[:, None] * b)
+        per_elem = _per_element(mesh.qw[:, None] * b, mesh.qel, mesh)
         contrib = np.einsum("ejk,ek->ej", mesh.grad_basis, per_elem)
         np.add.at(L, mesh.tris, contrib)
     elif mode != SOLENOIDAL_EXACT:
@@ -204,24 +178,18 @@ def linear_term_vector(mesh, mode=ANALYTIC):
 
 
 def linear_term(u, mesh=None, mode=ANALYTIC):
-    base, s = _field_parts(u)
-    mesh = mesh or base.mesh
-    L, L_s = linear_term_vector(mesh, mode)
-    val = float(L @ base.values)
-    if s is not None:
-        val += s * L_s
-    return val
+    L, L_s = linear_term_vector(mesh or u.mesh, mode)
+    if isinstance(u, EnrichedField):
+        return float(L @ u.base.values) + float(u.s) * L_s
+    return float(L @ u.values)
 
 
 def functional_G(u, pair, mesh=None, mode=ANALYTIC):
     """G(u) = modular energy + int b2 . grad u."""
-    base, _ = _field_parts(u)
-    mesh = mesh or base.mesh
+    mesh = mesh or u.mesh
     return modular_energy(u, pair, mesh) + linear_term(u, mesh, mode)
 
 
 def separating_functional(u, mesh=None, mode=ANALYTIC):
     """u -> int b2 . grad u; vanishes on conforming fields under refinement."""
-    base, _ = _field_parts(u)
-    mesh = mesh or base.mesh
     return linear_term(u, mesh, mode)

@@ -7,9 +7,13 @@ holds by construction, not just in the limit.
 Each Newton direction is one sparse LU solve with a minimum-degree ordering
 of A^T + A. In the enriched space only the nodal block is factored and the
 jump amplitude s, the one dof that couples to every enriched element, is
-eliminated by its Schur complement. A point whose gradient is exactly zero,
-such as the G-mode conforming start u = 0, gets the zero direction without
-any factorization.
+eliminated by its Schur complement. At a point whose gradient is exactly
+zero, such as the G-mode conforming start u = 0, the Newton loop takes the
+zero step without assembling the Hessian or factoring anything.
+
+In G mode the linear term int b2 . grad u is taken in its solenoidal-exact
+form: it vanishes on every conforming field, so only the enrichment pairing
+L_s s enters the objective.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from ..errors import GapPreconditionError, RangeError
 from ..geometry import eval_u2
 from ..orlicz import double_phase_log
 from .assembly import (ANALYTIC, SOLENOIDAL_EXACT, functional_G, linear_term_vector,
-                       modular_energy, modular_gradient, modular_hessian)
+                       modular_energy, modular_gradient, modular_hessian,
+                       separating_functional)
 from .fields import DofField, EnrichedField
 from .mesh import build_mesh
 
@@ -52,8 +57,7 @@ class MinimizeResult:
 class _Objective:
     """Reduced view of F or G over interior dofs (+ trailing s for enriched)."""
 
-    def __init__(self, space, objective, pair, mesh, boundary_data=0.0,
-                 linear_mode=SOLENOIDAL_EXACT):
+    def __init__(self, space, objective, pair, mesh, boundary_data=0.0):
         self.space = space
         self.objective = objective
         self.pair = pair
@@ -62,10 +66,10 @@ class _Objective:
         self.enriched = space == ENRICHED
         self.full = np.zeros(mesh.n_vertices)
         self.full[mesh.boundary_mask] = boundary_data
-        if objective == OBJECTIVE_G:
-            self.L, self.L_s = linear_term_vector(mesh, linear_mode)
-        else:
-            self.L, self.L_s = None, None
+        # the b2 pairing of the jump amplitude; conforming fields pair to 0
+        self.L_s = 0.0
+        if objective == OBJECTIVE_G and self.enriched:
+            self.L_s = linear_term_vector(mesh, SOLENOIDAL_EXACT)[1]
 
     def make_field(self, x):
         values = self.full.copy()
@@ -78,23 +82,16 @@ class _Objective:
     def value(self, x):
         u = self.make_field(x)
         val = modular_energy(u, self.pair, self.mesh)
-        if self.L is not None:
-            base = u.base if self.enriched else u
-            val += float(self.L @ base.values)
-            if self.enriched:
-                val += u.s * self.L_s
+        if self.enriched:
+            val += u.s * self.L_s
         return val
 
     def grad(self, x):
         u = self.make_field(x)
         nodal, s_grad = modular_gradient(u, self.pair, self.mesh)
-        if self.L is not None:
-            nodal = nodal + self.L
-            if self.enriched:
-                s_grad += self.L_s
         g = nodal[self.interior]
         if self.enriched:
-            g = np.concatenate([g, [s_grad]])
+            g = np.append(g, s_grad + self.L_s)
         return g
 
     def hess(self, x):
@@ -114,10 +111,9 @@ def _newton_direction(H, g, bordered):
     nodal block K is factored, once for the two right-hand sides -g_u and
     the border column c, and s is eliminated by its Schur complement
     h_ss - c.z. A zero Schur complement gives a non-finite direction. A
-    zero gradient gives d = 0 without a factorization.
+    zero gradient never gets here: ``_newton`` takes the zero step there
+    without assembling H.
     """
-    if not np.any(g):
-        return np.zeros_like(g)
     H = H + 1e-14 * sp.eye(H.shape[0], format="csc")
     if not bordered:
         return spla.spsolve(H, -g, permc_spec="MMD_AT_PLUS_A")
@@ -144,7 +140,8 @@ def _newton(obj, x0, max_iterations=MAX_ITERATIONS):
             return x, f, iterations - 1, True, grad_norm
         use_newton = quad_failures < 3
         d = None
-        if use_newton:
+        # at an exactly zero gradient -g is the zero step: no Hessian, no solve
+        if use_newton and np.any(g):
             try:
                 d = _newton_direction(obj.hess(x), g, obj.enriched)
             except RuntimeError:
@@ -176,7 +173,7 @@ def _newton(obj, x0, max_iterations=MAX_ITERATIONS):
 
 
 def minimize(space, objective, pair, mesh, boundary_data=0.0, x0=None,
-             linear_mode=SOLENOIDAL_EXACT, max_iterations=MAX_ITERATIONS):
+             max_iterations=MAX_ITERATIONS):
     """Damped Newton with backtracking on the convex objective.
 
     ``space`` in {conforming, enriched}; ``objective`` in {G, dirichlet}.
@@ -189,7 +186,7 @@ def minimize(space, objective, pair, mesh, boundary_data=0.0, x0=None,
         raise RangeError(f"unknown objective: {objective}")
     if objective == OBJECTIVE_G:
         boundary_data = 0.0
-    obj = _Objective(space, objective, pair, mesh, boundary_data, linear_mode)
+    obj = _Objective(space, objective, pair, mesh, boundary_data)
     if x0 is None:
         n_int = len(mesh.interior)
         x0 = np.zeros(n_int + (1 if space == ENRICHED else 0))
@@ -197,13 +194,13 @@ def minimize(space, objective, pair, mesh, boundary_data=0.0, x0=None,
     return MinimizeResult(obj.make_field(x), f, iterations, converged, grad_norm)
 
 
-def scaling_probe(t_grid, pair, mesh, linear_mode=SOLENOIDAL_EXACT):
+def scaling_probe(t_grid, pair, mesh):
     """Rows (t, G(t E)) for the pure enrichment ray."""
     rows = []
     zero = DofField.zeros(mesh)
     for t in t_grid:
         u = EnrichedField(zero, float(t))
-        rows.append((float(t), functional_G(u, pair, mesh, mode=linear_mode)))
+        rows.append((float(t), functional_G(u, pair, mesh, mode=SOLENOIDAL_EXACT)))
     return rows
 
 
@@ -213,14 +210,13 @@ class GapReport:
     beta: float
     mode: str
     verdict: str
-    linear_mode: str
     levels: list = field(default_factory=list)
     mode_note: str | None = None
 
     def to_dict(self):
         return {
             "alpha": self.alpha, "beta": self.beta, "mode": self.mode,
-            "verdict": self.verdict, "linear_mode": self.linear_mode,
+            "verdict": self.verdict, "linear_mode": SOLENOIDAL_EXACT,
             "mode_note": self.mode_note, "levels": list(self.levels),
         }
 
@@ -232,8 +228,7 @@ def _g_mode_admissible(report):
             and report.phi_tail.status == CONVERGES)
 
 
-def gap_experiment(alpha, beta, levels, grading=2.0, mode=None,
-                   linear_mode=SOLENOIDAL_EXACT, force_g=False):
+def gap_experiment(alpha, beta, levels, grading=2.0, mode=None, force_g=False):
     """Minimize over conforming vs enriched spaces across mesh levels.
 
     Returns a GapReport with per-level E1 (enriched), E2 (conforming), the
@@ -260,15 +255,12 @@ def gap_experiment(alpha, beta, levels, grading=2.0, mode=None,
 
     pair = double_phase_log(alpha, beta)
     report = GapReport(alpha=float(alpha), beta=float(beta), mode=mode,
-                       verdict=regime.verdict, linear_mode=linear_mode,
-                       mode_note=note)
-    from .assembly import separating_functional  # local to avoid cycle noise
+                       verdict=regime.verdict, mode_note=note)
     for n in levels:
         mesh = build_mesh(n, grading)
         if mode == OBJECTIVE_G:
             bdata = 0.0
-            conf = minimize(CONFORMING, OBJECTIVE_G, pair, mesh,
-                            linear_mode=linear_mode)
+            conf = minimize(CONFORMING, OBJECTIVE_G, pair, mesh)
         else:
             bdata = np.asarray(eval_u2(mesh.nodes[mesh.boundary_mask, 0],
                                        mesh.nodes[mesh.boundary_mask, 1]))
@@ -278,7 +270,7 @@ def gap_experiment(alpha, beta, levels, grading=2.0, mode=None,
                             boundary_data=bdata, x0=x0)
         x0e = np.concatenate([conf.field.values[mesh.interior], [0.0]])
         enr = minimize(ENRICHED, mode, pair, mesh, boundary_data=bdata,
-                       x0=x0e, linear_mode=linear_mode)
+                       x0=x0e)
         sep = separating_functional(enr.field, mesh, mode=ANALYTIC)
         level = {
             "n": n,

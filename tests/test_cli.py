@@ -75,6 +75,9 @@ class TestGap:
                          "--levels", "8", "--out", str(out_path))
         assert code == 0
         report = json.loads(out_path.read_text())
+        assert list(report) == ["alpha", "beta", "mode", "verdict", "linear_mode",
+                                "mode_note", "levels"]
+        assert report["linear_mode"] == "solenoidal_exact"
         assert report["verdict"] == "Gap"
         level = report["levels"][0]
         assert {"n", "h_min", "E1", "E2", "s_opt", "sep_value"} <= set(level)

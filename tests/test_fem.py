@@ -60,6 +60,11 @@ class TestModularEnergy:
         # piecewise-constant integrands; here gradients are elementwise
         # constant and the values match exactly
         assert e0 == pytest.approx(modular_energy(u, pair, mesh), rel=1e-12)
+        nodal0, _ = modular_gradient(EnrichedField(u, 0.0), pair, mesh)
+        nodal, s_grad = modular_gradient(u, pair, mesh)
+        assert s_grad is None
+        np.testing.assert_allclose(nodal0, nodal, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(nodal)))
 
 
 class TestGradient:
@@ -84,20 +89,29 @@ class TestGradient:
             an = float(nodal @ d) + s_grad * ds
             assert an == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
-    def test_hessian_matches_gradient_difference(self, mesh):
+    @pytest.mark.parametrize("space", [CONFORMING, ENRICHED])
+    def test_hessian_matches_gradient_difference(self, mesh, space):
+        enriched = space == ENRICHED
         pair = double_phase_log(2.0, 2.0)
         rng = np.random.default_rng(3)
         u = _random_interior_field(mesh, rng, amp=0.3)
-        eu = EnrichedField(u, 0.2)
-        H = modular_hessian(eu, pair, mesh)
+        H = modular_hessian(EnrichedField(u, 0.2) if enriched else u, pair, mesh)
         d = rng.standard_normal(mesh.n_vertices + 1)
         d[np.where(mesh.boundary_mask)[0]] = 0.0
         h = 1e-6
-        up = EnrichedField(DofField(mesh, u.values + h * d[:-1]), 0.2 + h * d[-1])
-        um = EnrichedField(DofField(mesh, u.values - h * d[:-1]), 0.2 - h * d[-1])
+        up = DofField(mesh, u.values + h * d[:-1])
+        um = DofField(mesh, u.values - h * d[:-1])
+        if enriched:
+            up = EnrichedField(up, 0.2 + h * d[-1])
+            um = EnrichedField(um, 0.2 - h * d[-1])
+        else:
+            d = d[:-1]
         gp, sp = modular_gradient(up, pair, mesh)
         gm, sm = modular_gradient(um, pair, mesh)
-        fd = np.concatenate([(gp - gm), [sp - sm]]) / (2.0 * h)
+        fd = (gp - gm) / (2.0 * h)
+        if enriched:
+            fd = np.append(fd, (sp - sm) / (2.0 * h))
+        assert H.shape == (len(d), len(d))
         hv = H @ d
         mask = np.abs(fd) > 1e-6
         np.testing.assert_allclose(hv[mask], fd[mask], rtol=2e-4)
@@ -241,21 +255,26 @@ class TestNewtonDirection:
         assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_stationary_start_factors_nothing(self, mesh, monkeypatch):
-        calls = []
-        original = solve.spla.spsolve
+        calls = {"spsolve": 0, "hessian": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(owner, name, key):
+            original = getattr(owner, name)
 
-        monkeypatch.setattr(solve.spla, "spsolve", counting)
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(solve.spla, "spsolve", "spsolve")
+        counting(solve, "modular_hessian", "hessian")
         pair = double_phase_log(2.0, 2.0)
         res = minimize(CONFORMING, OBJECTIVE_G, pair, mesh)
-        assert len(calls) == 0
+        assert calls == {"spsolve": 0, "hessian": 0}
         assert res.converged and res.iterations == 1
         assert res.value == 0.0
         minimize(ENRICHED, OBJECTIVE_G, pair, mesh)
-        assert len(calls) >= 1
+        assert calls["spsolve"] >= 1 and calls["hessian"] >= 1
 
     def test_singular_border_falls_back_to_gradient(self, monkeypatch):
         directions = []
