@@ -3,10 +3,15 @@
 Energy, gradient and Hessian share one path over integration points. For a
 conforming field the points are the elements themselves: its gradient is
 constant per element, so each element is one point weighted by its area. For
-an enriched field the points are the quadrature points, where the analytic
-enrichment gradient lives, and per-point terms are summed into their owning
-elements. The only branch is the work that the jump amplitude s adds: d/ds,
+an enriched field the points are the split rule of ``enrichment_quad_rule``:
+the full quadrature points where the analytic enrichment gradient is nonzero
+somewhere in the element, and one point weighted by the area in every other
+element, where the integrand is constant. Per-point terms are summed into
+their owning elements over contiguous segments, since the points are sorted
+by element. The only branch is the work that the jump amplitude s adds: d/ds,
 the border row and column of the Hessian, and its corner entry.
+The b2 pairing of ``linear_term_vector`` keeps the full rule
+(mesh.qpts/qw/qel): b2 is nonzero where the enrichment gradient vanishes.
 Summation orders are fixed (element order, then quadrature order) so repeated
 runs are bit-identical.
 """
@@ -18,7 +23,8 @@ import scipy.sparse as sp
 
 from ..errors import EnergyOverflowError
 from ..geometry import eval_b2
-from .fields import EnrichedField, enrichment_quad_gradient
+from .fields import (EnrichedField, element_starts, enrichment_quad_gradient,
+                     enrichment_quad_rule)
 
 _GRAD_FLOOR = 1e-12
 
@@ -53,28 +59,31 @@ def _integrand(pair, t, a, order):
 
 
 def _points(u, mesh):
-    """(g, |g|, weight, phase, qel, ge) at the integration points of u.
+    """(g, |g|, weight, phase, starts, ge) at the integration points of u.
 
     A conforming field is evaluated once per element, weighted by the area;
-    qel and ge are then None. An enriched field is evaluated at the
-    quadrature points, owned by the elements qel, and ge is the enrichment
-    gradient there.
+    starts and ge are then None. An enriched field is evaluated at the points
+    of the split rule, sorted by element with starts[e] the first point of
+    element e, and ge is the enrichment gradient there.
     """
     if isinstance(u, EnrichedField):
-        g = u.quad_gradients()
-        return (g, np.linalg.norm(g, axis=1), mesh.qw, mesh.phase[mesh.qel],
-                mesh.qel, enrichment_quad_gradient(mesh))
+        qw, qel, ge, starts = enrichment_quad_rule(mesh)
+        g = u.base.element_gradients()[qel] + u.s * ge
+        return g, np.linalg.norm(g, axis=1), qw, mesh.phase[qel], starts, ge
     g = u.element_gradients()
     return g, np.linalg.norm(g, axis=1), mesh.area, mesh.phase, None, None
 
 
-def _per_element(values, qel, mesh):
+def _per_element(values, starts):
     """Sum per-point values into their elements (conforming points are elements)."""
-    if qel is None:
+    if starts is None:
         return values
-    out = np.zeros((mesh.n_elements,) + values.shape[1:])
-    np.add.at(out, qel, values)
-    return out
+    return np.add.reduceat(values, starts, axis=0)
+
+
+def _to_nodes(contrib, mesh):
+    """Sum (Ne, 3) per-element vertex terms into the vertices."""
+    return np.bincount(mesh.tris.ravel(), contrib.ravel(), minlength=mesh.n_vertices)
 
 
 def modular_energy(u, pair, mesh=None):
@@ -90,11 +99,10 @@ def modular_energy(u, pair, mesh=None):
 def modular_gradient(u, pair, mesh=None):
     """(nodal gradient (Nv,), d/ds or None) of the modular energy."""
     mesh = mesh or u.mesh
-    g, t, w, a, qel, ge = _points(u, mesh)
+    g, t, w, a, starts, ge = _points(u, mesh)
     m = (w * _integrand(pair, t, a, 1))[:, None] * g  # (points, 2)
-    contrib = np.einsum("ejk,ek->ej", mesh.grad_basis, _per_element(m, qel, mesh))
-    nodal = np.zeros(mesh.n_vertices)
-    np.add.at(nodal, mesh.tris, contrib)
+    contrib = np.einsum("ejk,ek->ej", mesh.grad_basis, _per_element(m, starts))
+    nodal = _to_nodes(contrib, mesh)
     if ge is None:
         return nodal, None
     return nodal, float(np.sum(m * ge))
@@ -103,11 +111,11 @@ def modular_gradient(u, pair, mesh=None):
 def modular_hessian(u, pair, mesh=None):
     """Sparse Hessian over nodal dofs (+ trailing s dof when enriched)."""
     mesh = mesh or u.mesh
-    g, t, w, a, qel, ge = _points(u, mesh)
+    g, t, w, a, starts, ge = _points(u, mesh)
     H = _pointwise_hessian(g, t, _integrand(pair, t, a, 2), _integrand(pair, t, a, 1))
     B = mesh.grad_basis
     # node-node block, weighted and summed per element in 2x2 form first
-    M = _per_element(H * w[:, None, None], qel, mesh)
+    M = _per_element(H * w[:, None, None], starts)
     K = np.einsum("ejk,ekl,eml->ejm", B, M, B)
     rows = [np.repeat(mesh.tris, 3, axis=1).ravel()]
     cols = [np.tile(mesh.tris, (1, 3)).ravel()]
@@ -116,7 +124,7 @@ def modular_hessian(u, pair, mesh=None):
     if ge is not None:
         Hge = np.einsum("qkl,ql->qk", H, ge)
         # node-s cross terms: the border row and column
-        cross = np.einsum("ejk,ek->ej", B, _per_element(w[:, None] * Hge, qel, mesh))
+        cross = np.einsum("ejk,ek->ej", B, _per_element(w[:, None] * Hge, starts))
         border = np.full(mesh.tris.size, nv, dtype=np.int64)
         rows += [mesh.tris.ravel(), border, [nv]]
         cols += [border, mesh.tris.ravel(), [nv]]
@@ -168,9 +176,9 @@ def linear_term_vector(mesh, mode=ANALYTIC):
     L_s = float(np.sum(mesh.qw * np.einsum("qk,qk->q", b, ge)))
     L = np.zeros(mesh.n_vertices)
     if mode == ANALYTIC:
-        per_elem = _per_element(mesh.qw[:, None] * b, mesh.qel, mesh)
-        contrib = np.einsum("ejk,ek->ej", mesh.grad_basis, per_elem)
-        np.add.at(L, mesh.tris, contrib)
+        per_elem = _per_element(mesh.qw[:, None] * b,
+                                element_starts(mesh.qel, mesh.n_elements))
+        L = _to_nodes(np.einsum("ejk,ek->ej", mesh.grad_basis, per_elem), mesh)
     elif mode != SOLENOIDAL_EXACT:
         raise ValueError(f"unknown linear-term mode: {mode}")
     cache[mode] = (L, L_s)

@@ -9,7 +9,7 @@ codimension-one-larger jump space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +60,46 @@ def enrichment_quad_gradient(mesh):
     return ge
 
 
+def element_starts(qel, n_elements):
+    """Index of the first point of each element in the sorted owner array qel.
+
+    Every element must own at least one point: np.add.reduceat over these
+    starts then sums exactly the points of each element.
+    """
+    starts = np.searchsorted(qel, np.arange(n_elements))
+    assert np.all(np.diff(starts, append=len(qel)) > 0), "element without points"
+    return starts
+
+
+def enrichment_quad_rule(mesh):
+    """(qw, qel, ge, starts): the quadrature rule of enriched fields, cached.
+
+    The split rule of the full one (mesh.qpts/qw/qel). An element where grad E
+    is exactly 0 at every full-rule point keeps a single point with weight
+    area and ge = 0: an enriched field's gradient, and so its integrand, is
+    constant there. Every other element keeps all its full-rule points. qel
+    stays sorted, and starts[e] is the first point of element e.
+    """
+    rule = getattr(mesh, "_enrichment_quad_rule", None)
+    if rule is None:
+        ge = enrichment_quad_gradient(mesh)
+        qel = mesh.qel
+        active = np.zeros(mesh.n_elements, dtype=bool)
+        active[qel[np.any(ge != 0.0, axis=1)]] = True
+        keep = active[qel]
+        keep[element_starts(qel, mesh.n_elements)] = True
+        qel_split = qel[keep]
+        lone = ~active[qel_split]
+        qw = np.where(lone, mesh.area[qel_split], mesh.qw[keep])
+        ge_split = ge[keep]
+        ge_split[lone] = 0.0
+        rule = (qw, qel_split, ge_split, element_starts(qel_split, mesh.n_elements))
+        for arr in rule:
+            arr.setflags(write=False)
+        object.__setattr__(mesh, "_enrichment_quad_rule", rule)
+    return rule
+
+
 @dataclass
 class DofField:
     """Continuous piecewise-linear field given by vertex values."""
@@ -82,18 +122,8 @@ class DofField:
         return cls(mesh, np.asarray(func(mesh.nodes[:, 0], mesh.nodes[:, 1]),
                                     dtype=np.float64))
 
-    def with_boundary(self, data):
-        """Copy with boundary nodes overwritten by data (scalar or vector)."""
-        v = self.values.copy()
-        v[self.mesh.boundary_mask] = data
-        return DofField(self.mesh, v)
-
     def element_gradients(self):
         return self.mesh.element_gradients(self.values)
-
-    def quad_gradients(self):
-        """Gradient at every quadrature point (constant per element)."""
-        return self.element_gradients()[self.mesh.qel]
 
 
 @dataclass
@@ -106,12 +136,6 @@ class EnrichedField:
     @property
     def mesh(self):
         return self.base.mesh
-
-    def quad_gradients(self):
-        g = self.base.quad_gradients()
-        if self.s != 0.0:
-            g = g + self.s * enrichment_quad_gradient(self.mesh)
-        return g
 
     def evaluate(self, points):
         vals = self.mesh.evaluate(self.base.values, points)

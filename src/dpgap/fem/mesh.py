@@ -39,9 +39,11 @@ class MeshSpace:
     area: np.ndarray = field(repr=False)        # (Ne,)
     phase: np.ndarray = field(repr=False)       # (Ne,) weight a in {0,1}
     grad_basis: np.ndarray = field(repr=False)  # (Ne, 3, 2) nabla lambda_j
+    # the full quadrature rule; enriched assembly integrates with its split
+    # (fields.enrichment_quad_rule), the b2 pairing with the rule itself
     qpts: np.ndarray = field(repr=False)        # (Nq, 2)
     qw: np.ndarray = field(repr=False)          # (Nq,)
-    qel: np.ndarray = field(repr=False)         # (Nq,) owning element
+    qel: np.ndarray = field(repr=False)         # (Nq,) owning element, sorted
     boundary_mask: np.ndarray = field(repr=False)
     origin_vertex: int = 0
 

@@ -28,9 +28,8 @@ from ..classifier import CONVERGES, classify_alpha_beta
 from ..errors import GapPreconditionError, RangeError
 from ..geometry import eval_u2
 from ..orlicz import double_phase_log
-from .assembly import (ANALYTIC, SOLENOIDAL_EXACT, functional_G, linear_term_vector,
-                       modular_energy, modular_gradient, modular_hessian,
-                       separating_functional)
+from .assembly import (ANALYTIC, SOLENOIDAL_EXACT, linear_term_vector, modular_energy,
+                       modular_gradient, modular_hessian, separating_functional)
 from .fields import DofField, EnrichedField
 from .mesh import build_mesh
 
@@ -192,16 +191,6 @@ def minimize(space, objective, pair, mesh, boundary_data=0.0, x0=None,
         x0 = np.zeros(n_int + (1 if space == ENRICHED else 0))
     x, f, iterations, converged, grad_norm = _newton(obj, x0, max_iterations)
     return MinimizeResult(obj.make_field(x), f, iterations, converged, grad_norm)
-
-
-def scaling_probe(t_grid, pair, mesh):
-    """Rows (t, G(t E)) for the pure enrichment ray."""
-    rows = []
-    zero = DofField.zeros(mesh)
-    for t in t_grid:
-        u = EnrichedField(zero, float(t))
-        rows.append((float(t), functional_G(u, pair, mesh, mode=SOLENOIDAL_EXACT)))
-    return rows
 
 
 @dataclass

@@ -8,12 +8,11 @@ import scipy.sparse.linalg as spla
 from dpgap.errors import GapPreconditionError, RangeError
 from dpgap.fem import (DofField, EnrichedField, build_mesh, cone_trace_diagnostic,
                        functional_G, gap_experiment, linear_term_vector,
-                       minimize, modular_energy, scaling_probe,
-                       separating_functional)
-from dpgap.fem import solve
+                       minimize, modular_energy, separating_functional)
+from dpgap.fem import assembly, fields, solve
 from dpgap.fem.assembly import (ANALYTIC, SOLENOIDAL_EXACT, modular_gradient,
                                 modular_hessian)
-from dpgap.fem.fields import enrichment_gradient, enrichment_value
+from dpgap.fem.fields import enrichment_gradient, enrichment_quad_rule, enrichment_value
 from dpgap.fem.solve import CONFORMING, ENRICHED, OBJECTIVE_DIRICHLET, OBJECTIVE_G
 from dpgap.geometry import eval_u2
 from dpgap.orlicz import LogPower, PurePower, double_phase_log
@@ -144,6 +143,98 @@ class TestEnrichment:
             np.testing.assert_allclose(g[:, k], fd, atol=1e-5)
 
 
+def _full_rule_assembly(u, pair, mesh):
+    """(energy, nodal gradient, d/ds, dense Hessian) of an enriched field, one
+    term per point of the full quadrature rule mesh.qpts/qw/qel."""
+    ge = enrichment_gradient(mesh.qpts)
+    g = u.base.element_gradients()[mesh.qel] + u.s * ge
+    t = np.linalg.norm(g, axis=1)
+    a = mesh.phase[mesh.qel]
+    w = mesh.qw
+    energy = float(np.sum(w * (pair.phi(t) + a * pair.psi(t))))
+    ratio = pair.phi.deriv_ratio(t, floor=1e-12) + a * pair.psi.deriv_ratio(t, floor=1e-12)
+    second = pair.phi.second_deriv(t) + a * pair.psi.second_deriv(t)
+    ghat = np.where(t[:, None] > 1e-12, g / np.maximum(t, 1e-300)[:, None], 0.0)
+    Hq = (ratio[:, None, None] * np.eye(2)
+          + (second - ratio)[:, None, None] * np.einsum("qk,ql->qkl", ghat, ghat))
+    B = mesh.grad_basis[mesh.qel]  # (Nq, 3, 2)
+    tris = mesh.tris[mesh.qel]
+    nv = mesh.n_vertices
+    m = (w * ratio)[:, None] * g
+    nodal = np.zeros(nv)
+    np.add.at(nodal, tris, np.einsum("qjk,qk->qj", B, m))
+    ds = float(np.sum(m * ge))
+    Hge = np.einsum("qkl,ql->qk", Hq, ge)
+    H = np.zeros((nv + 1, nv + 1))
+    np.add.at(H, (tris[:, :, None], tris[:, None, :]),
+              w[:, None, None] * np.einsum("qjk,qkl,qml->qjm", B, Hq, B))
+    cross = np.zeros(nv)
+    np.add.at(cross, tris, w[:, None] * np.einsum("qjk,qk->qj", B, Hge))
+    H[:nv, nv] = cross
+    H[nv, :nv] = cross
+    H[nv, nv] = float(np.sum(w * np.einsum("qk,qk->q", ge, Hge)))
+    return energy, nodal, ds, H
+
+
+class TestSplitRule:
+    def test_rule(self, mesh16):
+        qw, qel, ge, starts = enrichment_quad_rule(mesh16)
+        full_ge = enrichment_gradient(mesh16.qpts)
+        ne = mesh16.n_elements
+        assert np.all(np.diff(qel) >= 0)
+        np.testing.assert_array_equal(qel[starts], np.arange(ne))
+        np.testing.assert_allclose(np.bincount(qel, qw, minlength=ne), mesh16.area,
+                                   rtol=1e-14)
+        # active: grad E nonzero at some full-rule point of the element
+        active = np.bincount(mesh16.qel, np.any(full_ge != 0.0, axis=1),
+                             minlength=ne) > 0
+        assert 0 < active.sum() < ne
+        full_count = np.bincount(mesh16.qel, minlength=ne)
+        np.testing.assert_array_equal(np.bincount(qel, minlength=ne),
+                                      np.where(active, full_count, 1))
+        kept, full_kept = active[qel], active[mesh16.qel]
+        np.testing.assert_array_equal(qw[kept], mesh16.qw[full_kept])
+        np.testing.assert_array_equal(ge[kept], full_ge[full_kept])
+        # each inactive element: one point, weight area, ge = 0, where every
+        # dropped full-rule point has ge exactly 0
+        np.testing.assert_array_equal(qw[~kept], mesh16.area[~active])
+        assert np.all(ge[~kept] == 0.0)
+        assert np.all(full_ge[~full_kept] == 0.0)
+
+    def test_assembly_matches_full_rule(self, mesh16):
+        pair = double_phase_log(2.0, 2.0)
+        rng = np.random.default_rng(13)
+        u = EnrichedField(_random_interior_field(mesh16, rng, amp=0.3), 0.3)
+        energy, nodal, ds, H = _full_rule_assembly(u, pair, mesh16)
+        assert modular_energy(u, pair, mesh16) == pytest.approx(energy, rel=1e-12)
+        got_nodal, got_ds = modular_gradient(u, pair, mesh16)
+        np.testing.assert_allclose(got_nodal, nodal, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(nodal)))
+        assert got_ds == pytest.approx(ds, rel=1e-12)
+        got_H = modular_hessian(u, pair, mesh16).toarray()
+        np.testing.assert_allclose(got_H, H, rtol=1e-12, atol=1e-12 * np.max(np.abs(H)))
+
+    def test_conforming_minimize_never_builds_it(self, monkeypatch):
+        calls = []
+        original = fields.enrichment_quad_gradient
+
+        def counting(mesh):
+            calls.append(mesh)
+            return original(mesh)
+
+        monkeypatch.setattr(fields, "enrichment_quad_gradient", counting)
+        monkeypatch.setattr(assembly, "enrichment_quad_gradient", counting)
+        fresh = build_mesh(8, grading=2.0)
+        pair = double_phase_log(2.0, 2.0)
+        bdata = np.asarray(eval_u2(fresh.nodes[fresh.boundary_mask, 0],
+                                   fresh.nodes[fresh.boundary_mask, 1]))
+        minimize(CONFORMING, OBJECTIVE_G, pair, fresh)
+        minimize(CONFORMING, OBJECTIVE_DIRICHLET, pair, fresh, boundary_data=bdata)
+        assert calls == []
+        minimize(ENRICHED, OBJECTIVE_G, pair, fresh)
+        assert calls and all(m is fresh for m in calls)
+
+
 class TestLinearTerm:
     def test_exact_mode_vanishes_on_conforming(self, mesh):
         L, _ = linear_term_vector(mesh, SOLENOIDAL_EXACT)
@@ -157,7 +248,8 @@ class TestLinearTerm:
 
         vals = []
         for m in (mesh, mesh16):
-            u = DofField.interpolate(m, w).with_boundary(0.0)
+            u = DofField.interpolate(m, w)
+            u.values[m.boundary_mask] = 0.0
             L, _ = linear_term_vector(m, ANALYTIC)
             vals.append(abs(float(L @ u.values)))
         assert vals[1] < 0.5 * vals[0]
@@ -206,14 +298,6 @@ class TestMinimize:
         midf = DofField(mesh, 0.5 * (a.values + b.values))
         fm = functional_G(EnrichedField(midf, -0.05), pair, mesh)
         assert fm <= 0.5 * (fa + fb) + 1e-10
-
-    def test_scaling_probe_slope(self, mesh16):
-        pair = double_phase_log(2.0, 2.0)
-        rows = scaling_probe([1e-5, 1e-4, 1e-3], pair, mesh16)
-        for t, g in rows:
-            assert g < 0.0
-        # G(tE) ~ -t as t -> 0
-        assert rows[0][1] / rows[0][0] == pytest.approx(-1.0, abs=0.05)
 
 
 class _SingularBorderObjective:
