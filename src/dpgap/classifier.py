@@ -81,21 +81,18 @@ def _check_superlinear(f):
 
 
 def _dyadic_blocks(f):
-    sums = []
-    for k in range(_K_MAX + 1):
-        a = 2.0 ** k
-        t = a * (1.0 + _GL_X)  # block [2^k, 2^{k+1}]
-        with np.errstate(over="ignore"):
-            if hasattr(f, "log_eval"):
-                # overflow-free: f(t)/t^3 = exp(log f - 3 ln t)
-                vals = np.exp(np.asarray(f.log_eval(np.log(t))) - 3.0 * np.log(t))
-            else:
-                vals = np.asarray(f(t)) / t**3
-        s = float(np.sum(_GL_W * vals) * a)
-        if not np.isfinite(s):
-            raise NumericalError("non-finite dyadic block sum")
-        sums.append(s)
-    return sums
+    a = 2.0 ** np.arange(_K_MAX + 1)
+    t = a[:, None] * (1.0 + _GL_X)  # row k: block [2^k, 2^{k+1}]
+    with np.errstate(over="ignore"):
+        if hasattr(f, "log_eval"):
+            # overflow-free: f(t)/t^3 = exp(log f - 3 ln t)
+            vals = np.exp(np.asarray(f.log_eval(np.log(t))) - 3.0 * np.log(t))
+        else:
+            vals = np.asarray(f(t)) / t**3
+    sums = np.sum(_GL_W * vals, axis=1) * a
+    if not np.all(np.isfinite(sums)):
+        raise NumericalError("non-finite dyadic block sum")
+    return sums.tolist()
 
 
 def _fit_exponent(sums):

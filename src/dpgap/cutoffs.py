@@ -80,8 +80,13 @@ def _log_deriv_inverse(psi, ln_s):
     for _ in range(110):
         mid = 0.5 * (lo + hi)
         below = _log_deriv(psi, mid) < ln_s
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        new_lo = np.where(below, mid, lo)
+        new_hi = np.where(below, hi, mid)
+        # a step is a function of (lo, hi) alone, so once one leaves both
+        # unchanged every later step repeats it: stopping here is exact
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
 
 

@@ -70,7 +70,14 @@ class MeshSpace:
         return np.einsum("ej,ejk->ek", v, self.grad_basis)
 
     def locate(self, points):
-        """(element id, barycentric coords) for each query point."""
+        """(element id, barycentric coords) for each query point.
+
+        A point takes the first of the 4 triangles of its grid cell, in
+        element order, whose barycentric coordinates are all >= -1e-12, so a
+        point on a shared edge or vertex goes to the lowest such element id.
+        A point that no triangle of its cell holds (one outside the square)
+        raises MeshError naming the first such point in input order.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         m = 2 * self.n
         ix = np.clip(np.searchsorted(self.xs, pts[:, 0], side="right") - 1, 0, m - 1)
@@ -78,24 +85,21 @@ class MeshSpace:
         cell = ix * m + iy
         elems = np.empty(len(pts), dtype=np.int64)
         barys = np.empty((len(pts), 3))
-        for k in range(len(pts)):
-            found = False
-            for t in range(4 * cell[k], 4 * cell[k] + 4):
-                lam = self._bary(t, pts[k])
-                if np.all(lam >= -1e-12):
-                    elems[k] = t
-                    barys[k] = lam
-                    found = True
-                    break
-            if not found:
-                raise MeshError(f"point {pts[k]} not located in its cell")
+        todo = np.arange(len(pts))
+        # one batched solve per candidate slot, over the points still unlocated
+        for j in range(4):
+            t = 4 * cell[todo] + j
+            verts = self.nodes[self.tris[t]]  # (k, 3, 2)
+            T = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=-1)
+            lam12 = np.linalg.solve(T, (pts[todo] - verts[:, 0])[:, :, None])[:, :, 0]
+            lam = np.column_stack([1.0 - (lam12[:, 0] + lam12[:, 1]), lam12])
+            hit = np.all(lam >= -1e-12, axis=1)
+            elems[todo[hit]] = t[hit]
+            barys[todo[hit]] = lam[hit]
+            todo = todo[~hit]
+        if todo.size:
+            raise MeshError(f"point {pts[todo[0]]} not located in its cell")
         return elems, barys
-
-    def _bary(self, t, p):
-        verts = self.nodes[self.tris[t]]
-        T = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
-        lam12 = np.linalg.solve(T, p - verts[0])
-        return np.array([1.0 - lam12.sum(), lam12[0], lam12[1]])
 
     def evaluate(self, values, points):
         """Point values of the conforming nodal field."""

@@ -356,22 +356,6 @@ def conjugate_numeric(f, s):
     return s * t_star - float(f(t_star))
 
 
-def young_gap(f, t, s):
-    """Psi(t) + Psi*(s) - t s; nonnegative up to conjugation tolerance."""
-    return float(f(t)) + conjugate_numeric(f, s) - float(t) * float(s)
-
-
-def delta2_estimate(f, t_grid=None):
-    """Grid supremum of f(2t)/f(t); doubling-constant estimate, not a proof."""
-    if t_grid is None:
-        t_grid = np.logspace(-6.0, 9.0, 600)
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    num = np.asarray(f(2.0 * t_grid), dtype=np.float64)
-    den = np.asarray(f(t_grid), dtype=np.float64)
-    ratio = np.where((num == 0.0) & (den == 0.0), 1.0, num / np.where(den == 0, 1.0, den))
-    return float(np.max(ratio))
-
-
 def luxemburg_norm(values, weights, f, points=None):
     """inf{gamma > 0 : sum_i w_i Phi(x_i, |v_i| / gamma) <= 1} by bisection.
 
@@ -411,21 +395,6 @@ def luxemburg_norm(values, weights, f, points=None):
         if hi - lo <= 1e-10 * hi:
             break
     return hi
-
-
-def zygmund_ratio(a_field, b_field, weights, pa, alpha, pb, beta):
-    """||AB|| / (||A|| ||B||) for the Zygmund-class Hoelder inequality.
-
-    Exponents of the product norm follow 1/c = 1/a + 1/b and
-    gamma/c = alpha/a + beta/b.
-    """
-    c = 1.0 / (1.0 / pa + 1.0 / pb)
-    gamma_c = c * (alpha / pa + beta / pb)
-    na = luxemburg_norm(a_field, weights, LogPower(pa, alpha))
-    nb = luxemburg_norm(b_field, weights, LogPower(pb, beta))
-    nab = luxemburg_norm(np.asarray(a_field) * np.asarray(b_field), weights,
-                         LogPower(c, gamma_c))
-    return nab / (na * nb)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from dpgap import classifier
 from dpgap.classifier import (CONVERGES, DIVERGES, GAP, NO_GAP,
                               classify, classify_alpha_beta, phase_diagram,
                               regularity_modulus_check, tail_integral_verdict)
-from dpgap.errors import PreconditionError
-from dpgap.orlicz import LogPower, PurePower
+from dpgap.errors import NumericalError, PreconditionError
+from dpgap.orlicz import LogPower, PurePower, TabulatedConjugate
 
 GRID = [0.25, 0.5, 1.0, 1.25, 2.0, 3.0]
 
@@ -39,6 +40,37 @@ class TestTailVerdict:
     def test_sublinear_precondition(self):
         with pytest.raises(PreconditionError):
             tail_integral_verdict(lambda t: np.sqrt(t))
+
+
+def _dyadic_blocks_reference(f):
+    """One block [2^k, 2^{k+1}] at a time."""
+    sums = []
+    for k in range(classifier._K_MAX + 1):
+        a = 2.0 ** k
+        t = a * (1.0 + classifier._GL_X)
+        with np.errstate(over="ignore"):
+            if hasattr(f, "log_eval"):
+                vals = np.exp(np.asarray(f.log_eval(np.log(t))) - 3.0 * np.log(t))
+            else:
+                vals = np.asarray(f(t)) / t**3
+        sums.append(float(np.sum(classifier._GL_W * vals) * a))
+    return sums
+
+
+class TestDyadicBlocks:
+    def test_matches_blockwise_reference(self):
+        cases = [PurePower(2.5), TabulatedConjugate(PurePower(3.0)),
+                 lambda t: t**2 * np.log(np.e + t)]
+        for gamma in np.linspace(0.0, 3.0, 13):
+            for g in {gamma, -gamma}:
+                f = LogPower(2.0, float(g))
+                cases += [f, f.conjugate_params()]
+        for f in cases:
+            assert classifier._dyadic_blocks(f) == _dyadic_blocks_reference(f), f
+
+    def test_non_finite_sum_raises(self):
+        with pytest.raises(NumericalError):
+            classifier._dyadic_blocks(lambda t: np.where(t > 1e6, np.inf, t**2))
 
 
 class TestClassify:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dpgap import cutoffs
 from dpgap.cutoffs import (build_loglog_cutoff, build_psi_harmonic_cutoff,
                            cutoff_energy, deriv_inverse,
                            euler_lagrange_residual, find_inner_radius,
@@ -46,6 +47,50 @@ class TestDerivInverse:
         t = np.logspace(-3.0, 6.0, 40)
         s = np.asarray(psi.deriv(t))
         np.testing.assert_allclose(deriv_inverse(psi, s), t, rtol=1e-9)
+
+
+def _inverse_reference(psi, ln_s):
+    """The bracket search followed by all 110 bisection steps."""
+    ln_s = np.atleast_1d(np.asarray(ln_s, dtype=np.float64))
+    lo = np.minimum(ln_s, 4.0 * ln_s) - 100.0
+    hi = np.maximum(ln_s, 4.0 * ln_s) + 100.0
+    for _ in range(12):
+        bad_lo = cutoffs._log_deriv(psi, lo) > ln_s
+        bad_hi = cutoffs._log_deriv(psi, hi) < ln_s
+        if not (np.any(bad_lo) or np.any(bad_hi)):
+            break
+        span = hi - lo
+        lo = np.where(bad_lo, lo - span, lo)
+        hi = np.where(bad_hi, hi + span, hi)
+    for _ in range(110):
+        mid = 0.5 * (lo + hi)
+        below = cutoffs._log_deriv(psi, mid) < ln_s
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestLogDerivInverse:
+    PSIS = [PurePower(2.0)] + [LogPower(2.0, g) for g in (0.0, 0.5, 1.0, -2.0)]
+    LN_S = np.linspace(-700.0, 700.0, 281)  # reaches the |ln t| > 600 branches
+
+    @pytest.mark.parametrize("psi", PSIS, ids=["t2", "L0", "L0.5", "L1", "L-2"])
+    def test_matches_full_bisection(self, psi):
+        got = cutoffs._log_deriv_inverse(psi, self.LN_S)
+        assert got.tobytes() == _inverse_reference(psi, self.LN_S).tobytes()
+
+    def test_stops_at_fixed_point(self, monkeypatch):
+        calls = []
+        log_deriv = cutoffs._log_deriv
+
+        def counted(psi, ln_t):
+            calls.append(1)
+            return log_deriv(psi, ln_t)
+
+        monkeypatch.setattr(cutoffs, "_log_deriv", counted)
+        cutoffs._log_deriv_inverse(LogPower(2.0, 0.5), self.LN_S)
+        # bracket and bisection together stay below the 110-step cap
+        assert len(calls) < 110
 
 
 class TestPsiHarmonic:

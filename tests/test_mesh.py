@@ -103,6 +103,64 @@ class TestGradientsAndEvaluation:
         assert np.array_equal(mesh8.boundary_mask, on_edge)
 
 
+def _locate_reference(mesh, pts):
+    """Point by point, candidate by candidate: the first triangle of the cell
+    with every barycentric >= -1e-12 wins; also counts the triangles that
+    hold each point."""
+    m = 2 * mesh.n
+    elems = np.empty(len(pts), dtype=np.int64)
+    barys = np.empty((len(pts), 3))
+    holders = np.zeros(len(pts), dtype=np.int64)
+    for k, p in enumerate(pts):
+        ix = min(max(np.searchsorted(mesh.xs, p[0], side="right") - 1, 0), m - 1)
+        iy = min(max(np.searchsorted(mesh.xs, p[1], side="right") - 1, 0), m - 1)
+        for t in range(4 * (ix * m + iy), 4 * (ix * m + iy) + 4):
+            verts = mesh.nodes[mesh.tris[t]]
+            T = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
+            lam12 = np.linalg.solve(T, p - verts[0])
+            lam = np.array([1.0 - lam12.sum(), lam12[0], lam12[1]])
+            if np.all(lam >= -1e-12):
+                if holders[k] == 0:
+                    elems[k], barys[k] = t, lam
+                holders[k] += 1
+        assert holders[k] > 0
+    return elems, barys, holders
+
+
+def _tie_points(mesh):
+    """Points on cell edges and on both cell diagonals."""
+    xs = mesh.xs
+    lo, hi = xs[:-1], xs[1:]
+    a, b = np.meshgrid(np.arange(len(lo)), np.arange(len(lo)), indexing="ij")
+    x0, x1, y0, y1 = lo[a.ravel()], hi[a.ravel()], lo[b.ravel()], hi[b.ravel()]
+    pts = []
+    for s in (0.25, 0.5, 0.8):
+        pts += [np.column_stack([x0, y0 + s * (y1 - y0)]),            # vertical edge
+                np.column_stack([x0 + s * (x1 - x0), y0]),            # horizontal edge
+                np.column_stack([x0 + s * (x1 - x0), y0 + s * (y1 - y0)]),  # diagonal
+                np.column_stack([x0 + s * (x1 - x0), y1 - s * (y1 - y0)])]  # anti-diagonal
+    return np.vstack(pts)
+
+
+class TestLocate:
+    @pytest.mark.parametrize("n, grading", [(8, 1.0), (16, 2.0)])
+    def test_matches_pointwise_first_candidate(self, n, grading):
+        mesh = build_mesh(n, grading)
+        corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+        pts = np.vstack([mesh.nodes, mesh.qpts, corners, _tie_points(mesh)])
+        ref_el, ref_bary, holders = _locate_reference(mesh, pts)
+        # the tie-break is exercised: many points lie in several triangles
+        assert np.count_nonzero(holders > 1) > len(mesh.nodes)
+        el, bary = mesh.locate(pts)
+        assert np.array_equal(el, ref_el)
+        assert bary.tobytes() == ref_bary.tobytes()
+
+    def test_outside_point_raises_first_in_input_order(self, mesh8):
+        pts = np.array([[0.1, 0.2], [1.5, 0.25], [-0.3, 0.4], [0.5, -2.0]])
+        with pytest.raises(MeshError, match=r"point \[1\.5 +0\.25\] not located"):
+            mesh8.locate(pts)
+
+
 class TestDeterminism:
     def test_identical_rebuild(self):
         a = build_mesh(8, grading=2.0)
