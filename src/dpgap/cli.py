@@ -334,10 +334,9 @@ def _apply_config(argv):
             flags.extend([flag, ",".join(str(v) for v in value)])
         else:
             flags.extend([flag, str(value)])
+    # an explicit command wins over the config's
     if command is not None and (not rest or rest[0].startswith("-")):
         rest = [str(command)] + rest
-    elif rest and not rest[0].startswith("-"):
-        pass  # explicit command wins
     # config flags first so explicit flags override (argparse keeps the last)
     if rest and not rest[0].startswith("-"):
         return [rest[0]] + flags + rest[1:]

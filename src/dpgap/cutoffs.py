@@ -55,9 +55,9 @@ def _log_deriv(psi, ln_t):
                         + np.log(psi.p * u + psi.gamma))
         tiny = ln_t < -600.0
         if np.any(tiny):
-            knot = psi._knot
-            if knot is not None and knot[0] > 0.0:
-                out[tiny] = np.log(knot[2])  # deriv -> a1 below the knot
+            t0, _, a1 = psi._knot
+            if t0 > 0.0:
+                out[tiny] = np.log(a1)  # deriv -> a1 below the knot
             else:
                 out[tiny] = np.log(psi.scale * psi.p) + (psi.p - 1.0) * ln_t[tiny]
         return out

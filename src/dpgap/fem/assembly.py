@@ -8,8 +8,11 @@ the full quadrature points where the analytic enrichment gradient is nonzero
 somewhere in the element, and one point weighted by the area in every other
 element, where the integrand is constant. Per-point terms are summed into
 their owning elements over contiguous segments, since the points are sorted
-by element. The only branch is the work that the jump amplitude s adds: d/ds,
-the border row and column of the Hessian, and its corner entry.
+by element. The only branch is the work that the jump amplitude s adds.
+Gradient and Hessian return their nodal part and their s part separately:
+(nodal gradient, d/ds) and (nodal block K, node-s border, s-s entry), with
+None for the s part of a conforming field. How the s dof is laid out next to
+the nodal ones is left to ``solve``.
 The b2 pairing of ``linear_term_vector`` keeps the full rule
 (mesh.qpts/qw/qel): b2 is nonzero where the enrichment gradient vanishes.
 Summation orders are fixed (element order, then quadrature order) so repeated
@@ -27,9 +30,6 @@ from .fields import (EnrichedField, element_starts, enrichment_quad_gradient,
                      enrichment_quad_rule)
 
 _GRAD_FLOOR = 1e-12
-
-ANALYTIC = "analytic"
-SOLENOIDAL_EXACT = "solenoidal_exact"
 
 
 def _split_pair(pair):
@@ -109,33 +109,30 @@ def modular_gradient(u, pair, mesh=None):
 
 
 def modular_hessian(u, pair, mesh=None):
-    """Sparse Hessian over nodal dofs (+ trailing s dof when enriched)."""
+    """(nodal block K, node-s border or None, s-s entry or None) of the Hessian.
+
+    K is the sparse (Nv, Nv) Hessian over the nodal dofs. An enriched field
+    adds the (Nv,) cross terms between the nodes and s and the float s-s
+    entry; a conforming field returns None for both.
+    """
     mesh = mesh or u.mesh
     g, t, w, a, starts, ge = _points(u, mesh)
     H = _pointwise_hessian(g, t, _integrand(pair, t, a, 2), _integrand(pair, t, a, 1))
     B = mesh.grad_basis
     # node-node block, weighted and summed per element in 2x2 form first
     M = _per_element(H * w[:, None, None], starts)
-    K = np.einsum("ejk,ekl,eml->ejm", B, M, B)
-    rows = [np.repeat(mesh.tris, 3, axis=1).ravel()]
-    cols = [np.tile(mesh.tris, (1, 3)).ravel()]
-    vals = [K.ravel()]
-    n = nv = mesh.n_vertices
-    if ge is not None:
-        Hge = np.einsum("qkl,ql->qk", H, ge)
-        # node-s cross terms: the border row and column
-        cross = np.einsum("ejk,ek->ej", B, _per_element(w[:, None] * Hge, starts))
-        border = np.full(mesh.tris.size, nv, dtype=np.int64)
-        rows += [mesh.tris.ravel(), border, [nv]]
-        cols += [border, mesh.tris.ravel(), [nv]]
-        # s-s entry
-        ss = float(np.sum(w * np.einsum("qk,qk->q", ge, Hge)))
-        vals += [cross.ravel(), cross.ravel(), [ss]]
-        n = nv + 1
-    mat = sp.coo_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n, n))
-    return mat.tocsr()
+    Ke = np.einsum("ejk,ekl,eml->ejm", B, M, B)
+    nv = mesh.n_vertices
+    K = sp.coo_matrix((Ke.ravel(), (np.repeat(mesh.tris, 3, axis=1).ravel(),
+                                   np.tile(mesh.tris, (1, 3)).ravel())),
+                      shape=(nv, nv)).tocsr()
+    if ge is None:
+        return K, None, None
+    Hge = np.einsum("qkl,ql->qk", H, ge)
+    border = _to_nodes(np.einsum("ejk,ek->ej", B, _per_element(w[:, None] * Hge, starts)),
+                       mesh)
+    h_ss = float(np.sum(w * np.einsum("qk,qk->q", ge, Hge)))
+    return K, border, h_ss
 
 
 def _pointwise_hessian(g, t, k1, k2):
@@ -155,49 +152,38 @@ def _pointwise_hessian(g, t, k1, k2):
     return H
 
 
-def linear_term_vector(mesh, mode=ANALYTIC):
+def linear_term_vector(mesh):
     """(L, L_s) with int b2 . grad u = L . values + L_s s for every field.
 
-    ``analytic`` evaluates the solenoidal field b2 at the quadrature points.
-    ``solenoidal_exact`` uses the identity int b2 . grad u = 0, valid for
-    every continuous piecewise-linear u with zero boundary values (b2 is the
+    b2 is evaluated once per mesh, at the full-rule quadrature points, and
+    the result is cached on the mesh. ``separating_functional`` uses both
+    parts. The G objective uses only L_s: int b2 . grad u = 0 for every
+    continuous piecewise-linear u with zero boundary values (b2 is the
     perpendicular gradient of a bounded W^{1,1} stream function, hence
-    distributionally divergence free, and such u are Lipschitz); only the
-    enrichment pairing L_s is left to quadrature.
+    distributionally divergence free, and such u are Lipschitz), so L . values
+    is quadrature error on a conforming field and is left out there.
     """
-    cache = getattr(mesh, "_linear_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(mesh, "_linear_cache", cache)
-    if mode in cache:
-        return cache[mode]
+    cached = getattr(mesh, "_linear_term", None)
+    if cached is not None:
+        return cached
     ge = enrichment_quad_gradient(mesh)
     b = eval_b2(mesh.qpts[:, 0], mesh.qpts[:, 1]).T  # (Nq, 2)
     L_s = float(np.sum(mesh.qw * np.einsum("qk,qk->q", b, ge)))
-    L = np.zeros(mesh.n_vertices)
-    if mode == ANALYTIC:
-        per_elem = _per_element(mesh.qw[:, None] * b,
-                                element_starts(mesh.qel, mesh.n_elements))
-        L = _to_nodes(np.einsum("ejk,ek->ej", mesh.grad_basis, per_elem), mesh)
-    elif mode != SOLENOIDAL_EXACT:
-        raise ValueError(f"unknown linear-term mode: {mode}")
-    cache[mode] = (L, L_s)
+    per_elem = _per_element(mesh.qw[:, None] * b, element_starts(mesh.qel, mesh.n_elements))
+    L = _to_nodes(np.einsum("ejk,ek->ej", mesh.grad_basis, per_elem), mesh)
+    object.__setattr__(mesh, "_linear_term", (L, L_s))
     return L, L_s
 
 
-def linear_term(u, mesh=None, mode=ANALYTIC):
-    L, L_s = linear_term_vector(mesh or u.mesh, mode)
+def separating_functional(u, mesh=None):
+    """u -> int b2 . grad u; vanishes on conforming fields under refinement."""
+    L, L_s = linear_term_vector(mesh or u.mesh)
     if isinstance(u, EnrichedField):
         return float(L @ u.base.values) + float(u.s) * L_s
     return float(L @ u.values)
 
 
-def functional_G(u, pair, mesh=None, mode=ANALYTIC):
+def functional_G(u, pair, mesh=None):
     """G(u) = modular energy + int b2 . grad u."""
     mesh = mesh or u.mesh
-    return modular_energy(u, pair, mesh) + linear_term(u, mesh, mode)
-
-
-def separating_functional(u, mesh=None, mode=ANALYTIC):
-    """u -> int b2 . grad u; vanishes on conforming fields under refinement."""
-    return linear_term(u, mesh, mode)
+    return modular_energy(u, pair, mesh) + separating_functional(u, mesh)

@@ -11,6 +11,10 @@ eliminated by its Schur complement. At a point whose gradient is exactly
 zero, such as the G-mode conforming start u = 0, the Newton loop takes the
 zero step without assembling the Hessian or factoring anything.
 
+Assembly returns the nodal part and the s part of gradient and Hessian
+separately. Only this module knows the bordered layout of the reduced
+unknowns, [interior nodal values..., s].
+
 In G mode the linear term int b2 . grad u is taken in its solenoidal-exact
 form: it vanishes on every conforming field, so only the enrichment pairing
 L_s s enters the objective.
@@ -28,8 +32,8 @@ from ..classifier import CONVERGES, classify_alpha_beta
 from ..errors import GapPreconditionError, RangeError
 from ..geometry import eval_u2
 from ..orlicz import double_phase_log
-from .assembly import (ANALYTIC, SOLENOIDAL_EXACT, linear_term_vector, modular_energy,
-                       modular_gradient, modular_hessian, separating_functional)
+from .assembly import (linear_term_vector, modular_energy, modular_gradient,
+                       modular_hessian, separating_functional)
 from .fields import DofField, EnrichedField
 from .mesh import build_mesh
 
@@ -65,10 +69,11 @@ class _Objective:
         self.enriched = space == ENRICHED
         self.full = np.zeros(mesh.n_vertices)
         self.full[mesh.boundary_mask] = boundary_data
-        # the b2 pairing of the jump amplitude; conforming fields pair to 0
+        # G keeps only the b2 pairing of the jump amplitude: by the
+        # solenoidal-exact identity (see linear_term_vector) L . values is 0
         self.L_s = 0.0
         if objective == OBJECTIVE_G and self.enriched:
-            self.L_s = linear_term_vector(mesh, SOLENOIDAL_EXACT)[1]
+            self.L_s = linear_term_vector(mesh)[1]
 
     def make_field(self, x):
         values = self.full.copy()
@@ -94,34 +99,30 @@ class _Objective:
         return g
 
     def hess(self, x):
-        u = self.make_field(x)
-        H = modular_hessian(u, self.pair, self.mesh)
-        if self.enriched:
-            idx = np.concatenate([self.interior, [self.mesh.n_vertices]])
-        else:
-            idx = self.interior
-        return H[idx][:, idx].tocsc()
+        """(K, c, h_ss): interior nodal block, its s border or None, s-s entry."""
+        K, border, h_ss = modular_hessian(self.make_field(x), self.pair, self.mesh)
+        idx = self.interior
+        c = None if border is None else border[idx]
+        return K[idx][:, idx].tocsc(), c, h_ss
 
 
-def _newton_direction(H, g, bordered):
+def _newton_direction(K, c, h_ss, g):
     """Solve (H + 1e-14 I) d = -g with a minimum-degree ordering.
 
-    With ``bordered`` the last unknown is the jump amplitude s: only the
-    nodal block K is factored, once for the two right-hand sides -g_u and
-    the border column c, and s is eliminated by its Schur complement
-    h_ss - c.z. A zero Schur complement gives a non-finite direction. A
-    zero gradient never gets here: ``_newton`` takes the zero step there
-    without assembling H.
+    H is K alone when c is None. Otherwise H is K bordered by the column c
+    and the corner h_ss, and the last unknown is the jump amplitude s: K is
+    factored once for the two right-hand sides -g_u and c, and s is
+    eliminated by its Schur complement h_ss - c.z. A zero Schur complement
+    gives a non-finite direction. A zero gradient never gets here: ``_newton``
+    takes the zero step there without assembling H.
     """
-    H = H + 1e-14 * sp.eye(H.shape[0], format="csc")
-    if not bordered:
-        return spla.spsolve(H, -g, permc_spec="MMD_AT_PLUS_A")
-    c = H[:-1, -1].toarray().ravel()
-    yz = spla.spsolve(H[:-1, :-1], np.column_stack([-g[:-1], c]),
-                      permc_spec="MMD_AT_PLUS_A")
+    K = K + 1e-14 * sp.eye(K.shape[0], format="csc")
+    if c is None:
+        return spla.spsolve(K, -g, permc_spec="MMD_AT_PLUS_A")
+    yz = spla.spsolve(K, np.column_stack([-g[:-1], c]), permc_spec="MMD_AT_PLUS_A")
     y, z = yz[:, 0], yz[:, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        d_s = (-g[-1] - c @ y) / (H[-1, -1] - c @ z)
+        d_s = (-g[-1] - c @ y) / (h_ss + 1e-14 - c @ z)
         return np.append(y - d_s * z, d_s)
 
 
@@ -142,7 +143,7 @@ def _newton(obj, x0, max_iterations=MAX_ITERATIONS):
         # at an exactly zero gradient -g is the zero step: no Hessian, no solve
         if use_newton and np.any(g):
             try:
-                d = _newton_direction(obj.hess(x), g, obj.enriched)
+                d = _newton_direction(*obj.hess(x), g)
             except RuntimeError:
                 d = None
             if d is None or not np.all(np.isfinite(d)) or float(d @ g) >= 0.0:
@@ -205,7 +206,7 @@ class GapReport:
     def to_dict(self):
         return {
             "alpha": self.alpha, "beta": self.beta, "mode": self.mode,
-            "verdict": self.verdict, "linear_mode": SOLENOIDAL_EXACT,
+            "verdict": self.verdict, "linear_mode": "solenoidal_exact",
             "mode_note": self.mode_note, "levels": list(self.levels),
         }
 
@@ -225,6 +226,8 @@ def gap_experiment(alpha, beta, levels, grading=2.0, mode=None, force_g=False):
     enriched minimizer.
     """
     levels = [int(n) for n in levels]
+    if not levels:
+        raise RangeError("at least one mesh level is required")
     if levels != sorted(levels):
         raise RangeError("mesh levels must be ascending")
     regime = classify_alpha_beta(alpha, beta)
@@ -260,7 +263,7 @@ def gap_experiment(alpha, beta, levels, grading=2.0, mode=None, force_g=False):
         x0e = np.concatenate([conf.field.values[mesh.interior], [0.0]])
         enr = minimize(ENRICHED, mode, pair, mesh, boundary_data=bdata,
                        x0=x0e)
-        sep = separating_functional(enr.field, mesh, mode=ANALYTIC)
+        sep = separating_functional(enr.field, mesh)
         level = {
             "n": n,
             "h_min": mesh.h_min,

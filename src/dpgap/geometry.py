@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import RangeError
+
 THETA_LO = 0.25
 THETA_HI = 0.5
 THETA_MAX_SLOPE = 6.0  # exact for the cubic smoothstep on [1/4, 1/2]
@@ -134,7 +136,7 @@ def boundary_flux(n_quad):
     Composite Simpson with n_quad subintervals per side; converges to 1.
     """
     if n_quad < 64:
-        raise ValueError("n_quad >= 64 required")
+        raise RangeError("n_quad >= 64 required")
     total = 0.0
     # a plain loop keeps the summation order fixed; sum() compensates on
     # Python >= 3.12 and would change the last bits
@@ -163,7 +165,7 @@ def boundary_flux_segments(n_quad):
 def disjoint_support_audit(n_samples, seed):
     """max over uniform random points of |grad u2| * |b2|; contract: 0."""
     if n_samples < 1:
-        raise ValueError("n_samples >= 1 required")
+        raise RangeError("n_samples >= 1 required")
     rng = np.random.default_rng(seed)
     worst = 0.0
     remaining = int(n_samples)
@@ -181,6 +183,8 @@ def disjoint_support_audit(n_samples, seed):
 def sample_fields_grid(resolution):
     """Rows (x1, x2, a, u2, |grad_u2|, |b2|) on a uniform cell-center grid."""
     n = int(resolution)
+    if n < 1:
+        raise RangeError("resolution >= 1 required")
     xs = (np.arange(n) + 0.5) / n * 2.0 - 1.0
     X1, X2 = np.meshgrid(xs, xs, indexing="ij")
     x1 = X1.ravel()

@@ -197,14 +197,6 @@ class LogPower:
     def conjugate_params(self):
         return conjugate_log_power(self.p, self.gamma)
 
-    def to_dict(self):
-        d = {"kind": "log_power", "p": float(self.p), "gamma": float(self.gamma)}
-        if self.scale != 1.0:
-            d["scale"] = float(self.scale)
-        if self.conjugate_equivalent:
-            d["conjugate_equivalent"] = True
-        return d
-
 
 @dataclass(frozen=True)
 class PurePower:
@@ -246,12 +238,6 @@ class PurePower:
         q = self.p / (self.p - 1.0)
         cq = (self.p - 1.0) / self.p * (self.scale * self.p) ** (1.0 / (1.0 - self.p))
         return PurePower(q, cq)
-
-    def to_dict(self):
-        d = {"kind": "pure_power", "p": float(self.p)}
-        if self.scale != 1.0:
-            d["scale"] = float(self.scale)
-        return d
 
 
 class TabulatedConjugate:
@@ -295,26 +281,6 @@ class TabulatedConjugate:
         t = np.maximum(np.asarray(t, dtype=np.float64), floor)
         return self.deriv(t) / t
 
-    def to_dict(self):
-        return {
-            "kind": "tabulated_conjugate",
-            "base": self.base.to_dict(),
-            "nodes_s": self.nodes_s.tolist(),
-            "nodes_value": self.nodes_v.tolist(),
-        }
-
-
-def orlicz_from_dict(d):
-    kind = d["kind"]
-    if kind == "log_power":
-        return LogPower(d["p"], d["gamma"], d.get("scale", 1.0),
-                        d.get("conjugate_equivalent", False))
-    if kind == "pure_power":
-        return PurePower(d["p"], d.get("scale", 1.0))
-    if kind == "tabulated_conjugate":
-        return TabulatedConjugate(orlicz_from_dict(d["base"]))
-    raise DomainError(f"unknown orlicz kind {kind!r}")
-
 
 def conjugate_log_power(p, gamma):
     """Closed-form conjugate exponents: (p, gamma) -> (p', gamma/(1-p)).
@@ -356,11 +322,8 @@ def conjugate_numeric(f, s):
     return s * t_star - float(f(t_star))
 
 
-def luxemburg_norm(values, weights, f, points=None):
-    """inf{gamma > 0 : sum_i w_i Phi(x_i, |v_i| / gamma) <= 1} by bisection.
-
-    ``f`` is an N-function or a DoublePhase (then ``points`` supplies x_i).
-    """
+def luxemburg_norm(values, weights, f):
+    """inf{gamma > 0 : sum_i w_i f(|v_i| / gamma) <= 1} by bisection."""
     values = np.abs(np.asarray(values, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
     if np.any(weights <= 0.0):
@@ -368,16 +331,9 @@ def luxemburg_norm(values, weights, f, points=None):
     if not np.any(values > 0.0):
         return 0.0
 
-    if points is None:
-        def modular(g):
-            with np.errstate(over="ignore"):
-                m = np.sum(weights * np.asarray(f(values / g)))
-            return m
-    else:
-        def modular(g):
-            with np.errstate(over="ignore"):
-                m = np.sum(weights * np.asarray(f.eval_at(points, values / g)))
-            return m
+    def modular(g):
+        with np.errstate(over="ignore"):
+            return np.sum(weights * np.asarray(f(values / g)))
 
     lo = hi = 1.0
     while not (modular(hi) <= 1.0):
@@ -399,22 +355,10 @@ def luxemburg_norm(values, weights, f, points=None):
 
 @dataclass(frozen=True)
 class DoublePhase:
-    """Phi(x, t) = phi(t) + a(x) psi(t) with a spatial weight in [0, 1]."""
+    """Phi(x, t) = phi(t) + a(x) psi(t); the weight a is the mesh phase."""
 
     phi: object
     psi: object
-    weight: object = None  # callable (x1, x2) -> {0, 1}; checkerboard if None
-
-    def weight_at(self, points):
-        points = np.asarray(points, dtype=np.float64)
-        if self.weight is not None:
-            return np.asarray(self.weight(points[..., 0], points[..., 1]))
-        from .geometry import eval_weight
-        return eval_weight(points[..., 0], points[..., 1])
-
-    def eval_at(self, points, t):
-        a = self.weight_at(points)
-        return np.asarray(self.phi(t)) + a * np.asarray(self.psi(t))
 
 
 def double_phase_log(alpha, beta, p=2.0, scale=1.0):

@@ -157,6 +157,22 @@ class TestSmallCommands:
         assert header == ["x1", "x2", "a", "u2", "grad_u2_norm", "b2_norm"]
 
 
+class TestRangeErrors:
+    @pytest.mark.parametrize("argv", [("flux", "--nquad", "10"),
+                                      ("norm", "--res", "0"),
+                                      ("fields", "--res", "0"),
+                                      ("gap", "--alpha", "2", "--beta", "2",
+                                       "--levels", "")],
+                             ids=["flux", "norm", "fields", "gap"])
+    def test_exit_two_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("RANGE: ")
+
+
 class TestConfig:
     def test_config_mirrors_flags(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

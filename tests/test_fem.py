@@ -10,8 +10,7 @@ from dpgap.fem import (DofField, EnrichedField, build_mesh, cone_trace_diagnosti
                        functional_G, gap_experiment, linear_term_vector,
                        minimize, modular_energy, separating_functional)
 from dpgap.fem import assembly, fields, solve
-from dpgap.fem.assembly import (ANALYTIC, SOLENOIDAL_EXACT, modular_gradient,
-                                modular_hessian)
+from dpgap.fem.assembly import modular_gradient, modular_hessian
 from dpgap.fem.fields import enrichment_gradient, enrichment_quad_rule, enrichment_value
 from dpgap.fem.solve import CONFORMING, ENRICHED, OBJECTIVE_DIRICHLET, OBJECTIVE_G
 from dpgap.geometry import eval_u2
@@ -32,6 +31,14 @@ def _random_interior_field(mesh, rng, amp=1.0):
     vals = np.zeros(mesh.n_vertices)
     vals[mesh.interior] = amp * rng.standard_normal(len(mesh.interior))
     return DofField(mesh, vals)
+
+
+def _bordered(K, border, h_ss):
+    """The Hessian as one matrix: K, or K bordered by the s row, column and corner."""
+    if border is None:
+        return sp.csr_matrix(K)
+    col = sp.csr_matrix(np.asarray(border)[:, None])
+    return sp.bmat([[K, col], [col.T, sp.csr_matrix([[h_ss]])]], format="csr")
 
 
 class TestModularEnergy:
@@ -94,7 +101,11 @@ class TestGradient:
         pair = double_phase_log(2.0, 2.0)
         rng = np.random.default_rng(3)
         u = _random_interior_field(mesh, rng, amp=0.3)
-        H = modular_hessian(EnrichedField(u, 0.2) if enriched else u, pair, mesh)
+        K, border, h_ss = modular_hessian(EnrichedField(u, 0.2) if enriched else u,
+                                          pair, mesh)
+        assert K.shape == (mesh.n_vertices, mesh.n_vertices)
+        assert (border is None) == (h_ss is None) == (not enriched)
+        H = _bordered(K, border, h_ss)
         d = rng.standard_normal(mesh.n_vertices + 1)
         d[np.where(mesh.boundary_mask)[0]] = 0.0
         h = 1e-6
@@ -211,7 +222,7 @@ class TestSplitRule:
         np.testing.assert_allclose(got_nodal, nodal, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(nodal)))
         assert got_ds == pytest.approx(ds, rel=1e-12)
-        got_H = modular_hessian(u, pair, mesh16).toarray()
+        got_H = _bordered(*modular_hessian(u, pair, mesh16)).toarray()
         np.testing.assert_allclose(got_H, H, rtol=1e-12, atol=1e-12 * np.max(np.abs(H)))
 
     def test_conforming_minimize_never_builds_it(self, monkeypatch):
@@ -236,10 +247,6 @@ class TestSplitRule:
 
 
 class TestLinearTerm:
-    def test_exact_mode_vanishes_on_conforming(self, mesh):
-        L, _ = linear_term_vector(mesh, SOLENOIDAL_EXACT)
-        assert np.all(L == 0.0)
-
     def test_quadrature_mode_decays_under_refinement(self, mesh, mesh16):
         # int b2 . grad w = 0 for smooth compactly-supported w; the assembled
         # functional must shrink as the mesh resolves b2's cone layers
@@ -250,19 +257,34 @@ class TestLinearTerm:
         for m in (mesh, mesh16):
             u = DofField.interpolate(m, w)
             u.values[m.boundary_mask] = 0.0
-            L, _ = linear_term_vector(m, ANALYTIC)
+            L, _ = linear_term_vector(m)
             vals.append(abs(float(L @ u.values)))
         assert vals[1] < 0.5 * vals[0]
 
     def test_pairing_with_enrichment_tends_to_minus_one(self, mesh16):
-        _, L_s = linear_term_vector(mesh16, ANALYTIC)
+        _, L_s = linear_term_vector(mesh16)
         assert L_s == pytest.approx(-1.0, abs=0.02)
 
     def test_separating_functional_scales_with_s(self, mesh):
         zero = DofField.zeros(mesh)
-        v1 = separating_functional(EnrichedField(zero, 1.0), mesh, mode=ANALYTIC)
-        v2 = separating_functional(EnrichedField(zero, 2.0), mesh, mode=ANALYTIC)
+        v1 = separating_functional(EnrichedField(zero, 1.0), mesh)
+        v2 = separating_functional(EnrichedField(zero, 2.0), mesh)
         assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, beta", [(2.0, 2.0), (2.0, 0.5)])
+    def test_b2_evaluated_once_per_mesh(self, monkeypatch, alpha, beta):
+        # G mode pairs s with b2 in the objective and again in the
+        # separating functional; Dirichlet mode only in the latter
+        calls = []
+        original = assembly.eval_b2
+
+        def counting(x1, x2):
+            calls.append(len(x1))
+            return original(x1, x2)
+
+        monkeypatch.setattr(assembly, "eval_b2", counting)
+        gap_experiment(alpha, beta, [8, 16])
+        assert len(calls) == 2
 
 
 class TestMinimize:
@@ -303,13 +325,9 @@ class TestMinimize:
 class _SingularBorderObjective:
     """f = |x|^2 / 2 with a stand-in Hessian whose Schur complement is 0."""
 
-    enriched = True
-
     def __init__(self):
         a = 1.0 + 1e-14  # the diagonal after the solver's 1e-14 shift
-        self.H = sp.csc_matrix(np.array([[1.0, 0.0, a],
-                                         [0.0, 1.0, 0.0],
-                                         [a, 0.0, 1.0]]))
+        self.H = (sp.identity(2, format="csc"), np.array([a, 0.0]), 1.0)
 
     def value(self, x):
         return 0.5 * float(x @ x)
@@ -333,9 +351,12 @@ class TestNewtonDirection:
         x = 0.3 * rng.standard_normal(len(mesh16.interior))
         if obj.enriched:
             x = np.append(x, 0.3)
-        H, g = obj.hess(x), obj.grad(x)
-        d = solve._newton_direction(H, g, obj.enriched)
-        ref = spla.spsolve(H + 1e-14 * sp.eye(H.shape[0], format="csc"), -g)
+        K, c, h_ss = obj.hess(x)
+        assert (c is None) == (not obj.enriched)
+        g = obj.grad(x)
+        d = solve._newton_direction(K, c, h_ss, g)
+        H = _bordered(K, c, h_ss)
+        ref = spla.spsolve((H + 1e-14 * sp.eye(H.shape[0])).tocsc(), -g)
         assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_stationary_start_factors_nothing(self, mesh, monkeypatch):
@@ -364,8 +385,8 @@ class TestNewtonDirection:
         directions = []
         original = solve._newton_direction
 
-        def recording(H, g, bordered):
-            directions.append(original(H, g, bordered))
+        def recording(K, c, h_ss, g):
+            directions.append(original(K, c, h_ss, g))
             return directions[-1]
 
         monkeypatch.setattr(solve, "_newton_direction", recording)

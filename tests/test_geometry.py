@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpgap import geometry
+from dpgap.errors import RangeError
 
 
 class TestTheta:
@@ -138,6 +139,10 @@ class TestFluxAndAudit:
 
     def test_disjoint_supports_audit(self):
         assert geometry.disjoint_support_audit(100_000, seed=0) == 0.0
+
+    def test_audit_needs_a_sample(self):
+        with pytest.raises(RangeError):
+            geometry.disjoint_support_audit(0, seed=0)
 
     def test_fields_grid_shape(self):
         table = geometry.sample_fields_grid(16)
