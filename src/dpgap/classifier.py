@@ -5,6 +5,10 @@ The gap criterion for the checkerboard pair (phi, psi) is: both
 substitution t = 1/r these become ``int_2^inf f(t) t^-3 dt``, tested by
 dyadic block sums with a fitted decay exponent; log-power descriptors take
 an exact closed-form path, so the borderline cells are decided exactly.
+
+psi* is ``orlicz.conjugate(psi)``, the one conjugate rule: the closed-form
+log-power conjugate for a ``LogPower``, the exact conjugate for a
+``PurePower``, and a numeric ``TabulatedConjugate`` for anything else.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, PreconditionError
-from .orlicz import LogPower, TabulatedConjugate, conjugate_log_power
+from .errors import DomainError, NumericalError, PreconditionError, RangeError
+from .orlicz import LogPower, TabulatedConjugate, conjugate
 
 CONVERGES = "Converges"
 DIVERGES = "Diverges"
@@ -106,7 +110,7 @@ def _fit_exponent(sums):
     return float(coef[0])
 
 
-def tail_integral_verdict(f, margin=None):
+def tail_integral_verdict(f):
     """Convergence of int_2^inf f(t) t^-3 dt (= int_0^{1/2} f(1/r) r dr)."""
     _check_superlinear(f)
 
@@ -121,9 +125,8 @@ def tail_integral_verdict(f, margin=None):
         return TailVerdict(status, fitted, sums,
                            rule=f"closed_form p=2, gamma {'<' if f.gamma < -1 else '>='} -1")
 
-    if margin is None:
-        margin = (DYADIC_MARGIN_TABULATED if isinstance(f, TabulatedConjugate)
-                  else DYADIC_MARGIN)
+    margin = (DYADIC_MARGIN_TABULATED if isinstance(f, TabulatedConjugate)
+              else DYADIC_MARGIN)
     sums = _dyadic_blocks(f)
     fitted = _fit_exponent(sums)
     if abs(fitted + 1.0) < margin:
@@ -150,12 +153,7 @@ def classify(phi, psi):
     _check_pair_preconditions(phi, psi)
 
     phi_tail = tail_integral_verdict(phi)
-
-    if isinstance(psi, LogPower):
-        psi_star = psi.conjugate_params()
-    else:
-        psi_star = TabulatedConjugate(psi)
-    psi_star_tail = tail_integral_verdict(psi_star)
+    psi_star_tail = tail_integral_verdict(conjugate(psi))
 
     statuses = (phi_tail.status, psi_star_tail.status)
     if statuses == (CONVERGES, CONVERGES):
@@ -171,18 +169,13 @@ def classify(phi, psi):
         # duality: for the conjugate pair (psi*, phi*) the roles swap and its
         # psi*-tail is the double conjugate of phi, i.e. the phi tail again
         if isinstance(phi, LogPower):
-            dual_psi_star = conjugate_log_power(*_params_of(conjugate_log_power(phi.p, phi.gamma)))
-            dual_tail = tail_integral_verdict(dual_psi_star)
+            dual_tail = tail_integral_verdict(conjugate(conjugate(phi)))
         else:
             dual_tail = phi_tail
         if dual_tail.status == DIVERGES:
             dual_rule = "dual pair (psi*, phi*) is NoGap by its psi*-tail"
 
     return RegimeReport(phi_tail, psi_star_tail, verdict, rule, dual_rule)
-
-
-def _params_of(lp):
-    return lp.p, lp.gamma
 
 
 def classify_alpha_beta(alpha, beta, p=2.0, scale=1.0):
@@ -194,13 +187,22 @@ def classify_alpha_beta(alpha, beta, p=2.0, scale=1.0):
 
 
 def phase_diagram(alphas, betas, p=2.0):
-    """Verdict table over the (alpha, beta) grid, ordered by (alpha, beta)."""
-    rows = []
-    for a in alphas:
-        for b in betas:
-            rep = classify_alpha_beta(a, b, p)
-            rows.append((float(a), float(b), rep.verdict))
-    return rows
+    """Verdict table over the (alpha, beta) grid, ordered by (alpha, beta).
+
+    A cell outside the double-phase regime (alpha + beta <= 0) reads
+    ``"SinglePhase"``; an empty axis raises RangeError.
+    """
+    if len(alphas) == 0 or len(betas) == 0:
+        raise RangeError("phase diagram needs at least one alpha and one beta")
+
+    def cell(a, b):
+        try:
+            return classify_alpha_beta(a, b, p).verdict
+        except PreconditionError:
+            return "SinglePhase"
+
+    return [(float(a), float(b), cell(a, b))
+            for a in sorted(alphas) for b in sorted(betas)]
 
 
 @dataclass

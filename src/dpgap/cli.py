@@ -103,16 +103,9 @@ def _cmd_classify(args):
 
 
 def _cmd_phase_diagram(args):
-    alphas = _parse_floats(args.alphas if args.alphas else args.grid)
-    betas = _parse_floats(args.betas if args.betas else args.grid)
-
-    def cell(a, b):
-        try:
-            return (a, b, classifier.classify_alpha_beta(a, b, p=args.p).verdict)
-        except PreconditionError:
-            return (a, b, "SinglePhase")
-
-    rows = [cell(a, b) for a in sorted(alphas) for b in sorted(betas)]
+    alphas = _parse_floats(args.grid if args.alphas is None else args.alphas)
+    betas = _parse_floats(args.grid if args.betas is None else args.betas)
+    rows = classifier.phase_diagram(alphas, betas, p=args.p)
     if args.format == "json":
         _write_text(args.out, _dump_json(
             [{"alpha": a, "beta": b, "verdict": v} for a, b, v in rows]))

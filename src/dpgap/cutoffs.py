@@ -8,6 +8,11 @@ identity (r psi'(eta'))' = 0 holds along it; we build eta' from the true
 inverse of psi' (not a growth-equivalent conjugate) precisely so that this
 identity is satisfied to solver precision.
 
+The psi-harmonic builders take a ``LogPower`` or ``PurePower`` psi: the
+inverse is a bisection on ``psi.log_deriv`` (ln psi' as a function of ln t),
+and the dual tail of ``find_inner_radius`` is that of ``orlicz.conjugate``.
+Energies accept any integrand with ``log_eval`` or a plain call.
+
 Inner radii and slopes routinely leave double-precision range (r1 = e^{-1/eps}
 for the log-log family, eta' ~ c/r near a borderline inner radius), so all
 tables, inversions and quadratures live in log coordinates; profiles expose
@@ -25,7 +30,7 @@ from .classifier import DIVERGES, tail_integral_verdict
 from .errors import (DomainError, EnergyOverflowError,
                      NoRemovableSingularityError, NormalizationError,
                      RangeError)
-from .orlicz import DoublePhase, LogPower, PurePower, TabulatedConjugate
+from .orlicz import DoublePhase, LogPower, PurePower, conjugate
 
 LOGLOG = "LogLog"
 PSI_HARMONIC = "PsiHarmonic"
@@ -37,41 +42,14 @@ _MAX_BRACKET_EXPANSIONS = 400
 _LN_R_MIN = -700.0
 
 
-def _log_deriv(psi, ln_t):
-    """ln psi'(e^{ln_t}), stable across the full double exponent range."""
-    ln_t = np.atleast_1d(np.asarray(ln_t, dtype=np.float64))
-    out = np.empty_like(ln_t)
-    if isinstance(psi, PurePower):
-        return np.log(psi.scale * psi.p) + (psi.p - 1.0) * ln_t
-    if isinstance(psi, LogPower):
-        mid = np.abs(ln_t) <= 600.0
-        out[mid] = np.log(psi.deriv(np.exp(ln_t[mid])))
-        big = ln_t > 600.0
-        if np.any(big):
-            u = ln_t[big]
-            # L = log(e + t) ~ ln t; t/(e + t) ~ 1
-            out[big] = (np.log(psi.scale) + (psi.p - 1.0) * u
-                        + (psi.gamma - 1.0) * np.log(u)
-                        + np.log(psi.p * u + psi.gamma))
-        tiny = ln_t < -600.0
-        if np.any(tiny):
-            t0, _, a1 = psi._knot
-            if t0 > 0.0:
-                out[tiny] = np.log(a1)  # deriv -> a1 below the knot
-            else:
-                out[tiny] = np.log(psi.scale * psi.p) + (psi.p - 1.0) * ln_t[tiny]
-        return out
-    return np.log(np.asarray(psi.deriv(np.exp(ln_t))))
-
-
 def _log_deriv_inverse(psi, ln_s):
     """ln t solving psi'(t) = e^{ln_s}, by bisection in ln t."""
     ln_s = np.atleast_1d(np.asarray(ln_s, dtype=np.float64))
     lo = np.minimum(ln_s, 4.0 * ln_s) - 100.0
     hi = np.maximum(ln_s, 4.0 * ln_s) + 100.0
     for _ in range(12):
-        bad_lo = _log_deriv(psi, lo) > ln_s
-        bad_hi = _log_deriv(psi, hi) < ln_s
+        bad_lo = psi.log_deriv(lo) > ln_s
+        bad_hi = psi.log_deriv(hi) < ln_s
         if not (np.any(bad_lo) or np.any(bad_hi)):
             break
         span = hi - lo
@@ -79,7 +57,7 @@ def _log_deriv_inverse(psi, ln_s):
         hi = np.where(bad_hi, hi + span, hi)
     for _ in range(110):
         mid = 0.5 * (lo + hi)
-        below = _log_deriv(psi, mid) < ln_s
+        below = psi.log_deriv(mid) < ln_s
         new_lo = np.where(below, mid, lo)
         new_hi = np.where(below, hi, mid)
         # a step is a function of (lo, hi) alone, so once one leaves both
@@ -88,18 +66,6 @@ def _log_deriv_inverse(psi, ln_s):
             break
         lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
-
-
-def deriv_inverse(psi, s):
-    """Solve psi'(t) = s elementwise (the exact conjugate derivative)."""
-    if hasattr(psi, "deriv_inverse"):
-        return psi.deriv_inverse(s)
-    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    out = np.zeros_like(s)
-    pos = s > 0.0
-    with np.errstate(over="ignore", divide="ignore"):
-        out[pos] = np.exp(_log_deriv_inverse(psi, np.log(s[pos])))
-    return out if out.size > 1 else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -148,14 +114,6 @@ class RadialCutoff:
         else:
             out[inside] = np.atleast_1d(
                 _log_deriv_inverse(self.psi, np.log(self.c) - ln_r[inside]))
-        return out if out.size > 1 else float(out[0])
-
-    def eta_prime(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-        out = np.zeros_like(r)
-        pos = r > 0.0
-        with np.errstate(over="ignore", divide="ignore"):
-            out[pos] = np.exp(np.atleast_1d(self.ln_eta_prime_at_log(np.log(r[pos]))))
         return out if out.size > 1 else float(out[0])
 
     def profile_table(self):
@@ -234,16 +192,6 @@ def build_psi_harmonic_cutoff(psi, r1, r2):
     return cut
 
 
-def _dual_tail_verdict(psi):
-    if isinstance(psi, LogPower):
-        star = psi.conjugate_params()
-    elif isinstance(psi, PurePower):
-        star = psi.conjugate()
-    else:
-        star = TabulatedConjugate(psi)
-    return tail_integral_verdict(star)
-
-
 def find_inner_radius(psi, r2, delta):
     """Largest dyadic r1 = r2 / 2^k with normalization constant <= delta.
 
@@ -256,7 +204,7 @@ def find_inner_radius(psi, r2, delta):
         raise RangeError("energy budget delta must be positive")
     if not (0.0 < r2 <= 0.5):
         raise RangeError("outer radius must lie in (0, 1/2]")
-    verdict = _dual_tail_verdict(psi)
+    verdict = tail_integral_verdict(conjugate(psi))
     if verdict.status != DIVERGES:
         raise NoRemovableSingularityError(
             f"dual tail integral verdict is {verdict.status}; "
@@ -380,11 +328,10 @@ def _scalar_energy(cutoff, f):
     return 2.0 * np.pi * total
 
 
-def euler_lagrange_residual(cutoff, psi=None):
+def euler_lagrange_residual(cutoff):
     """Scale-free max-norm of d/d(ln r) of r psi'(eta'(r)) over interior nodes."""
     if cutoff.kind != PSI_HARMONIC:
         raise DomainError("Euler-Lagrange residual applies to psi-harmonic cutoffs")
-    psi = cutoff.psi if psi is None else psi
-    ln_flux = cutoff.ln_r + _log_deriv(psi, cutoff.ln_eta_prime_table)
+    ln_flux = cutoff.ln_r + cutoff.psi.log_deriv(cutoff.ln_eta_prime_table)
     dflux = np.gradient(np.exp(ln_flux - np.log(cutoff.c)), cutoff.ln_r)
     return float(np.max(np.abs(dflux[1:-1])))

@@ -6,6 +6,10 @@ tested).  For ``gamma < 1 - p`` the raw formula is not convex near the
 origin and is replaced below a knot ``t0`` by a quadratic substitute
 matching value and slope at the knot; only large-t behaviour matters for
 anything built on top.
+
+This module is the only one that knows how an integrand behaves in log
+space (``log_eval``, ``log_deriv``) and which conjugate stands for it
+(``conjugate``); the classifier and the cutoffs ask the integrand.
 """
 
 from __future__ import annotations
@@ -39,6 +43,12 @@ def _check_arg(t):
     if np.any(t > _T_MAX):
         raise DomainError("argument above 1e300 rejected")
     return t
+
+
+def _deriv_ratio(f, t, floor=1e-12):
+    """Phi'(t)/t with the argument floored to avoid 0/0 in assembly."""
+    t = np.maximum(np.asarray(t, dtype=np.float64), floor)
+    return f.deriv(t) / t
 
 
 def _logpower_second_deriv(t, p, gamma, scale):
@@ -151,7 +161,6 @@ class LogPower:
     p: float
     gamma: float = 0.0
     scale: float = 1.0
-    conjugate_equivalent: bool = False  # marks growth-class results
     _knot: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -175,10 +184,7 @@ class LogPower:
         t0, a2, a1 = self._knot
         return _logpower_deriv(t, self.p, self.gamma, self.scale, t0, a2, a1)
 
-    def deriv_ratio(self, t, floor=1e-12):
-        """Phi'(t)/t with the argument floored to avoid 0/0 in assembly."""
-        t = np.maximum(np.asarray(t, dtype=np.float64), floor)
-        return self.deriv(t) / t
+    deriv_ratio = _deriv_ratio
 
     def second_deriv(self, t):
         t = _check_arg(t)
@@ -194,8 +200,27 @@ class LogPower:
         """log Phi(t) given ln t; raw branch only, for overflow-free tails."""
         return _logpower_log_eval(ln_t, self.p, self.gamma, self.scale)
 
-    def conjugate_params(self):
-        return conjugate_log_power(self.p, self.gamma)
+    def log_deriv(self, ln_t):
+        """ln Phi'(e^{ln_t}), stable across the full double exponent range."""
+        ln_t = np.atleast_1d(np.asarray(ln_t, dtype=np.float64))
+        out = np.empty_like(ln_t)
+        mid = np.abs(ln_t) <= 600.0
+        out[mid] = np.log(self.deriv(np.exp(ln_t[mid])))
+        big = ln_t > 600.0
+        if np.any(big):
+            u = ln_t[big]
+            # L = log(e + t) ~ ln t; t/(e + t) ~ 1
+            out[big] = (np.log(self.scale) + (self.p - 1.0) * u
+                        + (self.gamma - 1.0) * np.log(u)
+                        + np.log(self.p * u + self.gamma))
+        tiny = ln_t < -600.0
+        if np.any(tiny):
+            t0, _, a1 = self._knot
+            if t0 > 0.0:
+                out[tiny] = np.log(a1)  # deriv -> a1 below the knot
+            else:
+                out[tiny] = np.log(self.scale * self.p) + (self.p - 1.0) * ln_t[tiny]
+        return out
 
 
 @dataclass(frozen=True)
@@ -218,9 +243,7 @@ class PurePower:
         t = _check_arg(t)
         return self.scale * self.p * np.asarray(t, dtype=np.float64) ** (self.p - 1.0)
 
-    def deriv_ratio(self, t, floor=1e-12):
-        t = np.maximum(np.asarray(t, dtype=np.float64), floor)
-        return self.deriv(t) / t
+    deriv_ratio = _deriv_ratio
 
     def second_deriv(self, t):
         t = _check_arg(t)
@@ -229,15 +252,10 @@ class PurePower:
     def log_eval(self, ln_t):
         return math.log(self.scale) + self.p * np.asarray(ln_t, dtype=np.float64)
 
-    def deriv_inverse(self, s):
-        # (Phi')^{-1}(s), exact
-        s = np.asarray(s, dtype=np.float64)
-        return (s / (self.scale * self.p)) ** (1.0 / (self.p - 1.0))
-
-    def conjugate(self):
-        q = self.p / (self.p - 1.0)
-        cq = (self.p - 1.0) / self.p * (self.scale * self.p) ** (1.0 / (1.0 - self.p))
-        return PurePower(q, cq)
+    def log_deriv(self, ln_t):
+        """ln Phi'(e^{ln_t}), exact."""
+        ln_t = np.atleast_1d(np.asarray(ln_t, dtype=np.float64))
+        return np.log(self.scale * self.p) + (self.p - 1.0) * ln_t
 
 
 class TabulatedConjugate:
@@ -251,14 +269,11 @@ class TabulatedConjugate:
     S_RANGE = (1.0e-6, 1.0e9)
 
     def __init__(self, base):
-        self.base = base
         s = np.logspace(math.log10(self.S_RANGE[0]), math.log10(self.S_RANGE[1]),
                         self.N_NODES)
         vals = np.array([conjugate_numeric(base, si) for si in s])
         pos = vals > 0.0
-        self.nodes_s = s[pos]
-        self.nodes_v = vals[pos]
-        self._interp = PchipInterpolator(np.log(self.nodes_s), np.log(self.nodes_v),
+        self._interp = PchipInterpolator(np.log(s[pos]), np.log(vals[pos]),
                                          extrapolate=True)
 
     def __call__(self, s):
@@ -277,9 +292,7 @@ class TabulatedConjugate:
         out[pos] = np.exp(self._interp(ls)) / s[pos] * self._interp.derivative()(ls)
         return out
 
-    def deriv_ratio(self, t, floor=1e-12):
-        t = np.maximum(np.asarray(t, dtype=np.float64), floor)
-        return self.deriv(t) / t
+    deriv_ratio = _deriv_ratio
 
 
 def conjugate_log_power(p, gamma):
@@ -295,7 +308,20 @@ def conjugate_log_power(p, gamma):
     fg = Fraction(gamma).limit_denominator(10**12)
     q = fp / (fp - 1)
     gq = fg / (1 - fp)
-    return LogPower(float(q), float(gq), conjugate_equivalent=True)
+    return LogPower(float(q), float(gq))
+
+
+def conjugate(f):
+    """The conjugate that stands for f*: the closed-form growth-class
+    representative for a LogPower, the exact conjugate for a PurePower, and
+    a numeric table for anything else."""
+    if isinstance(f, LogPower):
+        return conjugate_log_power(f.p, f.gamma)
+    if isinstance(f, PurePower):
+        q = f.p / (f.p - 1.0)
+        cq = (f.p - 1.0) / f.p * (f.scale * f.p) ** (1.0 / (1.0 - f.p))
+        return PurePower(q, cq)
+    return TabulatedConjugate(f)
 
 
 def conjugate_numeric(f, s):

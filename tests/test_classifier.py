@@ -8,7 +8,7 @@ from dpgap.classifier import (CONVERGES, DIVERGES, GAP, NO_GAP,
                               classify, classify_alpha_beta, phase_diagram,
                               regularity_modulus_check, tail_integral_verdict)
 from dpgap.errors import NumericalError, PreconditionError
-from dpgap.orlicz import LogPower, PurePower, TabulatedConjugate
+from dpgap.orlicz import LogPower, PurePower, TabulatedConjugate, conjugate
 
 GRID = [0.25, 0.5, 1.0, 1.25, 2.0, 3.0]
 
@@ -64,7 +64,7 @@ class TestDyadicBlocks:
         for gamma in np.linspace(0.0, 3.0, 13):
             for g in {gamma, -gamma}:
                 f = LogPower(2.0, float(g))
-                cases += [f, f.conjugate_params()]
+                cases += [f, conjugate(f)]
         for f in cases:
             assert classifier._dyadic_blocks(f) == _dyadic_blocks_reference(f), f
 
@@ -104,6 +104,27 @@ class TestClassify:
         with pytest.raises(PreconditionError):
             classify(LogPower(2.0, 1.0), LogPower(2.0, -1.0))
 
+    @pytest.mark.parametrize("p,status", [(2.0, DIVERGES), (2.5, CONVERGES),
+                                          (3.0, CONVERGES), (4.0, CONVERGES)])
+    def test_pure_power_psi_uses_exact_conjugate(self, monkeypatch, p, status):
+        tables = []
+        init = TabulatedConjugate.__init__
+
+        def counted(self, base):
+            tables.append(base)
+            init(self, base)
+
+        monkeypatch.setattr(TabulatedConjugate, "__init__", counted)
+        rep = classify(LogPower(p, -1.0), PurePower(p))
+        assert rep.psi_star_tail.status == status
+        assert tables == []
+
+    def test_pure_power_psi_below_two(self):
+        # psi'(1e12) = 1.5e6 is below the 1e9 top of a conjugate table, so no
+        # numeric table can be built; the exact conjugate, c s^3, needs none
+        rep = classify(LogPower(1.5, -1.0), PurePower(1.5))
+        assert rep.psi_star_tail.status == DIVERGES
+
     def test_report_round_trip(self):
         d = classify_alpha_beta(2.0, 2.0).to_dict()
         assert d["verdict"] == GAP
@@ -123,6 +144,10 @@ class TestPhaseDiagram:
         rows = phase_diagram(GRID, GRID)
         keys = [(a, b) for a, b, _ in rows]
         assert keys == sorted(keys)
+
+    def test_unsorted_axes_and_single_phase_cell(self):
+        rows = phase_diagram([2.0, 0.25], [-0.5])
+        assert rows == [(0.25, -0.5, "SinglePhase"), (2.0, -0.5, NO_GAP)]
 
 
 class TestRegularityModulus:

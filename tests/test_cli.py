@@ -54,6 +54,14 @@ class TestPhaseDiagram:
         keys = [(float(r["alpha"]), float(r["beta"])) for r in rows]
         assert keys == sorted(keys)
 
+    def test_single_phase_cell(self, capsys, tmp_path):
+        out_path = tmp_path / "grid.csv"
+        code, _, _ = run(capsys, "phase-diagram", "--alphas", "0.25",
+                         "--betas=-0.5", "--out", str(out_path))
+        assert code == 0
+        rows = list(csv.DictReader(out_path.open()))
+        assert rows == [{"alpha": "0.25", "beta": "-0.5", "verdict": "SinglePhase"}]
+
     def test_idempotent_rerun_bit_identical(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"
         run(capsys, "phase-diagram", "--out", str(out_path))
@@ -162,8 +170,12 @@ class TestRangeErrors:
                                       ("norm", "--res", "0"),
                                       ("fields", "--res", "0"),
                                       ("gap", "--alpha", "2", "--beta", "2",
-                                       "--levels", "")],
-                             ids=["flux", "norm", "fields", "gap"])
+                                       "--levels", ""),
+                                      ("phase-diagram", "--grid", ""),
+                                      ("phase-diagram", "--alphas", "1",
+                                       "--betas", "")],
+                             ids=["flux", "norm", "fields", "gap",
+                                  "phase-grid", "phase-betas"])
     def test_exit_two_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpgap.errors import DomainError, UnboundedConjugateError
-from dpgap.orlicz import (LogPower, PurePower, conjugate_log_power, conjugate_numeric,
-                          double_phase_log, luxemburg_norm)
+from dpgap.orlicz import (LogPower, PurePower, TabulatedConjugate, conjugate,
+                          conjugate_log_power, conjugate_numeric, double_phase_log,
+                          luxemburg_norm)
 
 CONJ_CASES = [(2.0, 1.0), (2.0, -1.0), (2.0, 2.0), (2.0, -2.0), (3.0, 2.0)]
 
@@ -110,6 +111,37 @@ class TestConjugate:
         star = conjugate_log_power(3.0, 2.0)
         assert star.p == pytest.approx(1.5)
         assert star.gamma == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("p,gamma", CONJ_CASES)
+    def test_rule_log_power_is_closed_form(self, p, gamma):
+        star = conjugate(LogPower(p, gamma))
+        expected = conjugate_log_power(p, gamma)
+        assert star == expected
+        s = np.logspace(-6.0, 9.0, 64)
+        assert np.asarray(star(s)).tobytes() == np.asarray(expected(s)).tobytes()
+
+    def test_rule_pure_power_is_exact(self):
+        f = PurePower(3.0, 2.0)
+        star = conjugate(f)
+        # (c t^p)* = (p-1)/p (c p)^{-1/(p-1)} s^{p/(p-1)}
+        assert isinstance(star, PurePower)
+        assert star.p == 1.5
+        assert star.scale == pytest.approx(2.0 / 3.0 / np.sqrt(6.0), rel=1e-15)
+        for s in (0.5, 10.0, 1e4):
+            assert float(star(s)) == pytest.approx(conjugate_numeric(f, s), rel=1e-10)
+
+    def test_rule_other_integrand_is_tabulated(self):
+        class Quadratic:
+            def __call__(self, t):
+                return np.asarray(t, dtype=np.float64) ** 2
+
+            def deriv(self, t):
+                return 2.0 * np.asarray(t, dtype=np.float64)
+
+        star = conjugate(Quadratic())
+        assert isinstance(star, TabulatedConjugate)
+        s = np.array([1e-3, 1.0, 1e3])
+        np.testing.assert_allclose(star(s), s**2 / 4.0, rtol=1e-9)
 
     @pytest.mark.parametrize("p,gamma", CONJ_CASES)
     def test_numeric_within_bracket(self, p, gamma):
