@@ -164,16 +164,10 @@ def classify(phi, psi):
     else:
         verdict, rule = INCONCLUSIVE, "borderline dyadic fit"
 
-    dual_rule = None
-    if verdict == NO_GAP and phi_tail.status == DIVERGES:
-        # duality: for the conjugate pair (psi*, phi*) the roles swap and its
-        # psi*-tail is the double conjugate of phi, i.e. the phi tail again
-        if isinstance(phi, LogPower):
-            dual_tail = tail_integral_verdict(conjugate(conjugate(phi)))
-        else:
-            dual_tail = phi_tail
-        if dual_tail.status == DIVERGES:
-            dual_rule = "dual pair (psi*, phi*) is NoGap by its psi*-tail"
+    # duality: for the conjugate pair (psi*, phi*) the roles swap and its
+    # psi*-tail is that of phi** = phi, so a diverging phi tail decides it too
+    dual_rule = ("dual pair (psi*, phi*) is NoGap by its psi*-tail"
+                 if phi_tail.status == DIVERGES else None)
 
     return RegimeReport(phi_tail, psi_star_tail, verdict, rule, dual_rule)
 
@@ -190,16 +184,14 @@ def phase_diagram(alphas, betas, p=2.0):
     """Verdict table over the (alpha, beta) grid, ordered by (alpha, beta).
 
     A cell outside the double-phase regime (alpha + beta <= 0) reads
-    ``"SinglePhase"``; an empty axis raises RangeError.
+    ``"SinglePhase"``; every other PreconditionError of a cell propagates, and
+    an empty axis raises RangeError.
     """
     if len(alphas) == 0 or len(betas) == 0:
         raise RangeError("phase diagram needs at least one alpha and one beta")
 
-    def cell(a, b):
-        try:
-            return classify_alpha_beta(a, b, p).verdict
-        except PreconditionError:
-            return "SinglePhase"
+    def cell(a, b):  # single phase by the test of classify_alpha_beta
+        return "SinglePhase" if -b >= a else classify_alpha_beta(a, b, p).verdict
 
     return [(float(a), float(b), cell(a, b))
             for a in sorted(alphas) for b in sorted(betas)]
@@ -220,9 +212,11 @@ class RegularityVerdict:
 # condition is a growth-class statement, so a fixed factor is immaterial
 MODULUS_BOUND_FACTOR = 256.0
 MODULUS_GROWTH_SLOPE_MAX = 0.25
+# ascending eps values at which the modulus is compared
+MODULUS_EPS_GRID = np.logspace(-8.0, np.log10(0.25), 40)
 
 
-def regularity_modulus_check(omega, phi, psi, k0, d, eps_grid=None):
+def regularity_modulus_check(omega, phi, psi, k0, d):
     """Does the weight modulus omega(eps) stay below k0 * min phi/psi?
 
     The minimum runs over 1 <= t <= eps^{-d}; for decreasing phi/psi (checked)
@@ -232,13 +226,9 @@ def regularity_modulus_check(omega, phi, psi, k0, d, eps_grid=None):
     """
     if d < 1:
         raise DomainError("dimension d >= 1 required")
-    if eps_grid is None:
-        eps_grid = np.logspace(-8.0, np.log10(0.25), 40)
-    eps_grid = np.asarray(eps_grid, dtype=np.float64)
-    if not (np.all(eps_grid > 0.0) and np.all(eps_grid <= 0.25)):
-        raise DomainError("eps grid must lie in (0, 1/4]")
+    eps_grid = MODULUS_EPS_GRID
     om = np.asarray([float(omega(e)) for e in eps_grid])
-    if np.any(np.diff(om[np.argsort(eps_grid)]) < -1e-12 * np.max(om)):
+    if np.any(np.diff(om) < -1e-12 * np.max(om)):
         raise PreconditionError("omega must be nondecreasing")
 
     ratios = np.empty_like(eps_grid)
@@ -262,8 +252,8 @@ def regularity_modulus_check(omega, phi, psi, k0, d, eps_grid=None):
 
 
 def _ratio_grows(eps_grid, ratios):
-    order = np.argsort(eps_grid)[::-1]  # from coarse eps down to 0
-    x = np.log(np.log(1.0 / eps_grid[order]))
-    y = np.log(np.maximum(ratios[order], 1e-300))
+    # from coarse eps down to 0
+    x = np.log(np.log(1.0 / eps_grid[::-1]))
+    y = np.log(np.maximum(ratios[::-1], 1e-300))
     slope = float(np.polyfit(x, y, 1)[0])
     return slope if slope > MODULUS_GROWTH_SLOPE_MAX else 0.0

@@ -116,10 +116,8 @@ def _cmd_phase_diagram(args):
 
 def _cmd_gap(args):
     levels = _parse_ints(args.levels)
-    mode = {None: None, "G": OBJECTIVE_G,
-            "dirichlet": OBJECTIVE_DIRICHLET}[args.mode]
     report = gap_experiment(args.alpha, args.beta, levels,
-                            grading=args.grading, mode=mode,
+                            grading=args.grading, mode=args.mode,
                             force_g=args.force_g)
     stalled = [lv["n"] for lv in report.levels if not lv["converged"]]
     if stalled:
@@ -254,7 +252,7 @@ def _build_parser():
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--levels", default="32,64,128")
     p.add_argument("--grading", type=float, default=2.0)
-    p.add_argument("--mode", choices=["G", "dirichlet"], default=None)
+    p.add_argument("--mode", choices=[OBJECTIVE_G, OBJECTIVE_DIRICHLET], default=None)
     p.add_argument("--force-g", action="store_true", dest="force_g")
     p.add_argument("--table", action="store_true",
                    help="also print a human-readable level table")

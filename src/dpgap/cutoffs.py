@@ -139,11 +139,10 @@ def _normalization_integral(psi, ln_c, u_grid):
     return float(np.trapezoid(np.exp(ln_t + u_grid), u_grid))
 
 
-def solve_normalization_constant(psi, r1, r2, u_grid=None):
+def solve_normalization_constant(psi, r1, r2):
     """The unique c > 0 with int_{r1}^{r2} (psi')^{-1}(c/rho) drho = 1."""
     _check_radii(np.log(r1), np.log(r2))
-    if u_grid is None:
-        u_grid = np.linspace(np.log(r1), np.log(r2), N_NODES)
+    u_grid = np.linspace(np.log(r1), np.log(r2), N_NODES)
 
     def gap(ln_c):
         return _normalization_integral(psi, ln_c, u_grid) - 1.0
@@ -176,7 +175,7 @@ def build_psi_harmonic_cutoff(psi, r1, r2):
     """Radial cutoff with eta'(r) = (psi')^{-1}(c/r), eta(r1)=0, eta(r2)=1."""
     _check_radii(np.log(r1), np.log(r2))
     u = np.linspace(np.log(r1), np.log(r2), N_NODES)
-    c = solve_normalization_constant(psi, r1, r2, u_grid=u)
+    c = solve_normalization_constant(psi, r1, r2)
     ln_ep = _log_deriv_inverse(psi, np.log(c) - u)
     # cumulative trapezoid of eta' dr = e^{ln eta' + u} du reuses the
     # normalization rule, so eta(r2) = 1 to the solver tolerance

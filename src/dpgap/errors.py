@@ -10,11 +10,6 @@ completed, exit 3).  Every exception carries a short machine-parsable
 class DpgapError(Exception):
     code = "DPGAP_ERROR"
 
-    def __init__(self, message, code=None):
-        super().__init__(message)
-        if code is not None:
-            self.code = code
-
 
 class PreconditionError(DpgapError):
     code = "PRECONDITION"

@@ -125,6 +125,9 @@ class DofField:
     def element_gradients(self):
         return self.mesh.element_gradients(self.values)
 
+    def evaluate(self, points):
+        return self.mesh.evaluate(self.values, points)
+
 
 @dataclass
 class EnrichedField:
@@ -138,7 +141,7 @@ class EnrichedField:
         return self.base.mesh
 
     def evaluate(self, points):
-        vals = self.mesh.evaluate(self.base.values, points)
+        vals = self.base.evaluate(points)
         if self.s != 0.0:
             vals = vals + self.s * enrichment_value(points)
         return vals

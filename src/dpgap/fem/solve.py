@@ -11,6 +11,11 @@ eliminated by its Schur complement. At a point whose gradient is exactly
 zero, such as the G-mode conforming start u = 0, the Newton loop takes the
 zero step without assembling the Hessian or factoring anything.
 
+One fallback rule: an iteration first tries the Newton direction. If it is
+singular, non-finite or not a descent direction, or if no Armijo step exists
+in 50 halvings, the same iteration takes the gradient direction from the same
+point. If that has no Armijo step either, the loop returns.
+
 Assembly returns the nodal part and the s part of gradient and Hessian
 separately. Only this module knows the bordered layout of the reduced
 unknowns, [interior nodal values..., s].
@@ -61,8 +66,6 @@ class _Objective:
     """Reduced view of F or G over interior dofs (+ trailing s for enriched)."""
 
     def __init__(self, space, objective, pair, mesh, boundary_data=0.0):
-        self.space = space
-        self.objective = objective
         self.pair = pair
         self.mesh = mesh
         self.interior = mesh.interior
@@ -113,8 +116,8 @@ def _newton_direction(K, c, h_ss, g):
     and the corner h_ss, and the last unknown is the jump amplitude s: K is
     factored once for the two right-hand sides -g_u and c, and s is
     eliminated by its Schur complement h_ss - c.z. A zero Schur complement
-    gives a non-finite direction. A zero gradient never gets here: ``_newton``
-    takes the zero step there without assembling H.
+    gives a non-finite direction. A zero gradient never gets here:
+    ``_newton_descent`` skips it without assembling H.
     """
     K = K + 1e-14 * sp.eye(K.shape[0], format="csc")
     if c is None:
@@ -126,10 +129,37 @@ def _newton_direction(K, c, h_ss, g):
         return np.append(y - d_s * z, d_s)
 
 
+def _newton_descent(obj, x, g):
+    """The Newton direction at x if it is finite and descends, else None.
+
+    Nothing is assembled at an exactly zero gradient, where -g is the zero step.
+    """
+    if not np.any(g):
+        return None
+    try:
+        d = _newton_direction(*obj.hess(x), g)
+    except RuntimeError:
+        return None
+    if not np.all(np.isfinite(d)) or float(d @ g) >= 0.0:
+        return None
+    return d
+
+
+def _backtrack(obj, x, f, d, g):
+    """(step, value) of the first Armijo step in 1, 1/2, ..., 2^-49, or None."""
+    slope = float(d @ g)
+    step = 1.0
+    for _ in range(50):
+        f_new = obj.value(x + step * d)
+        if np.isfinite(f_new) and f_new <= f + _ARMIJO * step * slope:
+            return step, f_new
+        step *= 0.5
+    return None
+
+
 def _newton(obj, x0, max_iterations=MAX_ITERATIONS):
     x = np.asarray(x0, dtype=np.float64).copy()
     f = obj.value(x)
-    quad_failures = 0
     iterations = 0
     grad_norm = np.inf
     rel = np.inf
@@ -138,37 +168,17 @@ def _newton(obj, x0, max_iterations=MAX_ITERATIONS):
         grad_norm = float(np.max(np.abs(g))) if g.size else 0.0
         if grad_norm < GRAD_TOL and rel < REL_DECREASE_TOL:
             return x, f, iterations - 1, True, grad_norm
-        use_newton = quad_failures < 3
-        d = None
-        # at an exactly zero gradient -g is the zero step: no Hessian, no solve
-        if use_newton and np.any(g):
-            try:
-                d = _newton_direction(*obj.hess(x), g)
-            except RuntimeError:
-                d = None
-            if d is None or not np.all(np.isfinite(d)) or float(d @ g) >= 0.0:
-                quad_failures += 1
-                d = None
-        if d is None:
+        d = _newton_descent(obj, x, g)
+        accepted = None if d is None else _backtrack(obj, x, f, d, g)
+        if accepted is None:
             d = -g
-        slope = float(d @ g)
-        step = 1.0
-        accepted = False
-        for _ in range(50):
-            f_new = obj.value(x + step * d)
-            if np.isfinite(f_new) and f_new <= f + _ARMIJO * step * slope:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            if use_newton:
-                quad_failures += 1
-                continue
-            return x, f, iterations, grad_norm < GRAD_TOL, grad_norm
+            accepted = _backtrack(obj, x, f, d, g)
+            if accepted is None:
+                return x, f, iterations, grad_norm < GRAD_TOL, grad_norm
+        step, f_new = accepted
         x = x + step * d
         rel = abs(f - f_new) / max(abs(f), abs(f_new), 1e-30)
         f = f_new
-        quad_failures = 0
     return x, f, iterations, False, grad_norm
 
 
@@ -242,24 +252,21 @@ def gap_experiment(alpha, beta, levels, grading=2.0, mode=None, force_g=False):
     elif mode == OBJECTIVE_G and not _g_mode_admissible(regime) and not force_g:
         raise GapPreconditionError(
             "the pair fails the dual-integrability preconditions of G mode "
-            "(pass force_g=True to override)",
-            code="GAP_PRECONDITION_B_NOT_DUAL_INTEGRABLE")
+            "(pass force_g=True to override)")
 
     pair = double_phase_log(alpha, beta)
     report = GapReport(alpha=float(alpha), beta=float(beta), mode=mode,
                        verdict=regime.verdict, mode_note=note)
     for n in levels:
         mesh = build_mesh(n, grading)
+        # G mode starts from zero; Dirichlet takes the u2 trace and interpolant
         if mode == OBJECTIVE_G:
-            bdata = 0.0
-            conf = minimize(CONFORMING, OBJECTIVE_G, pair, mesh)
+            start = np.zeros(mesh.n_vertices)
         else:
-            bdata = np.asarray(eval_u2(mesh.nodes[mesh.boundary_mask, 0],
-                                       mesh.nodes[mesh.boundary_mask, 1]))
-            x0 = np.asarray(eval_u2(mesh.nodes[mesh.interior, 0],
-                                    mesh.nodes[mesh.interior, 1]))
-            conf = minimize(CONFORMING, mode, pair, mesh,
-                            boundary_data=bdata, x0=x0)
+            start = np.asarray(eval_u2(mesh.nodes[:, 0], mesh.nodes[:, 1]))
+        bdata = start[mesh.boundary_mask]
+        conf = minimize(CONFORMING, mode, pair, mesh, boundary_data=bdata,
+                        x0=start[mesh.interior])
         x0e = np.concatenate([conf.field.values[mesh.interior], [0.0]])
         enr = minimize(ENRICHED, mode, pair, mesh, boundary_data=bdata,
                        x0=x0e)
@@ -281,7 +288,7 @@ def gap_experiment(alpha, beta, levels, grading=2.0, mode=None, force_g=False):
     return report
 
 
-def cone_trace_diagnostic(u, mesh, radii, n_angles=41):
+def cone_trace_diagnostic(u, mesh, radii):
     """Mean of u on arcs inside the vertical cones, per radius.
 
     Returns (table, fit_exponent) where table rows are
@@ -294,19 +301,16 @@ def cone_trace_diagnostic(u, mesh, radii, n_angles=41):
     if np.any(radii >= 1.0):
         raise RangeError("trace radius must be below 1: the log-log fit "
                          "takes log(log(1/r)), which needs r < 1")
-    ang_top = np.linspace(np.deg2rad(65.0), np.deg2rad(115.0), n_angles)
+    ang_top = np.linspace(np.deg2rad(65.0), np.deg2rad(115.0), 41)
     ang_bot = ang_top + np.pi
-    evaluate = u.evaluate if hasattr(u, "evaluate") else (
-        lambda pts: mesh.evaluate(u.values, pts))
-    base_values = u.base.values if hasattr(u, "base") else u.values
-    u0 = float(base_values[mesh.origin_vertex])
+    u0 = float(u.evaluate([[0.0, 0.0]])[0])
     rows = []
     for r in radii:
         top = np.column_stack([r * np.cos(ang_top), r * np.sin(ang_top)])
         bot = np.column_stack([r * np.cos(ang_bot), r * np.sin(ang_bot)])
         rows.append((float(r),
-                     float(np.mean(evaluate(top))),
-                     float(np.mean(evaluate(bot)))))
+                     float(np.mean(u.evaluate(top))),
+                     float(np.mean(u.evaluate(bot)))))
     table = np.array(rows)
     dev = 0.5 * (np.abs(table[:, 1] - u0) + np.abs(table[:, 2] - u0))
     good = dev > 1e-14

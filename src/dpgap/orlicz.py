@@ -205,15 +205,20 @@ class LogPower:
         ln_t = np.atleast_1d(np.asarray(ln_t, dtype=np.float64))
         out = np.empty_like(ln_t)
         mid = np.abs(ln_t) <= 600.0
-        out[mid] = np.log(self.deriv(np.exp(ln_t[mid])))
-        big = ln_t > 600.0
+        d = self.deriv(np.exp(ln_t[mid]))
+        # for p > 2.18 deriv under- or overflows inside the band; those points
+        # take the asymptote of their side, like every point beyond the band
+        tiny, big = ln_t < -600.0, ln_t > 600.0
+        tiny[mid], big[mid] = d == 0.0, np.isinf(d)
+        ok = (d != 0.0) & ~np.isinf(d)
+        mid[mid] = ok
+        out[mid] = np.log(d[ok])
         if np.any(big):
             u = ln_t[big]
             # L = log(e + t) ~ ln t; t/(e + t) ~ 1
             out[big] = (np.log(self.scale) + (self.p - 1.0) * u
                         + (self.gamma - 1.0) * np.log(u)
                         + np.log(self.p * u + self.gamma))
-        tiny = ln_t < -600.0
         if np.any(tiny):
             t0, _, a1 = self._knot
             if t0 > 0.0:

@@ -125,6 +125,15 @@ class TestClassify:
         rep = classify(LogPower(1.5, -1.0), PurePower(1.5))
         assert rep.psi_star_tail.status == DIVERGES
 
+    @pytest.mark.parametrize("alpha, beta, dual", [(2.0, 0.5, True), (1.0, 1.0, True),
+                                                   (0.5, 2.0, False), (2.0, 2.0, False)])
+    def test_dual_rule_follows_phi_tail(self, alpha, beta, dual):
+        # the dual pair's psi*-tail is phi's own tail: a diverging phi tail
+        # decides both pairs, a converging one neither
+        rep = classify_alpha_beta(alpha, beta)
+        assert (rep.dual_rule is not None) == dual
+        assert (rep.phi_tail.status == DIVERGES) == dual
+
     def test_report_round_trip(self):
         d = classify_alpha_beta(2.0, 2.0).to_dict()
         assert d["verdict"] == GAP

@@ -62,6 +62,15 @@ class TestPhaseDiagram:
         rows = list(csv.DictReader(out_path.open()))
         assert rows == [{"alpha": "0.25", "beta": "-0.5", "verdict": "SinglePhase"}]
 
+    def test_domain_error_of_a_cell_exits_two(self, capsys):
+        # only alpha + beta <= 0 reads SinglePhase; p = 1 is outside LogPower's domain
+        code, out, err = run(capsys, "phase-diagram", "--p", "1", "--grid", "1,2")
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("DOMAIN: ")
+
     def test_idempotent_rerun_bit_identical(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"
         run(capsys, "phase-diagram", "--out", str(out_path))

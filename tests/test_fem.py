@@ -339,6 +339,24 @@ class _SingularBorderObjective:
         return self.H
 
 
+class _RayObjective:
+    """f = |x|^2 / 2 on the ray through (1, 2), inf elsewhere, with Hessian
+    diag(1, 2): its Newton direction -(1, 1) descends but leaves the ray."""
+
+    def __init__(self):
+        self.hessians = 0
+
+    def value(self, x):
+        return 0.5 * float(x @ x) if x[1] == 2.0 * x[0] else np.inf
+
+    def grad(self, x):
+        return x.copy()
+
+    def hess(self, x):
+        self.hessians += 1
+        return sp.diags([1.0, 2.0], format="csc"), None, 0.0
+
+
 class TestNewtonDirection:
     @pytest.mark.parametrize("space, objective", [(ENRICHED, OBJECTIVE_G),
                                                   (CONFORMING, OBJECTIVE_DIRICHLET)])
@@ -399,6 +417,29 @@ class TestNewtonDirection:
         assert f == 0.0
 
 
+    def test_failed_newton_step_falls_to_gradient_at_once(self, monkeypatch):
+        solves = []
+        original = solve.spla.spsolve
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solve.spla, "spsolve", counting)
+        obj = _RayObjective()
+        x, f, iterations, converged, _ = solve._newton(obj, np.array([1.0, 2.0]))
+        # no Armijo step on the Newton direction: one Hessian and one solve,
+        # then the gradient step to the minimizer and a zero step confirming it
+        assert (obj.hessians, len(solves)) == (1, 1)
+        np.testing.assert_array_equal(x, 0.0)
+        assert (f, iterations, converged) == (0.0, 2, True)
+        # the gradient step is taken in the same iteration as the failed one
+        x, _, iterations, _, _ = solve._newton(_RayObjective(), np.array([1.0, 2.0]),
+                                               max_iterations=1)
+        np.testing.assert_array_equal(x, 0.0)
+        assert iterations == 1
+
+
 class TestGapExperiment:
     def test_nesting_and_modes(self):
         report = gap_experiment(2.0, 2.0, [8, 16], grading=2.0)
@@ -437,6 +478,15 @@ class TestConeTrace:
         # top arcs sit in the +1/2 cone, bottom arcs in the -1/2 cone
         np.testing.assert_allclose(table[:, 1], 0.5, atol=1e-9)
         np.testing.assert_allclose(table[:, 2], -0.5, atol=1e-9)
+
+    def test_evaluate_at_origin_is_the_origin_value(self):
+        # the trace reads u(0) by evaluating u at the origin
+        rng = np.random.default_rng(3)
+        for n in (8, 16, 32):
+            m = build_mesh(n, grading=2.0)
+            base = DofField(m, rng.standard_normal(m.n_vertices))
+            for u in (base, EnrichedField(base, 0.7)):
+                assert u.evaluate([[0.0, 0.0]])[0] == base.values[m.origin_vertex]
 
     def test_radius_below_mesh_rejected(self, mesh16):
         u = DofField.zeros(mesh16)

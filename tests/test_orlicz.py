@@ -82,6 +82,17 @@ class TestLogPower:
         t = np.logspace(-8.0, 8.0, 300)
         assert np.all(np.diff(np.asarray(f(t))) > 0.0)
 
+    def test_log_deriv_where_deriv_under_or_overflows(self):
+        # for p = 3, deriv is 0 at t = e^-500 and inf at e^500, both inside
+        # |ln t| <= 600; log_deriv takes the asymptote of each side there
+        f = LogPower(3.0, 0.0)
+        got = f.log_deriv([-500.0, 500.0])
+        assert got[0] == pytest.approx(np.log(3.0) - 1000.0, rel=1e-15)
+        assert got[1] == pytest.approx(np.log(3.0) + 1000.0, rel=1e-12)
+        # where deriv is finite and nonzero the log is taken directly
+        ln_t = np.array([-300.0, 0.0, 300.0])
+        np.testing.assert_array_equal(f.log_deriv(ln_t), np.log(f.deriv(np.exp(ln_t))))
+
     def test_deriv_matches_finite_difference(self):
         f = LogPower(2.0, -2.0)
         t = np.logspace(-2.0, 4.0, 30)
