@@ -21,7 +21,7 @@ tables, inversions and quadratures live in log coordinates; profiles expose
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -86,35 +86,33 @@ class RadialCutoff:
     energy_certificate: float | None = None
 
     def eta_at_log(self, ln_r):
-        ln_r = np.atleast_1d(np.asarray(ln_r, dtype=np.float64))
+        ln_r = np.asarray(ln_r, dtype=np.float64)
         if self.kind == LOGLOG:
             out = _loglog_eta_from_log(ln_r, self.eps)
         else:
             out = np.interp(ln_r, self.ln_r, self.eta_table,
                             left=0.0, right=1.0)
-        out = np.clip(out, 0.0, 1.0)
-        return out if out.size > 1 else float(out[0])
+        return np.clip(out, 0.0, 1.0)[()]
 
     def eta(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=np.float64))
+        r = np.asarray(r, dtype=np.float64)
         out = np.zeros_like(r)
         pos = r > 0.0
         with np.errstate(divide="ignore"):
-            out[pos] = np.atleast_1d(self.eta_at_log(np.log(r[pos])))
-        return out if out.size > 1 else float(out[0])
+            out[pos] = self.eta_at_log(np.log(r[pos]))
+        return out[()]
 
     def ln_eta_prime_at_log(self, ln_r):
         """ln eta'(r) on the ramp; -inf outside (r1, r2)."""
-        ln_r = np.atleast_1d(np.asarray(ln_r, dtype=np.float64))
+        ln_r = np.asarray(ln_r, dtype=np.float64)
         out = np.full_like(ln_r, -np.inf)
         inside = (ln_r > self.ln_r1) & (ln_r < self.ln_r2)
         if self.kind == LOGLOG:
             d = _loglog_denominator(self.eps)
             out[inside] = -ln_r[inside] - np.log(-ln_r[inside]) - np.log(d)
         else:
-            out[inside] = np.atleast_1d(
-                _log_deriv_inverse(self.psi, np.log(self.c) - ln_r[inside]))
-        return out if out.size > 1 else float(out[0])
+            out[inside] = _log_deriv_inverse(self.psi, np.log(self.c) - ln_r[inside])
+        return out[()]
 
     def profile_table(self):
         """Columns (r, eta, eta_prime, ln_r); extreme entries saturate to 0/inf."""
@@ -186,9 +184,7 @@ def build_psi_harmonic_cutoff(psi, r1, r2):
                        ln_r1=float(np.log(r1)), ln_r2=float(np.log(r2)),
                        c=c, ln_r=u, eta_table=eta,
                        ln_eta_prime_table=ln_ep, psi=psi)
-    energy = cutoff_energy(cut, psi)
-    object.__setattr__(cut, "energy_certificate", energy)
-    return cut
+    return replace(cut, energy_certificate=cutoff_energy(cut, psi))
 
 
 def find_inner_radius(psi, r2, delta):

@@ -1,10 +1,10 @@
-"""Energy, gradient, Hessian and linear-term assembly on the criss-cross mesh.
+"""Energy, gradient, Hessian and the b2 pairing on the criss-cross mesh.
 
 Energy, gradient and Hessian share one path over integration points. For a
 conforming field the points are the elements themselves: its gradient is
 constant per element, so each element is one point weighted by its area. For
-an enriched field the points are the split rule of ``enrichment_quad_rule``:
-the full quadrature points where the analytic enrichment gradient is nonzero
+an enriched field the points are the split rule of ``enrichment_rule``: the
+full quadrature points where the analytic enrichment gradient is nonzero
 somewhere in the element, and one point weighted by the area in every other
 element, where the integrand is constant. Per-point terms are summed into
 their owning elements over contiguous segments, since the points are sorted
@@ -13,21 +13,23 @@ Gradient and Hessian return their nodal part and their s part separately:
 (nodal gradient, d/ds) and (nodal block K, node-s border, s-s entry), with
 None for the s part of a conforming field. How the s dof is laid out next to
 the nodal ones is left to ``solve``.
-The b2 pairing of ``linear_term_vector`` keeps the full rule
+``enrichment_rule`` also holds the b2 pairing, which keeps the full rule
 (mesh.qpts/qw/qel): b2 is nonzero where the enrichment gradient vanishes.
+That record, built on first enriched use, is the only data cached on a mesh.
 Summation orders are fixed (element order, then quadrature order) so repeated
 runs are bit-identical.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 import scipy.sparse as sp
 
 from ..errors import EnergyOverflowError
 from ..geometry import eval_b2
-from .fields import (EnrichedField, element_starts, enrichment_quad_gradient,
-                     enrichment_quad_rule)
+from .fields import EnrichedField, enrichment_gradient
 
 _GRAD_FLOOR = 1e-12
 
@@ -67,7 +69,7 @@ def _points(u, mesh):
     element e, and ge is the enrichment gradient there.
     """
     if isinstance(u, EnrichedField):
-        qw, qel, ge, starts = enrichment_quad_rule(mesh)
+        qw, qel, ge, starts, _, _ = enrichment_rule(mesh)
         g = u.base.element_gradients()[qel] + u.s * ge
         return g, np.linalg.norm(g, axis=1), qw, mesh.phase[qel], starts, ge
     g = u.element_gradients()
@@ -152,35 +154,78 @@ def _pointwise_hessian(g, t, k1, k2):
     return H
 
 
-def linear_term_vector(mesh):
-    """(L, L_s) with int b2 . grad u = L . values + L_s s for every field.
+EnrichmentRule = namedtuple("EnrichmentRule", "qw qel ge starts L L_s")
 
-    b2 is evaluated once per mesh, at the full-rule quadrature points, and
-    the result is cached on the mesh. ``separating_functional`` uses both
-    parts. The G objective uses only L_s: int b2 . grad u = 0 for every
-    continuous piecewise-linear u with zero boundary values (b2 is the
-    perpendicular gradient of a bounded W^{1,1} stream function, hence
-    distributionally divergence free, and such u are Lipschitz), so L . values
-    is quadrature error on a conforming field and is left out there.
+
+def _element_starts(qel, n_elements):
+    """Index of the first point of each element in the sorted owner array qel.
+
+    Every element must own at least one point: np.add.reduceat over these
+    starts then sums exactly the points of each element.
     """
-    cached = getattr(mesh, "_linear_term", None)
-    if cached is not None:
-        return cached
-    ge = enrichment_quad_gradient(mesh)
+    starts = np.searchsorted(qel, np.arange(n_elements))
+    assert np.all(np.diff(starts, append=len(qel)) > 0), "element without points"
+    return starts
+
+
+def _b2_pairing(mesh, ge, starts):
+    """(L, L_s) of int b2 . grad u at the full rule, given grad E (ge) and the
+    first point of each element (starts) there.
+
+    The G objective uses only L_s: int b2 . grad u = 0 for every continuous
+    piecewise-linear u with zero boundary values (b2 is the perpendicular
+    gradient of a bounded W^{1,1} stream function, hence distributionally
+    divergence free, and such u are Lipschitz), so L . values is quadrature
+    error on a conforming field and is left out there.
+    """
     b = eval_b2(mesh.qpts[:, 0], mesh.qpts[:, 1]).T  # (Nq, 2)
     L_s = float(np.sum(mesh.qw * np.einsum("qk,qk->q", b, ge)))
-    per_elem = _per_element(mesh.qw[:, None] * b, element_starts(mesh.qel, mesh.n_elements))
-    L = _to_nodes(np.einsum("ejk,ek->ej", mesh.grad_basis, per_elem), mesh)
-    object.__setattr__(mesh, "_linear_term", (L, L_s))
-    return L, L_s
+    per_elem = _per_element(mesh.qw[:, None] * b, starts)
+    return _to_nodes(np.einsum("ejk,ek->ej", mesh.grad_basis, per_elem), mesh), L_s
+
+
+def enrichment_rule(mesh):
+    """(qw, qel, ge, starts, L, L_s): the mesh's split rule and b2 pairing.
+
+    Built on first use and cached on the mesh, read-only. grad E and b2 are
+    evaluated once, at the full rule (mesh.qpts/qw/qel), and neither full-rule
+    array is kept. The split: an element where grad E is exactly 0 at every
+    full-rule point keeps a single point with weight area and ge = 0 (an
+    enriched field's gradient, and so its integrand, is constant there);
+    every other element keeps all its full-rule points. qel stays sorted, and
+    starts[e] is the first point of element e. L and L_s give
+    int b2 . grad u = L . values + L_s s.
+    """
+    rule = getattr(mesh, "_enrichment_rule", None)
+    if rule is not None:
+        return rule
+    qel = mesh.qel
+    starts = _element_starts(qel, mesh.n_elements)
+    ge = enrichment_gradient(mesh.qpts)
+    L, L_s = _b2_pairing(mesh, ge, starts)
+    active = np.zeros(mesh.n_elements, dtype=bool)
+    active[qel[np.any(ge != 0.0, axis=1)]] = True
+    keep = active[qel]
+    keep[starts] = True
+    qel_split = qel[keep]
+    lone = ~active[qel_split]
+    qw = np.where(lone, mesh.area[qel_split], mesh.qw[keep])
+    ge_split = ge[keep]
+    ge_split[lone] = 0.0
+    rule = EnrichmentRule(qw, qel_split, ge_split,
+                          _element_starts(qel_split, mesh.n_elements), L, L_s)
+    for arr in rule[:-1]:
+        arr.setflags(write=False)
+    object.__setattr__(mesh, "_enrichment_rule", rule)
+    return rule
 
 
 def separating_functional(u, mesh=None):
     """u -> int b2 . grad u; vanishes on conforming fields under refinement."""
-    L, L_s = linear_term_vector(mesh or u.mesh)
+    rule = enrichment_rule(mesh or u.mesh)
     if isinstance(u, EnrichedField):
-        return float(L @ u.base.values) + float(u.s) * L_s
-    return float(L @ u.values)
+        return float(rule.L @ u.base.values) + float(u.s) * rule.L_s
+    return float(rule.L @ u.values)
 
 
 def functional_G(u, pair, mesh=None):

@@ -39,8 +39,8 @@ class MeshSpace:
     area: np.ndarray = field(repr=False)        # (Ne,)
     phase: np.ndarray = field(repr=False)       # (Ne,) weight a in {0,1}
     grad_basis: np.ndarray = field(repr=False)  # (Ne, 3, 2) nabla lambda_j
-    # the full quadrature rule; enriched assembly integrates with its split
-    # (fields.enrichment_quad_rule), the b2 pairing with the rule itself
+    # the full quadrature rule; enriched assembly integrates with its split,
+    # the b2 pairing with the rule itself (both in assembly.enrichment_rule)
     qpts: np.ndarray = field(repr=False)        # (Nq, 2)
     qw: np.ndarray = field(repr=False)          # (Nq,)
     qel: np.ndarray = field(repr=False)         # (Nq,) owning element, sorted

@@ -22,7 +22,7 @@ unknowns, [interior nodal values..., s].
 
 In G mode the linear term int b2 . grad u is taken in its solenoidal-exact
 form: it vanishes on every conforming field, so only the enrichment pairing
-L_s s enters the objective.
+L_s s, read from the mesh's ``enrichment_rule``, enters the objective.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from ..classifier import CONVERGES, classify_alpha_beta
 from ..errors import GapPreconditionError, RangeError
 from ..geometry import eval_u2
 from ..orlicz import double_phase_log
-from .assembly import (linear_term_vector, modular_energy, modular_gradient,
+from .assembly import (enrichment_rule, modular_energy, modular_gradient,
                        modular_hessian, separating_functional)
 from .fields import DofField, EnrichedField
 from .mesh import build_mesh
@@ -73,10 +73,10 @@ class _Objective:
         self.full = np.zeros(mesh.n_vertices)
         self.full[mesh.boundary_mask] = boundary_data
         # G keeps only the b2 pairing of the jump amplitude: by the
-        # solenoidal-exact identity (see linear_term_vector) L . values is 0
+        # solenoidal-exact identity (see assembly._b2_pairing) L . values is 0
         self.L_s = 0.0
         if objective == OBJECTIVE_G and self.enriched:
-            self.L_s = linear_term_vector(mesh)[1]
+            self.L_s = enrichment_rule(mesh).L_s
 
     def make_field(self, x):
         values = self.full.copy()

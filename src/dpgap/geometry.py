@@ -6,9 +6,10 @@ jump function is u2 = sgn(x2)/2 * theta(|x2|/|x1|); the solenoidal vector
 field is b2 = curl of v = sgn(x1)/2 * theta(|x1|/|x2|), with the component
 convention b2 = (d2 A_12, d1 A_21) of the row-wise matrix divergence.
 
-Everything is vectorized; scalar inputs give scalar outputs.  The fields are
-smooth away from the origin; at the origin every evaluation returns 0 (the
-degenerate point, see ``ORIGIN_FLAG``).
+Everything is vectorized: coordinates broadcast against each other, array
+inputs give arrays of their broadcast shape (vector fields put the component
+axis first) and scalar inputs give scalars.  The fields are smooth away from
+the origin; at the origin, the degenerate point, every evaluation returns 0.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .errors import RangeError
 THETA_LO = 0.25
 THETA_HI = 0.5
 THETA_MAX_SLOPE = 6.0  # exact for the cubic smoothstep on [1/4, 1/2]
-
-ORIGIN_FLAG = "fields return 0 at the origin by convention"
 
 
 def theta(s):
@@ -62,20 +61,25 @@ def _safe_ratio(num, den):
     return out
 
 
+def _flat(x1, x2):
+    """(x1, x2, shape): the coordinates broadcast, flattened, and their shape."""
+    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=np.float64),
+                                 np.asarray(x2, dtype=np.float64))
+    return x1.reshape(-1), x2.reshape(-1), x1.shape
+
+
 def eval_u2(x1, x2):
     """u2 = sgn(x2)/2 * theta(|x2|/|x1|); +-1/2 on the vertical cones."""
-    x1 = np.atleast_1d(np.asarray(x1, dtype=np.float64))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=np.float64))
+    x1, x2, shape = _flat(x1, x2)
     ratio = _safe_ratio(np.abs(x2), np.abs(x1))
     val = 0.5 * np.sign(x2) * theta(ratio)
     val[(x1 == 0.0) & (x2 == 0.0)] = 0.0
-    return val if val.size > 1 else float(val[0])
+    return val.reshape(shape)[()]
 
 
 def eval_grad_u2(x1, x2):
     """Analytic gradient of u2; zero outside 2|x2| <= |x1| <= 4|x2|."""
-    x1 = np.atleast_1d(np.asarray(x1, dtype=np.float64))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=np.float64))
+    x1, x2, shape = _flat(x1, x2)
     g = np.zeros((2,) + x1.shape)
     nz = x1 != 0.0
     a1 = np.abs(x1[nz])
@@ -84,17 +88,16 @@ def eval_grad_u2(x1, x2):
     # d/dx1 (|x2|/|x1|) = -|x2| sgn(x1) / x1^2 ; d/dx2 = sgn(x2)/|x1|
     g[0][nz] = 0.5 * np.sign(x2[nz]) * tp * (-np.abs(x2[nz]) * np.sign(x1[nz]) / x1[nz] ** 2)
     g[1][nz] = 0.5 * tp / a1
-    return g if x1.size > 1 else g[:, 0]
+    return g.reshape((2,) + shape)
 
 
 def eval_v(x1, x2):
     """Stream function v = sgn(x1)/2 * theta(|x1|/|x2|)."""
-    x1 = np.atleast_1d(np.asarray(x1, dtype=np.float64))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=np.float64))
+    x1, x2, shape = _flat(x1, x2)
     ratio = _safe_ratio(np.abs(x1), np.abs(x2))
     val = 0.5 * np.sign(x1) * theta(ratio)
     val[(x1 == 0.0) & (x2 == 0.0)] = 0.0
-    return val if val.size > 1 else float(val[0])
+    return val.reshape(shape)[()]
 
 
 def eval_b2(x1, x2):
@@ -105,8 +108,7 @@ def eval_b2(x1, x2):
     divergence of the rotation-matrix potential, cross-checked against the
     perpendicular gradient of v by finite differences in the tests.
     """
-    x1 = np.atleast_1d(np.asarray(x1, dtype=np.float64))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=np.float64))
+    x1, x2, shape = _flat(x1, x2)
     b = np.zeros((2,) + x1.shape)
     nz = x2 != 0.0
     a2 = np.abs(x2[nz])
@@ -114,7 +116,7 @@ def eval_b2(x1, x2):
     tp = theta_prime(ratio)
     b[0][nz] = np.sign(x1[nz]) * np.sign(x2[nz]) * np.abs(x1[nz]) * tp / (2.0 * x2[nz] ** 2)
     b[1][nz] = tp / (2.0 * a2)
-    return b if x1.size > 1 else b[:, 0]
+    return b.reshape((2,) + shape)
 
 
 def _simpson_rule(n_quad):

@@ -28,6 +28,8 @@ _T_MAX = 1.0e300
 # above this argument the integrand is evaluated in log space
 _LOG_SWITCH = 1.0e8
 _CONJ_BRACKET = (1.0e-12, 1.0e12)
+# smallest normal double
+_TINY = np.finfo(np.float64).tiny
 
 # smallest acceptable slope ratio Phi'(t0) t0 / Phi(t0) at the knot; below 1
 # the quadratic substitute would need a negative leading coefficient
@@ -206,11 +208,12 @@ class LogPower:
         out = np.empty_like(ln_t)
         mid = np.abs(ln_t) <= 600.0
         d = self.deriv(np.exp(ln_t[mid]))
-        # for p > 2.18 deriv under- or overflows inside the band; those points
-        # take the asymptote of their side, like every point beyond the band
+        # where deriv is subnormal, 0 or inf inside the band, the point takes
+        # the asymptote of its side, like every point beyond the band: the log
+        # of a subnormal has lost most of its bits
         tiny, big = ln_t < -600.0, ln_t > 600.0
-        tiny[mid], big[mid] = d == 0.0, np.isinf(d)
-        ok = (d != 0.0) & ~np.isinf(d)
+        tiny[mid], big[mid] = d < _TINY, np.isinf(d)
+        ok = (d >= _TINY) & ~np.isinf(d)
         mid[mid] = ok
         out[mid] = np.log(d[ok])
         if np.any(big):
@@ -288,16 +291,6 @@ class TabulatedConjugate:
         pos = s > 0.0
         out[pos] = np.exp(self._interp(np.log(s[pos])))
         return out
-
-    def deriv(self, s):
-        s = np.asarray(s, dtype=np.float64)
-        out = np.zeros_like(s)
-        pos = s > 0.0
-        ls = np.log(s[pos])
-        out[pos] = np.exp(self._interp(ls)) / s[pos] * self._interp.derivative()(ls)
-        return out
-
-    deriv_ratio = _deriv_ratio
 
 
 def conjugate_log_power(p, gamma):

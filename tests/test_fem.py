@@ -7,11 +7,11 @@ import scipy.sparse.linalg as spla
 
 from dpgap.errors import GapPreconditionError, RangeError
 from dpgap.fem import (DofField, EnrichedField, build_mesh, cone_trace_diagnostic,
-                       functional_G, gap_experiment, linear_term_vector,
-                       minimize, modular_energy, separating_functional)
-from dpgap.fem import assembly, fields, solve
-from dpgap.fem.assembly import modular_gradient, modular_hessian
-from dpgap.fem.fields import enrichment_gradient, enrichment_quad_rule, enrichment_value
+                       functional_G, gap_experiment, minimize, modular_energy,
+                       separating_functional)
+from dpgap.fem import assembly, solve
+from dpgap.fem.assembly import enrichment_rule, modular_gradient, modular_hessian
+from dpgap.fem.fields import enrichment_gradient, enrichment_value
 from dpgap.fem.solve import CONFORMING, ENRICHED, OBJECTIVE_DIRICHLET, OBJECTIVE_G
 from dpgap.geometry import eval_u2
 from dpgap.orlicz import LogPower, PurePower, double_phase_log
@@ -189,7 +189,7 @@ def _full_rule_assembly(u, pair, mesh):
 
 class TestSplitRule:
     def test_rule(self, mesh16):
-        qw, qel, ge, starts = enrichment_quad_rule(mesh16)
+        qw, qel, ge, starts, _, _ = enrichment_rule(mesh16)
         full_ge = enrichment_gradient(mesh16.qpts)
         ne = mesh16.n_elements
         assert np.all(np.diff(qel) >= 0)
@@ -227,14 +227,14 @@ class TestSplitRule:
 
     def test_conforming_minimize_never_builds_it(self, monkeypatch):
         calls = []
-        original = fields.enrichment_quad_gradient
+        original = assembly.enrichment_rule
 
         def counting(mesh):
             calls.append(mesh)
             return original(mesh)
 
-        monkeypatch.setattr(fields, "enrichment_quad_gradient", counting)
-        monkeypatch.setattr(assembly, "enrichment_quad_gradient", counting)
+        monkeypatch.setattr(assembly, "enrichment_rule", counting)
+        monkeypatch.setattr(solve, "enrichment_rule", counting)
         fresh = build_mesh(8, grading=2.0)
         pair = double_phase_log(2.0, 2.0)
         bdata = np.asarray(eval_u2(fresh.nodes[fresh.boundary_mask, 0],
@@ -257,12 +257,12 @@ class TestLinearTerm:
         for m in (mesh, mesh16):
             u = DofField.interpolate(m, w)
             u.values[m.boundary_mask] = 0.0
-            L, _ = linear_term_vector(m)
+            L = enrichment_rule(m).L
             vals.append(abs(float(L @ u.values)))
         assert vals[1] < 0.5 * vals[0]
 
     def test_pairing_with_enrichment_tends_to_minus_one(self, mesh16):
-        _, L_s = linear_term_vector(mesh16)
+        L_s = enrichment_rule(mesh16).L_s
         assert L_s == pytest.approx(-1.0, abs=0.02)
 
     def test_separating_functional_scales_with_s(self, mesh):
@@ -274,17 +274,26 @@ class TestLinearTerm:
     @pytest.mark.parametrize("alpha, beta", [(2.0, 2.0), (2.0, 0.5)])
     def test_b2_evaluated_once_per_mesh(self, monkeypatch, alpha, beta):
         # G mode pairs s with b2 in the objective and again in the
-        # separating functional; Dirichlet mode only in the latter
-        calls = []
-        original = assembly.eval_b2
+        # separating functional; Dirichlet mode only in the latter. Both read
+        # the mesh's enrichment rule, which evaluates b2 and grad E once, at
+        # the full rule
+        b2_calls, grad_calls = [], []
+        original_b2 = assembly.eval_b2
+        original_grad = assembly.enrichment_gradient
 
-        def counting(x1, x2):
-            calls.append(len(x1))
-            return original(x1, x2)
+        def counting_b2(x1, x2):
+            b2_calls.append(len(x1))
+            return original_b2(x1, x2)
 
-        monkeypatch.setattr(assembly, "eval_b2", counting)
+        def counting_grad(points):
+            grad_calls.append(len(points))
+            return original_grad(points)
+
+        monkeypatch.setattr(assembly, "eval_b2", counting_b2)
+        monkeypatch.setattr(assembly, "enrichment_gradient", counting_grad)
         gap_experiment(alpha, beta, [8, 16])
-        assert len(calls) == 2
+        assert len(b2_calls) == 2
+        assert grad_calls == b2_calls
 
 
 class TestMinimize:

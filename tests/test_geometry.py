@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpgap import geometry
+from dpgap.cutoffs import build_loglog_cutoff, build_psi_harmonic_cutoff
 from dpgap.errors import RangeError
+from dpgap.fem.fields import enrichment_gradient, enrichment_value
+from dpgap.orlicz import LogPower
 
 
 class TestTheta:
@@ -148,3 +151,55 @@ class TestFluxAndAudit:
         table = geometry.sample_fields_grid(16)
         assert table.shape == (256, 6)
         assert set(np.unique(table[:, 2])) <= {0.0, 1.0}
+
+
+class TestShapeConvention:
+    """Array input gives an array of its shape, scalar input a scalar.
+
+    Vector fields of (x1, x2) put their component axis first, the enrichment
+    gradient of points (..., 2) last. Every entry equals the one computed in
+    the batch of all three points.
+    """
+
+    X1 = np.array([0.3, 0.1, -0.2])
+    X2 = np.array([0.1, 0.3, 0.07])
+    R = np.array([1e-3, 5e-3, 0.2])
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        def points(x1, x2):
+            return np.stack([x1, x2], axis=-1)
+
+        cases = [
+            ("value", lambda x1, x2, r: geometry.eval_u2(x1, x2)),
+            ("value", lambda x1, x2, r: geometry.eval_v(x1, x2)),
+            ("first", lambda x1, x2, r: geometry.eval_grad_u2(x1, x2)),
+            ("first", lambda x1, x2, r: geometry.eval_b2(x1, x2)),
+            ("value", lambda x1, x2, r: enrichment_value(points(x1, x2))),
+            ("last", lambda x1, x2, r: enrichment_gradient(points(x1, x2))),
+        ]
+        for cut in (build_loglog_cutoff(1e-2),
+                    build_psi_harmonic_cutoff(LogPower(2.0, 1.0), 1e-6, 0.5)):
+            cases += [
+                ("value", lambda x1, x2, r, c=cut: c.eta(r)),
+                ("value", lambda x1, x2, r, c=cut: c.eta_at_log(np.log(r))),
+                ("value", lambda x1, x2, r, c=cut: c.ln_eta_prime_at_log(np.log(r))),
+            ]
+        return cases
+
+    @pytest.mark.parametrize("shape", [(), (0,), (1,), (3,)], ids=str)
+    def test_shape(self, cases, shape):
+        n = int(np.prod(shape))
+        x1, x2, r = (a[:n].reshape(shape) for a in (self.X1, self.X2, self.R))
+        for kind, f in cases:
+            got, batch = f(x1, x2, r), f(self.X1, self.X2, self.R)
+            if kind == "value":
+                assert np.shape(got) == shape
+                assert isinstance(got, np.ndarray) == (shape != ())
+                np.testing.assert_array_equal(np.reshape(got, n), batch[:n])
+            elif kind == "first":
+                assert np.shape(got) == (2,) + shape
+                np.testing.assert_array_equal(got.reshape(2, n), batch[:, :n])
+            else:
+                assert np.shape(got) == shape + (2,)
+                np.testing.assert_array_equal(got.reshape(n, 2), batch[:n])

@@ -93,6 +93,18 @@ class TestLogPower:
         ln_t = np.array([-300.0, 0.0, 300.0])
         np.testing.assert_array_equal(f.log_deriv(ln_t), np.log(f.deriv(np.exp(ln_t))))
 
+    def test_log_deriv_where_deriv_is_subnormal(self):
+        # for p = 2.5, deriv(t) = 2.5 t^1.5 is subnormal below ln t ~ -472.9;
+        # its log lost most of its bits and jumped by 0.92 between neighbours
+        # near ln t = -496. The asymptote joins the direct log without a jump
+        f = LogPower(2.5, 0.0)
+        ln_t = np.linspace(-520.0, -460.0, 60001)
+        assert np.any(np.abs(ln_t + 496.0) < 1e-3)
+        np.testing.assert_allclose(np.diff(f.log_deriv(ln_t)), 1.5 * np.diff(ln_t),
+                                   rtol=0.0, atol=1e-11)
+        assert f.log_deriv([-496.0])[0] == np.log(2.5) + 1.5 * -496.0
+        assert LogPower(3.0, 0.0).log_deriv([-372.0])[0] == np.log(3.0) + 2.0 * -372.0
+
     def test_deriv_matches_finite_difference(self):
         f = LogPower(2.0, -2.0)
         t = np.logspace(-2.0, 4.0, 30)
