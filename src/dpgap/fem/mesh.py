@@ -1,9 +1,15 @@
-"""Graded criss-cross triangulation of (-1,1)^2 aligned with the checkerboard.
+"""Graded criss-cross triangulation of (-1,1)^2, or of its quadrant [0,1]^2,
+aligned with the checkerboard.
 
 Grid lines sit at +-(k/n)^grading and 0; every cell is split into four
 triangles through its center.  The coordinate grid is symmetric, so the cone
 interfaces |x1| = |x2| run along cell diagonals and each triangle lies in a
 single phase, which makes the elementwise-constant weight exact.
+
+The quadrant mesh is built by the same code from the nonnegative half of the
+grid, so its elements, quadrature points and weights are exactly those of the
+full mesh in x1, x2 >= 0. Its Dirichlet boundary is x1 = 1, x2 = 0 and
+x2 = 1; the edge x1 = 0 is left free (a natural boundary).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ ORIGIN_SUBDIV_LEVELS = 3
 class MeshSpace:
     n: int
     grading: float
-    xs: np.ndarray = field(repr=False)          # shared 1D grid, length 2n+1
+    xs: np.ndarray = field(repr=False)          # shared 1D grid, 2n+1 or n+1 lines
     nodes: np.ndarray = field(repr=False)       # (Nv, 2)
     tris: np.ndarray = field(repr=False)        # (Ne, 3) vertex ids, CCW
     area: np.ndarray = field(repr=False)        # (Ne,)
@@ -75,11 +81,11 @@ class MeshSpace:
         A point takes the first of the 4 triangles of its grid cell, in
         element order, whose barycentric coordinates are all >= -1e-12, so a
         point on a shared edge or vertex goes to the lowest such element id.
-        A point that no triangle of its cell holds (one outside the square)
+        A point that no triangle of its cell holds (one outside the mesh)
         raises MeshError naming the first such point in input order.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        m = 2 * self.n
+        m = len(self.xs) - 1
         ix = np.clip(np.searchsorted(self.xs, pts[:, 0], side="right") - 1, 0, m - 1)
         iy = np.clip(np.searchsorted(self.xs, pts[:, 1], side="right") - 1, 0, m - 1)
         cell = ix * m + iy
@@ -102,10 +108,14 @@ class MeshSpace:
         return elems, barys
 
     def evaluate(self, values, points):
-        """Point values of the conforming nodal field."""
-        elems, barys = self.locate(points)
+        """Point values of the conforming nodal field at points (..., 2).
+
+        The result has shape (...): a scalar for a single point (2,).
+        """
+        pts = np.asarray(points, dtype=np.float64)
+        elems, barys = self.locate(pts.reshape(-1, 2))
         v = np.asarray(values, dtype=np.float64)
-        return np.einsum("pj,pj->p", v[self.tris[elems]], barys)
+        return np.einsum("pj,pj->p", v[self.tris[elems]], barys).reshape(pts.shape[:-1])[()]
 
 
 def _graded_axis(n, grading):
@@ -130,8 +140,9 @@ def _subdivide(tri_coords, levels):
     return tris
 
 
-def build_mesh(n, grading=1.0):
-    """Criss-cross mesh with 16 n^2 phase-conforming triangles.
+def build_mesh(n, grading=1.0, quadrant=False):
+    """Criss-cross mesh with 16 n^2 phase-conforming triangles on (-1,1)^2,
+    or with 4 n^2 on the quadrant [0,1]^2 when ``quadrant`` is set.
 
     Triangles touching the origin get subdivided quadrature (the enrichment
     gradient scales like 1/r there).
@@ -142,7 +153,10 @@ def build_mesh(n, grading=1.0):
     if grading < 1.0:
         raise MeshError("grading exponent >= 1 required")
     xs = _graded_axis(n, float(grading))
-    m = 2 * n
+    # grid index of the line through 0
+    zero = 0 if quadrant else n
+    xs = xs[n - zero:]
+    m = len(xs) - 1
     ng = m + 1
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     grid_nodes = np.column_stack([gx.ravel(), gy.ravel()])
@@ -187,10 +201,12 @@ def build_mesh(n, grading=1.0):
 
     boundary_mask = np.zeros(len(nodes), dtype=bool)
     gx_idx, gy_idx = np.divmod(np.arange(ng * ng), ng)
-    boundary_mask[:ng * ng] = ((gx_idx == 0) | (gx_idx == m)
-                               | (gy_idx == 0) | (gy_idx == m))
+    # the quadrant's edge x1 = 0 is a natural boundary
+    boundary_mask[:ng * ng] = (gx_idx == m) | (gy_idx == 0) | (gy_idx == m)
+    if not quadrant:
+        boundary_mask[:ng * ng] |= gx_idx == 0
 
-    origin_vertex = int(n * ng + n)
+    origin_vertex = int(zero * ng + zero)
 
     # subdivision depth per element: enrichment gradients scale like 1/r, so
     # keep the sub-triangle diameter below about a quarter of the centroid
@@ -225,8 +241,8 @@ def build_mesh(n, grading=1.0):
     order = np.argsort(qel, kind="stable")
     qpts, qw, qel = qpts[order], qw[order], qel[order]
 
-    if abs(float(np.sum(area)) - 4.0) > 1e-10:
-        raise MeshError("element areas do not partition the square")
+    if abs(float(np.sum(area)) - (1.0 if quadrant else 4.0)) > 1e-10:
+        raise MeshError("element areas do not partition the domain")
 
     return MeshSpace(n=n, grading=float(grading), xs=xs, nodes=nodes,
                      tris=tris, area=area, phase=phase, grad_basis=grad_basis,

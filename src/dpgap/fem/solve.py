@@ -23,6 +23,13 @@ unknowns, [interior nodal values..., s].
 In G mode the linear term int b2 . grad u is taken in its solenoidal-exact
 form: it vanishes on every conforming field, so only the enrichment pairing
 L_s s, read from the mesh's ``enrichment_rule``, enters the objective.
+
+The gap experiment solves on the quadrant [0,1]^2. Both mirror symmetries of
+the discrete problem are exact: the weight a depends on |x1| and |x2|, u2 and
+E = eta u2 are even in x1 and odd in x2, and the mesh with its quadrature is
+mirror-symmetric. So Newton iterates from a start in that class stay in it,
+and the quadrant with u = 0 on x2 = 0 and a natural boundary on x1 = 0
+carries the whole computation on a quarter of the unknowns.
 """
 
 from __future__ import annotations
@@ -234,6 +241,11 @@ def gap_experiment(alpha, beta, levels, grading=2.0, mode=None, force_g=False):
     Returns a GapReport with per-level E1 (enriched), E2 (conforming), the
     optimal jump amplitude, and the separating-functional value on the
     enriched minimizer.
+
+    Each level is solved on the quadrant mesh (see the module docstring).
+    The minimizers are even in x1 and odd in x2, so every energy and the
+    pairing over (-1,1)^2 are 4 times their quadrant values, and the report
+    holds those full-domain values.
     """
     levels = [int(n) for n in levels]
     if not levels:
@@ -258,7 +270,7 @@ def gap_experiment(alpha, beta, levels, grading=2.0, mode=None, force_g=False):
     report = GapReport(alpha=float(alpha), beta=float(beta), mode=mode,
                        verdict=regime.verdict, mode_note=note)
     for n in levels:
-        mesh = build_mesh(n, grading)
+        mesh = build_mesh(n, grading, quadrant=True)
         # G mode starts from zero; Dirichlet takes the u2 trace and interpolant
         if mode == OBJECTIVE_G:
             start = np.zeros(mesh.n_vertices)
@@ -270,20 +282,22 @@ def gap_experiment(alpha, beta, levels, grading=2.0, mode=None, force_g=False):
         x0e = np.concatenate([conf.field.values[mesh.interior], [0.0]])
         enr = minimize(ENRICHED, mode, pair, mesh, boundary_data=bdata,
                        x0=x0e)
-        sep = separating_functional(enr.field, mesh)
+        # full-domain values: each integral is 4 times its quadrant part
+        E1, E2 = 4.0 * enr.value, 4.0 * conf.value
+        sep = 4.0 * separating_functional(enr.field, mesh)
         level = {
             "n": n,
             "h_min": mesh.h_min,
-            "E1": enr.value,
-            "E2": conf.value,
+            "E1": E1,
+            "E2": E2,
             "s_opt": float(enr.field.s),
             "sep_value": sep,
             "iters_conforming": conf.iterations,
             "iters_enriched": enr.iterations,
             "converged": bool(conf.converged and enr.converged),
         }
-        if enr.value > conf.value + 1e-10:
-            level["nesting_violation"] = enr.value - conf.value
+        if E1 > E2 + 1e-10:
+            level["nesting_violation"] = E1 - E2
         report.levels.append(level)
     return report
 
@@ -303,7 +317,7 @@ def cone_trace_diagnostic(u, mesh, radii):
                          "takes log(log(1/r)), which needs r < 1")
     ang_top = np.linspace(np.deg2rad(65.0), np.deg2rad(115.0), 41)
     ang_bot = ang_top + np.pi
-    u0 = float(u.evaluate([[0.0, 0.0]])[0])
+    u0 = float(u.evaluate([0.0, 0.0]))
     rows = []
     for r in radii:
         top = np.column_stack([r * np.cos(ang_top), r * np.sin(ang_top)])

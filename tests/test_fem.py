@@ -479,6 +479,66 @@ class TestGapExperiment:
         assert d["levels"][0]["n"] == 8
 
 
+def _full_domain_level(alpha, beta, mode, n):
+    """(conforming, enriched) minimizers of one gap level on (-1,1)^2, from
+    the starts gap_experiment takes."""
+    mesh = build_mesh(n, 2.0)
+    pair = double_phase_log(alpha, beta)
+    start = (np.zeros(mesh.n_vertices) if mode == OBJECTIVE_G
+             else eval_u2(mesh.nodes[:, 0], mesh.nodes[:, 1]))
+    bdata = start[mesh.boundary_mask]
+    conf = minimize(CONFORMING, mode, pair, mesh, boundary_data=bdata,
+                    x0=start[mesh.interior])
+    x0e = np.append(conf.field.values[mesh.interior], 0.0)
+    enr = minimize(ENRICHED, mode, pair, mesh, boundary_data=bdata, x0=x0e)
+    return conf, enr
+
+
+class TestQuadrantSolve:
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("alpha, beta, mode", [(2.0, 2.0, OBJECTIVE_G),
+                                                   (2.0, 0.5, OBJECTIVE_DIRICHLET)])
+    def test_reproduces_full_domain(self, monkeypatch, alpha, beta, mode, n):
+        quad = []
+
+        def recording(*args, **kwargs):
+            quad.append(real(*args, **kwargs))
+            return quad[-1]
+
+        real = solve.minimize
+        monkeypatch.setattr(solve, "minimize", recording)
+        level = gap_experiment(alpha, beta, [n], grading=2.0, mode=mode).levels[0]
+        conf, enr = _full_domain_level(alpha, beta, mode, n)
+        mesh = enr.field.mesh
+        full = {"E1": enr.value, "E2": conf.value, "s_opt": enr.field.s,
+                "sep_value": separating_functional(enr.field, mesh)}
+        for key, value in full.items():
+            assert level[key] == pytest.approx(value, rel=1e-13, abs=0.0), key
+        assert level["iters_conforming"] == conf.iterations
+        assert level["iters_enriched"] == enr.iterations
+        # the full minimizers are the reflections u(x1, x2) = sign(x2) u(|x1|, |x2|)
+        sign = np.sign(mesh.nodes[:, 1])
+        conf_q, enr_q = quad
+        for q, f in ((conf_q.field, conf.field), (enr_q.field.base, enr.field.base)):
+            np.testing.assert_allclose(sign * q.evaluate(np.abs(mesh.nodes)), f.values,
+                                       rtol=0.0, atol=1e-12)
+
+    def test_mesh_build_per_level(self, monkeypatch):
+        # the benchmark's tracer wraps solve.build_mesh and keys each level's
+        # time by the first positional argument
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        real = solve.build_mesh
+        monkeypatch.setattr(solve, "build_mesh", recording)
+        gap_experiment(2, 2, [8, 16])
+        assert [args[0] for args, _ in calls] == [8, 16]
+        assert all(kwargs.get("quadrant") is True for _, kwargs in calls)
+
+
 class TestConeTrace:
     def test_enrichment_recovers_jump(self, mesh16):
         u = EnrichedField(DofField.zeros(mesh16), 1.0)
@@ -495,7 +555,7 @@ class TestConeTrace:
             m = build_mesh(n, grading=2.0)
             base = DofField(m, rng.standard_normal(m.n_vertices))
             for u in (base, EnrichedField(base, 0.7)):
-                assert u.evaluate([[0.0, 0.0]])[0] == base.values[m.origin_vertex]
+                assert u.evaluate([0.0, 0.0]) == base.values[m.origin_vertex]
 
     def test_radius_below_mesh_rejected(self, mesh16):
         u = DofField.zeros(mesh16)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dpgap import geometry
 from dpgap.cutoffs import build_loglog_cutoff, build_psi_harmonic_cutoff
 from dpgap.errors import RangeError
+from dpgap.fem import DofField, EnrichedField, build_mesh
 from dpgap.fem.fields import enrichment_gradient, enrichment_value
 from dpgap.orlicz import LogPower
 
@@ -178,6 +179,10 @@ class TestShapeConvention:
             ("value", lambda x1, x2, r: enrichment_value(points(x1, x2))),
             ("last", lambda x1, x2, r: enrichment_gradient(points(x1, x2))),
         ]
+        mesh = build_mesh(8, grading=2.0)
+        base = DofField(mesh, np.sin(3.0 * mesh.nodes[:, 0]) + mesh.nodes[:, 1])
+        for u in (base, EnrichedField(base, 0.7)):
+            cases.append(("value", lambda x1, x2, r, u=u: u.evaluate(points(x1, x2))))
         for cut in (build_loglog_cutoff(1e-2),
                     build_psi_harmonic_cutoff(LogPower(2.0, 1.0), 1e-6, 0.5)):
             cases += [

@@ -107,7 +107,7 @@ def _locate_reference(mesh, pts):
     """Point by point, candidate by candidate: the first triangle of the cell
     with every barycentric >= -1e-12 wins; also counts the triangles that
     hold each point."""
-    m = 2 * mesh.n
+    m = len(mesh.xs) - 1
     elems = np.empty(len(pts), dtype=np.int64)
     barys = np.empty((len(pts), 3))
     holders = np.zeros(len(pts), dtype=np.int64)
@@ -143,10 +143,13 @@ def _tie_points(mesh):
 
 
 class TestLocate:
-    @pytest.mark.parametrize("n, grading", [(8, 1.0), (16, 2.0)])
-    def test_matches_pointwise_first_candidate(self, n, grading):
-        mesh = build_mesh(n, grading)
-        corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    @pytest.mark.parametrize("n, grading, quadrant",
+                             [(8, 1.0, False), (16, 2.0, False), (8, 1.0, True), (16, 2.0, True)],
+                             ids=["8-1.0", "16-2.0", "quadrant-8-1.0", "quadrant-16-2.0"])
+    def test_matches_pointwise_first_candidate(self, n, grading, quadrant):
+        mesh = build_mesh(n, grading, quadrant=quadrant)
+        lo = 0.0 if quadrant else -1.0
+        corners = np.array([[lo, lo], [1.0, lo], [1.0, 1.0], [lo, 1.0]])
         pts = np.vstack([mesh.nodes, mesh.qpts, corners, _tie_points(mesh)])
         ref_el, ref_bary, holders = _locate_reference(mesh, pts)
         # the tie-break is exercised: many points lie in several triangles
@@ -159,6 +162,51 @@ class TestLocate:
         pts = np.array([[0.1, 0.2], [1.5, 0.25], [-0.3, 0.4], [0.5, -2.0]])
         with pytest.raises(MeshError, match=r"point \[1\.5 +0\.25\] not located"):
             mesh8.locate(pts)
+
+
+class TestQuadrant:
+    """The quadrant mesh is the full mesh's part in x1, x2 >= 0, bit for bit."""
+
+    @pytest.fixture(scope="class", params=[(8, 1.0), (16, 2.0)], ids=str)
+    def meshes(self, request):
+        n, grading = request.param
+        return build_mesh(n, grading), build_mesh(n, grading, quadrant=True)
+
+    def test_areas_partition_quadrant(self, meshes):
+        _, quad = meshes
+        assert quad.n_elements == 4 * quad.n ** 2
+        assert float(np.sum(quad.area)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_is_the_full_mesh_restricted(self, meshes):
+        full, quad = meshes
+        assert np.array_equal(quad.nodes, full.nodes[np.all(full.nodes >= 0.0, axis=1)])
+        els = np.where(np.all(full.nodes[full.tris].mean(axis=1) > 0.0, axis=1))[0]
+        assert np.array_equal(quad.nodes[quad.tris], full.nodes[full.tris[els]])
+        for attr in ("area", "phase", "grad_basis"):
+            assert np.array_equal(getattr(quad, attr), getattr(full, attr)[els]), attr
+        in_quad = np.isin(full.qel, els)
+        assert np.array_equal(quad.qpts, full.qpts[in_quad])
+        assert np.array_equal(quad.qw, full.qw[in_quad])
+        assert np.array_equal(els[quad.qel], full.qel[in_quad])
+
+    def test_boundary_mask(self, meshes):
+        _, quad = meshes
+        x1, x2 = quad.nodes.T
+        assert np.array_equal(quad.boundary_mask, (x1 == 1.0) | (x2 == 0.0) | (x2 == 1.0))
+        # the edge x1 = 0 between the corners is a natural boundary
+        left = (x1 == 0.0) & (x2 > 0.0) & (x2 < 1.0)
+        assert np.count_nonzero(left) == quad.n - 1
+        assert not np.any(quad.boundary_mask[left])
+
+    def test_origin_vertex(self, meshes):
+        _, quad = meshes
+        assert np.all(quad.nodes[quad.origin_vertex] == 0.0)
+
+    def test_locate_rejects_negative_x1(self, meshes):
+        _, quad = meshes
+        pts = np.array([[0.1, 0.2], [-1e-3, 0.5], [0.3, 0.4]])
+        with pytest.raises(MeshError, match=r"point \[-0\.001 +0\.5 *\] not located"):
+            quad.locate(pts)
 
 
 class TestDeterminism:
