@@ -190,8 +190,11 @@ def _cmd_norm(args):
 def _cmd_conjugate(args):
     star = conjugate_log_power(args.p, args.gamma)
     back = conjugate_log_power(star.p, star.gamma)
+    samples = _parse_floats(args.s)
+    if not all(s > 0.0 for s in samples):
+        raise RangeError("conjugate samples must be positive")
     ratios = []
-    for s in _parse_floats(args.s):
+    for s in samples:
         num = conjugate_numeric(LogPower(args.p, args.gamma), s)
         ratios.append({"s": s, "numeric": num,
                        "closed_form": float(star(s)),

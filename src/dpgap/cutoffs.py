@@ -11,7 +11,8 @@ identity is satisfied to solver precision.
 The psi-harmonic builders take a ``LogPower`` or ``PurePower`` psi: the
 inverse is a bisection on ``psi.log_deriv`` (ln psi' as a function of ln t),
 and the dual tail of ``find_inner_radius`` is that of ``orlicz.conjugate``.
-Energies accept any integrand with ``log_eval`` or a plain call.
+Energies take a ``LogPower``, a ``PurePower`` or a ``DoublePhase`` of them and
+read the integrand through its ``log_eval(ln_t, k)``.
 
 Inner radii and slopes routinely leave double-precision range (r1 = e^{-1/eps}
 for the log-log family, eta' ~ c/r near a borderline inner radius), so all
@@ -30,7 +31,7 @@ from .classifier import DIVERGES, tail_integral_verdict
 from .errors import (DomainError, EnergyOverflowError,
                      NoRemovableSingularityError, NormalizationError,
                      RangeError)
-from .orlicz import DoublePhase, LogPower, PurePower, conjugate
+from .orlicz import DoublePhase, conjugate
 
 LOGLOG = "LogLog"
 PSI_HARMONIC = "PsiHarmonic"
@@ -195,8 +196,8 @@ def find_inner_radius(psi, r2, delta):
     the borderline the required r1 can underflow double precision; that is
     reported as a normalization error rather than silently clamped.
     """
-    if delta <= 0.0:
-        raise RangeError("energy budget delta must be positive")
+    if not (0.0 < delta < np.inf):
+        raise RangeError("energy budget delta must be positive and finite")
     if not (0.0 < r2 <= 0.5):
         raise RangeError("outer radius must lie in (0, 1/2]")
     verdict = tail_integral_verdict(conjugate(psi))
@@ -263,16 +264,6 @@ def build_loglog_cutoff(eps):
                         ln_r=ln_r, eta_table=eta)
 
 
-def _log_f(f, ln_t):
-    if hasattr(f, "log_eval"):
-        return np.asarray(f.log_eval(ln_t))
-    with np.errstate(over="ignore"):
-        vals = np.asarray(f(np.exp(ln_t)))
-    if not np.all(np.isfinite(vals)):
-        raise EnergyOverflowError("integrand overflowed in the energy quadrature")
-    return np.log(np.maximum(vals, 1e-300))
-
-
 def cutoff_energy(cutoff, integrand):
     """2 pi int f(|eta'(r)|) r dr; cone-splits a DoublePhase integrand.
 
@@ -288,36 +279,25 @@ def cutoff_energy(cutoff, integrand):
 
 def _scalar_energy(cutoff, f):
     if cutoff.kind == PSI_HARMONIC:
-        u = cutoff.ln_r
-        ln_vals = _log_f(f, cutoff.ln_eta_prime_table) + 2.0 * u
-        total = float(np.trapezoid(np.exp(ln_vals), u))
+        x = cutoff.ln_r
+        ln_vals = f.log_eval(cutoff.ln_eta_prime_table) + 2.0 * x
     else:
-        eps = cutoff.eps
-        inv = 1.0 / eps
-        d = _loglog_denominator(eps)
-        # u = ln(1/r) in [ln(1/eps), 1/eps]; w = ln u keeps the huge range
-        # tractable; eta' = e^u / (u d), integrand f(eta') e^{-2u} u dw
-        w = np.linspace(np.log(np.log(inv)), np.log(inv), _ENERGY_NODES)
-        uu = np.exp(w)
-        q = -(np.log(uu) + np.log(d))  # ln eta' = u + q, |q| small
-        if isinstance(f, (LogPower, PurePower)):
-            # combine log f(e^{u+q}) - 2u symbolically: the p*u and 2u parts
-            # cancel in exact arithmetic but not in floats once u ~ 1/eps
-            gamma = getattr(f, "gamma", 0.0)
-            ln_term = (np.log(f.scale) + (f.p - 2.0) * uu + f.p * q + w)
-            if gamma != 0.0:
-                big = uu + q > 40.0
-                ln_L = np.empty_like(uu)
-                ln_L[big] = np.log(uu[big] + q[big])
-                ln_L[~big] = np.log(np.log(np.e + np.exp(uu[~big] + q[~big])))
-                ln_term += gamma * ln_L
-        else:
-            ln_term = _log_f(f, uu + q) - 2.0 * uu + w
-        with np.errstate(over="ignore"):
-            vals = np.exp(ln_term)
-        if not np.all(np.isfinite(vals)):
-            raise EnergyOverflowError("integrand overflowed in the energy quadrature")
-        total = float(np.trapezoid(vals, w))
+        d = _loglog_denominator(cutoff.eps)
+        # u = ln(1/r) in [ln(1/eps), 1/eps]; x = ln u keeps the huge range
+        # tractable; eta' = e^(u + q) = e^u / (u d) and the integrand is
+        # f(eta') e^{-2u} u dx = (f(eta') / eta'^2) e^{2q} u dx, with f / eta'^2
+        # taken inside log_eval: ln eta' reaches 1/eps, where subtracting
+        # 2 ln eta' from ln f(eta') would cancel every bit
+        x = np.linspace(np.log(np.log(1.0 / cutoff.eps)), np.log(1.0 / cutoff.eps),
+                        _ENERGY_NODES)
+        uu = np.exp(x)
+        q = -(np.log(uu) + np.log(d))
+        ln_vals = f.log_eval(uu + q, 2.0) + 2.0 * q + x
+    with np.errstate(over="ignore"):
+        vals = np.exp(ln_vals)
+    if not np.all(np.isfinite(vals)):
+        raise EnergyOverflowError("integrand overflowed in the energy quadrature")
+    total = float(np.trapezoid(vals, x))
     if not np.isfinite(total):
         raise EnergyOverflowError("non-finite cutoff energy")
     return 2.0 * np.pi * total

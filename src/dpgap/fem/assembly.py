@@ -60,7 +60,7 @@ def _integrand(pair, t, a, order):
     return vals
 
 
-def _points(u, mesh):
+def _points(u):
     """(g, |g|, weight, phase, starts, ge) at the integration points of u.
 
     A conforming field is evaluated once per element, weighted by the area;
@@ -68,6 +68,7 @@ def _points(u, mesh):
     of the split rule, sorted by element with starts[e] the first point of
     element e, and ge is the enrichment gradient there.
     """
+    mesh = u.mesh
     if isinstance(u, EnrichedField):
         qw, qel, ge, starts, _, _ = enrichment_rule(mesh)
         g = u.base.element_gradients()[qel] + u.s * ge
@@ -88,20 +89,19 @@ def _to_nodes(contrib, mesh):
     return np.bincount(mesh.tris.ravel(), contrib.ravel(), minlength=mesh.n_vertices)
 
 
-def modular_energy(u, pair, mesh=None):
-    """Quadrature of phi(|grad u|) + a psi(|grad u|) over the mesh."""
-    mesh = mesh or u.mesh
-    _, t, w, a, _, _ = _points(u, mesh)
+def modular_energy(u, pair):
+    """Quadrature of phi(|grad u|) + a psi(|grad u|) over u's mesh."""
+    _, t, w, a, _, _ = _points(u)
     total = float(np.sum(w * _integrand(pair, t, a, 0)))
     if not np.isfinite(total):
         raise EnergyOverflowError("non-finite modular energy")
     return total
 
 
-def modular_gradient(u, pair, mesh=None):
+def modular_gradient(u, pair):
     """(nodal gradient (Nv,), d/ds or None) of the modular energy."""
-    mesh = mesh or u.mesh
-    g, t, w, a, starts, ge = _points(u, mesh)
+    mesh = u.mesh
+    g, t, w, a, starts, ge = _points(u)
     m = (w * _integrand(pair, t, a, 1))[:, None] * g  # (points, 2)
     contrib = np.einsum("ejk,ek->ej", mesh.grad_basis, _per_element(m, starts))
     nodal = _to_nodes(contrib, mesh)
@@ -110,15 +110,15 @@ def modular_gradient(u, pair, mesh=None):
     return nodal, float(np.sum(m * ge))
 
 
-def modular_hessian(u, pair, mesh=None):
+def modular_hessian(u, pair):
     """(nodal block K, node-s border or None, s-s entry or None) of the Hessian.
 
     K is the sparse (Nv, Nv) Hessian over the nodal dofs. An enriched field
     adds the (Nv,) cross terms between the nodes and s and the float s-s
     entry; a conforming field returns None for both.
     """
-    mesh = mesh or u.mesh
-    g, t, w, a, starts, ge = _points(u, mesh)
+    mesh = u.mesh
+    g, t, w, a, starts, ge = _points(u)
     H = _pointwise_hessian(g, t, _integrand(pair, t, a, 2), _integrand(pair, t, a, 1))
     B = mesh.grad_basis
     # node-node block, weighted and summed per element in 2x2 form first
@@ -220,15 +220,14 @@ def enrichment_rule(mesh):
     return rule
 
 
-def separating_functional(u, mesh=None):
+def separating_functional(u):
     """u -> int b2 . grad u; vanishes on conforming fields under refinement."""
-    rule = enrichment_rule(mesh or u.mesh)
+    rule = enrichment_rule(u.mesh)
     if isinstance(u, EnrichedField):
         return float(rule.L @ u.base.values) + float(u.s) * rule.L_s
     return float(rule.L @ u.values)
 
 
-def functional_G(u, pair, mesh=None):
+def functional_G(u, pair):
     """G(u) = modular energy + int b2 . grad u."""
-    mesh = mesh or u.mesh
-    return modular_energy(u, pair, mesh) + separating_functional(u, mesh)
+    return modular_energy(u, pair) + separating_functional(u)

@@ -150,8 +150,8 @@ def build_mesh(n, grading=1.0, quadrant=False):
     n = int(n)
     if n < 8:
         raise MeshError("resolution n >= 8 required")
-    if grading < 1.0:
-        raise MeshError("grading exponent >= 1 required")
+    if not (1.0 <= grading < np.inf):
+        raise MeshError("finite grading exponent >= 1 required")
     xs = _graded_axis(n, float(grading))
     # grid index of the line through 0
     zero = 0 if quadrant else n

@@ -95,14 +95,14 @@ class _Objective:
 
     def value(self, x):
         u = self.make_field(x)
-        val = modular_energy(u, self.pair, self.mesh)
+        val = modular_energy(u, self.pair)
         if self.enriched:
             val += u.s * self.L_s
         return val
 
     def grad(self, x):
         u = self.make_field(x)
-        nodal, s_grad = modular_gradient(u, self.pair, self.mesh)
+        nodal, s_grad = modular_gradient(u, self.pair)
         g = nodal[self.interior]
         if self.enriched:
             g = np.append(g, s_grad + self.L_s)
@@ -110,7 +110,7 @@ class _Objective:
 
     def hess(self, x):
         """(K, c, h_ss): interior nodal block, its s border or None, s-s entry."""
-        K, border, h_ss = modular_hessian(self.make_field(x), self.pair, self.mesh)
+        K, border, h_ss = modular_hessian(self.make_field(x), self.pair)
         idx = self.interior
         c = None if border is None else border[idx]
         return K[idx][:, idx].tocsc(), c, h_ss
@@ -284,7 +284,7 @@ def gap_experiment(alpha, beta, levels, grading=2.0, mode=None, force_g=False):
                        x0=x0e)
         # full-domain values: each integral is 4 times its quadrant part
         E1, E2 = 4.0 * enr.value, 4.0 * conf.value
-        sep = 4.0 * separating_functional(enr.field, mesh)
+        sep = 4.0 * separating_functional(enr.field)
         level = {
             "n": n,
             "h_min": mesh.h_min,

@@ -9,7 +9,10 @@ anything built on top.
 
 This module is the only one that knows how an integrand behaves in log
 space (``log_eval``, ``log_deriv``) and which conjugate stands for it
-(``conjugate``); the classifier and the cutoffs ask the integrand.
+(``conjugate``); the classifier and the cutoffs ask the integrand.  For a
+``LogPower`` each log-space value is one closed form in ln t, finite over the
+full double range and exact to the knot: ``log_eval(ln_t, k)`` is
+ln(Phi(t) / t^k), and the integrand itself goes through it above 1e8.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ _T_MAX = 1.0e300
 # above this argument the integrand is evaluated in log space
 _LOG_SWITCH = 1.0e8
 _CONJ_BRACKET = (1.0e-12, 1.0e12)
-# smallest normal double
-_TINY = np.finfo(np.float64).tiny
 
 # smallest acceptable slope ratio Phi'(t0) t0 / Phi(t0) at the knot; below 1
 # the quadratic substitute would need a negative leading coefficient
@@ -124,7 +125,8 @@ def _logpower_eval(t, p, gamma, scale, t0, a2, a1):
         out[small] = a2 * ts * ts + a1 * ts
     if np.any(big):
         with np.errstate(over="ignore"):
-            out[big] = np.exp(_logpower_log_eval(np.log(t[big]), p, gamma, scale))
+            out[big] = np.exp(_logpower_log_eval(np.log(t[big]), p, gamma, scale,
+                                                 t0, a2, a1))
     return out
 
 
@@ -146,14 +148,38 @@ def _logpower_deriv(t, p, gamma, scale, t0, a2, a1):
     return out
 
 
-def _logpower_log_eval(ln_t, p, gamma, scale):
-    """log of the raw integrand, overflow-safe for huge arguments."""
+def _split_at_knot(ln_t, t0, raw, substitute):
+    """raw(ln t) at and above the knot, substitute(ln t) below it."""
     ln_t = np.asarray(ln_t, dtype=np.float64)
-    big = ln_t > 40.0
-    L = np.empty_like(ln_t)
-    L[big] = ln_t[big] + np.log1p(np.exp(1.0 - ln_t[big]))
-    L[~big] = np.log(np.e + np.exp(ln_t[~big]))
-    return np.log(scale) + p * ln_t + gamma * np.log(L)
+    if t0 == 0.0:
+        return raw(ln_t)
+    small = ln_t < math.log(t0)
+    out = np.empty_like(ln_t)
+    out[~small] = raw(ln_t[~small])
+    out[small] = substitute(ln_t[small])
+    return out
+
+
+# In log space L = ln(e + t) is np.logaddexp(1, ln t), finite for every finite
+# ln t, so neither formula below needs an overflow switch.
+
+def _logpower_log_eval(ln_t, p, gamma, scale, t0, a2, a1, k=0.0):
+    """ln(Phi(t) / t^k) given ln t."""
+    return _split_at_knot(
+        ln_t, t0,
+        lambda x: math.log(scale) + (p - k) * x + gamma * np.log(np.logaddexp(1.0, x)),
+        lambda x: (1.0 - k) * x + np.log(a1 + a2 * np.exp(x)))
+
+
+def _logpower_log_deriv(ln_t, p, gamma, scale, t0, a2, a1):
+    """ln Phi'(t) given ln t."""
+    def raw(x):
+        # Phi' = scale t^{p-1} L^{gamma-1} (p L + gamma t / (e + t))
+        L = np.logaddexp(1.0, x)
+        return (math.log(scale) + (p - 1.0) * x + (gamma - 1.0) * np.log(L)
+                + np.log(p * L + gamma * np.exp(x - L)))
+
+    return _split_at_knot(ln_t, t0, raw, lambda x: np.log(a1 + 2.0 * a2 * np.exp(x)))
 
 
 @dataclass(frozen=True)
@@ -166,10 +192,12 @@ class LogPower:
     _knot: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.p > 1.0):
-            raise DomainError("LogPower requires p > 1")
-        if not (self.scale > 0.0):
-            raise DomainError("LogPower requires scale > 0")
+        if not (1.0 < self.p < math.inf):
+            raise DomainError("LogPower requires a finite p > 1")
+        if not math.isfinite(self.gamma):
+            raise DomainError("LogPower requires a finite gamma")
+        if not (0.0 < self.scale < math.inf):
+            raise DomainError("LogPower requires a finite scale > 0")
         object.__setattr__(self, "_knot", _find_knot(self.p, self.gamma, self.scale))
 
     @property
@@ -198,37 +226,18 @@ class LogPower:
         out = _logpower_second_deriv(np.maximum(t, 1e-8), self.p, self.gamma, self.scale)
         return np.where(t < t0, 2.0 * a2, out)
 
-    def log_eval(self, ln_t):
-        """log Phi(t) given ln t; raw branch only, for overflow-free tails."""
-        return _logpower_log_eval(ln_t, self.p, self.gamma, self.scale)
+    def log_eval(self, ln_t, k=0.0):
+        """ln(Phi(t) / t^k) given ln t, finite over the full double range.
+
+        Dividing by t^k here keeps (p - k) ln t exact where ln t is huge;
+        subtracting k ln t from ln Phi(t) there would cancel every bit.
+        """
+        return _logpower_log_eval(ln_t, self.p, self.gamma, self.scale, *self._knot, k)
 
     def log_deriv(self, ln_t):
-        """ln Phi'(e^{ln_t}), stable across the full double exponent range."""
-        ln_t = np.atleast_1d(np.asarray(ln_t, dtype=np.float64))
-        out = np.empty_like(ln_t)
-        mid = np.abs(ln_t) <= 600.0
-        d = self.deriv(np.exp(ln_t[mid]))
-        # where deriv is subnormal, 0 or inf inside the band, the point takes
-        # the asymptote of its side, like every point beyond the band: the log
-        # of a subnormal has lost most of its bits
-        tiny, big = ln_t < -600.0, ln_t > 600.0
-        tiny[mid], big[mid] = d < _TINY, np.isinf(d)
-        ok = (d >= _TINY) & ~np.isinf(d)
-        mid[mid] = ok
-        out[mid] = np.log(d[ok])
-        if np.any(big):
-            u = ln_t[big]
-            # L = log(e + t) ~ ln t; t/(e + t) ~ 1
-            out[big] = (np.log(self.scale) + (self.p - 1.0) * u
-                        + (self.gamma - 1.0) * np.log(u)
-                        + np.log(self.p * u + self.gamma))
-        if np.any(tiny):
-            t0, _, a1 = self._knot
-            if t0 > 0.0:
-                out[tiny] = np.log(a1)  # deriv -> a1 below the knot
-            else:
-                out[tiny] = np.log(self.scale * self.p) + (self.p - 1.0) * ln_t[tiny]
-        return out
+        """ln Phi'(e^{ln_t}) in closed form, finite over the full double range."""
+        return _logpower_log_deriv(np.atleast_1d(ln_t), self.p, self.gamma, self.scale,
+                                   *self._knot)
 
 
 @dataclass(frozen=True)
@@ -239,8 +248,10 @@ class PurePower:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.p > 1.0):
-            raise DomainError("PurePower requires p > 1")
+        if not (1.0 < self.p < math.inf):
+            raise DomainError("PurePower requires a finite p > 1")
+        if not (0.0 < self.scale < math.inf):
+            raise DomainError("PurePower requires a finite scale > 0")
 
     def __call__(self, t):
         t = _check_arg(t)
@@ -257,8 +268,9 @@ class PurePower:
         t = _check_arg(t)
         return self.scale * self.p * (self.p - 1.0) * np.asarray(t) ** (self.p - 2.0)
 
-    def log_eval(self, ln_t):
-        return math.log(self.scale) + self.p * np.asarray(ln_t, dtype=np.float64)
+    def log_eval(self, ln_t, k=0.0):
+        """ln(Phi(t) / t^k) given ln t, exact."""
+        return math.log(self.scale) + (self.p - k) * np.asarray(ln_t, dtype=np.float64)
 
     def log_deriv(self, ln_t):
         """ln Phi'(e^{ln_t}), exact."""

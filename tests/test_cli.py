@@ -157,6 +157,12 @@ class TestSmallCommands:
         assert code == 0
         assert json.loads(out)["luxemburg_norm"] > 0.0
 
+    def test_norm_non_finite_gamma_exit_two(self, capsys):
+        code, out, err = run(capsys, "norm", "--gamma", "nan", "--res", "8")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("DOMAIN: ")
+
     def test_conjugate_round_trip(self, capsys):
         code, out, _ = run(capsys, "conjugate", "--p", "2", "--gamma", "2")
         assert code == 0
@@ -182,9 +188,11 @@ class TestRangeErrors:
                                        "--levels", ""),
                                       ("phase-diagram", "--grid", ""),
                                       ("phase-diagram", "--alphas", "1",
-                                       "--betas", "")],
+                                       "--betas", ""),
+                                      ("conjugate", "--p", "2", "--gamma", "2",
+                                       "--s", "10,0")],
                              ids=["flux", "norm", "fields", "gap",
-                                  "phase-grid", "phase-betas"])
+                                  "phase-grid", "phase-betas", "conjugate"])
     def test_exit_two_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2

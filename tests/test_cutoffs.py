@@ -72,7 +72,7 @@ def _inverse_reference(psi, ln_s):
 
 class TestLogDerivInverse:
     PSIS = [PurePower(2.0)] + [LogPower(2.0, g) for g in (0.0, 0.5, 1.0, -2.0)]
-    LN_S = np.linspace(-700.0, 700.0, 281)  # reaches the |ln t| > 600 branches
+    LN_S = np.linspace(-700.0, 700.0, 281)  # roots out to |ln t| ~ 700
 
     @pytest.mark.parametrize("psi", PSIS, ids=["t2", "L0", "L0.5", "L1", "L-2"])
     def test_matches_full_bisection(self, psi):
@@ -136,6 +136,11 @@ class TestPsiHarmonic:
             cut = build_psi_harmonic_cutoff(psi, r1, 0.5)
             assert cut.energy_certificate <= 3.2 * delta
 
+    def test_non_finite_budget_rejected(self):
+        for delta in (np.nan, np.inf):
+            with pytest.raises(RangeError):
+                find_inner_radius(PurePower(2.0), 0.5, delta)
+
     def test_gap_regime_rejected(self):
         with pytest.raises(NoRemovableSingularityError):
             find_inner_radius(LogPower(2.0, 2.0), 0.5, 0.25)
@@ -189,6 +194,24 @@ class TestEnergy:
         total = cutoff_energy(cut, DoublePhase(phi, psi))
         assert total == pytest.approx(
             cutoff_energy(cut, phi) + 0.5 * cutoff_energy(cut, psi), rel=1e-12)
+
+    @pytest.mark.parametrize("f", [LogPower(1.5, -3.0), LogPower(2.0, -5.0)],
+                             ids=["L1.5,-3", "L2,-5"])
+    def test_knotted_integrand_matches_own_values(self, f):
+        # eta' crosses the knot (765 and 175) on both profiles; the energy is
+        # the trapezoid of f's own values on the nodes of each quadrature
+        assert f.knot > 100.0
+        cut = build_psi_harmonic_cutoff(PurePower(2.0), 1e-6, 0.5)
+        vals = f(np.exp(cut.ln_eta_prime_table)) * np.exp(2.0 * cut.ln_r)
+        assert cutoff_energy(cut, f) == pytest.approx(
+            2.0 * np.pi * np.trapezoid(vals, cut.ln_r), rel=1e-12)
+        eps = 1e-2
+        x = np.linspace(np.log(np.log(1.0 / eps)), np.log(1.0 / eps), cutoffs._ENERGY_NODES)
+        u = np.exp(x)  # ln(1/r), where eta' = e^u / (u d)
+        eta_prime = np.exp(u) / (u * cutoffs._loglog_denominator(eps))
+        vals = f(eta_prime) * np.exp(-2.0 * u) * u
+        assert cutoff_energy(build_loglog_cutoff(eps), f) == pytest.approx(
+            2.0 * np.pi * np.trapezoid(vals, x), rel=1e-12)
 
     def test_quadratic_oracle(self):
         cut = build_psi_harmonic_cutoff(PurePower(2.0), 1e-2, 0.5)

@@ -45,7 +45,7 @@ class TestModularEnergy:
     def test_quadratic_dirichlet_energy(self, mesh):
         # u = x1: integrand |grad u|^2 = 1 over area 4
         u = DofField(mesh, mesh.nodes[:, 0].copy())
-        assert modular_energy(u, PurePower(2.0), mesh) == pytest.approx(4.0)
+        assert modular_energy(u, PurePower(2.0)) == pytest.approx(4.0)
 
     def test_double_phase_weighting(self, mesh):
         # phi + a psi with |grad u| = 1: phi(1) everywhere, psi(1) on half
@@ -53,21 +53,21 @@ class TestModularEnergy:
         phi = LogPower(2.0, -2.0)
         psi = LogPower(2.0, 2.0)
         from dpgap.orlicz import DoublePhase
-        val = modular_energy(u, DoublePhase(phi, psi), mesh)
+        val = modular_energy(u, DoublePhase(phi, psi))
         assert val == pytest.approx(4.0 * float(phi(1.0)) + 2.0 * float(psi(1.0)))
 
     def test_enriched_reduces_to_base_at_zero_amplitude(self, mesh):
         rng = np.random.default_rng(1)
         u = _random_interior_field(mesh, rng)
         pair = double_phase_log(2.0, 2.0)
-        e0 = modular_energy(EnrichedField(u, 0.0), pair, mesh)
+        e0 = modular_energy(EnrichedField(u, 0.0), pair)
         # the enriched path integrates at quadrature points instead of
         # per-element, so agreement is up to quadrature error only for
         # piecewise-constant integrands; here gradients are elementwise
         # constant and the values match exactly
-        assert e0 == pytest.approx(modular_energy(u, pair, mesh), rel=1e-12)
-        nodal0, _ = modular_gradient(EnrichedField(u, 0.0), pair, mesh)
-        nodal, s_grad = modular_gradient(u, pair, mesh)
+        assert e0 == pytest.approx(modular_energy(u, pair), rel=1e-12)
+        nodal0, _ = modular_gradient(EnrichedField(u, 0.0), pair)
+        nodal, s_grad = modular_gradient(u, pair)
         assert s_grad is None
         np.testing.assert_allclose(nodal0, nodal, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(nodal)))
@@ -83,15 +83,15 @@ class TestGradient:
             u = _random_interior_field(mesh, rng, amp=0.5)
             s = float(rng.uniform(-0.5, 0.5))
             eu = EnrichedField(u, s)
-            nodal, s_grad = modular_gradient(eu, pair, mesh)
+            nodal, s_grad = modular_gradient(eu, pair)
             d = rng.standard_normal(mesh.n_vertices)
             d[mesh.boundary_mask] = 0.0
             ds = float(rng.standard_normal())
             h = 1e-6
             up = EnrichedField(DofField(mesh, u.values + h * d), s + h * ds)
             um = EnrichedField(DofField(mesh, u.values - h * d), s - h * ds)
-            fd = (modular_energy(up, pair, mesh)
-                  - modular_energy(um, pair, mesh)) / (2.0 * h)
+            fd = (modular_energy(up, pair)
+                  - modular_energy(um, pair)) / (2.0 * h)
             an = float(nodal @ d) + s_grad * ds
             assert an == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
@@ -102,7 +102,7 @@ class TestGradient:
         rng = np.random.default_rng(3)
         u = _random_interior_field(mesh, rng, amp=0.3)
         K, border, h_ss = modular_hessian(EnrichedField(u, 0.2) if enriched else u,
-                                          pair, mesh)
+                                          pair)
         assert K.shape == (mesh.n_vertices, mesh.n_vertices)
         assert (border is None) == (h_ss is None) == (not enriched)
         H = _bordered(K, border, h_ss)
@@ -116,8 +116,8 @@ class TestGradient:
             um = EnrichedField(um, 0.2 - h * d[-1])
         else:
             d = d[:-1]
-        gp, sp = modular_gradient(up, pair, mesh)
-        gm, sm = modular_gradient(um, pair, mesh)
+        gp, sp = modular_gradient(up, pair)
+        gm, sm = modular_gradient(um, pair)
         fd = (gp - gm) / (2.0 * h)
         if enriched:
             fd = np.append(fd, (sp - sm) / (2.0 * h))
@@ -217,12 +217,12 @@ class TestSplitRule:
         rng = np.random.default_rng(13)
         u = EnrichedField(_random_interior_field(mesh16, rng, amp=0.3), 0.3)
         energy, nodal, ds, H = _full_rule_assembly(u, pair, mesh16)
-        assert modular_energy(u, pair, mesh16) == pytest.approx(energy, rel=1e-12)
-        got_nodal, got_ds = modular_gradient(u, pair, mesh16)
+        assert modular_energy(u, pair) == pytest.approx(energy, rel=1e-12)
+        got_nodal, got_ds = modular_gradient(u, pair)
         np.testing.assert_allclose(got_nodal, nodal, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(nodal)))
         assert got_ds == pytest.approx(ds, rel=1e-12)
-        got_H = _bordered(*modular_hessian(u, pair, mesh16)).toarray()
+        got_H = _bordered(*modular_hessian(u, pair)).toarray()
         np.testing.assert_allclose(got_H, H, rtol=1e-12, atol=1e-12 * np.max(np.abs(H)))
 
     def test_conforming_minimize_never_builds_it(self, monkeypatch):
@@ -267,8 +267,8 @@ class TestLinearTerm:
 
     def test_separating_functional_scales_with_s(self, mesh):
         zero = DofField.zeros(mesh)
-        v1 = separating_functional(EnrichedField(zero, 1.0), mesh)
-        v2 = separating_functional(EnrichedField(zero, 2.0), mesh)
+        v1 = separating_functional(EnrichedField(zero, 1.0))
+        v2 = separating_functional(EnrichedField(zero, 2.0))
         assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
     @pytest.mark.parametrize("alpha, beta", [(2.0, 2.0), (2.0, 0.5)])
@@ -324,10 +324,10 @@ class TestMinimize:
         rng = np.random.default_rng(5)
         a = _random_interior_field(mesh, rng)
         b = _random_interior_field(mesh, rng)
-        fa = functional_G(EnrichedField(a, 0.1), pair, mesh)
-        fb = functional_G(EnrichedField(b, -0.2), pair, mesh)
+        fa = functional_G(EnrichedField(a, 0.1), pair)
+        fb = functional_G(EnrichedField(b, -0.2), pair)
         midf = DofField(mesh, 0.5 * (a.values + b.values))
-        fm = functional_G(EnrichedField(midf, -0.05), pair, mesh)
+        fm = functional_G(EnrichedField(midf, -0.05), pair)
         assert fm <= 0.5 * (fa + fb) + 1e-10
 
 
@@ -511,7 +511,7 @@ class TestQuadrantSolve:
         conf, enr = _full_domain_level(alpha, beta, mode, n)
         mesh = enr.field.mesh
         full = {"E1": enr.value, "E2": conf.value, "s_opt": enr.field.s,
-                "sep_value": separating_functional(enr.field, mesh)}
+                "sep_value": separating_functional(enr.field)}
         for key, value in full.items():
             assert level[key] == pytest.approx(value, rel=1e-13, abs=0.0), key
         assert level["iters_conforming"] == conf.iterations

@@ -40,6 +40,9 @@ class TestConstruction:
             build_mesh(4)
         with pytest.raises(MeshError):
             build_mesh(8, grading=0.5)
+        for grading in (np.nan, np.inf):
+            with pytest.raises(MeshError):
+                build_mesh(8, grading=grading)
 
 
 class TestPhase:

@@ -1,5 +1,7 @@
 """Orlicz integrand machinery: conjugates, norms, double-phase pairs."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,37 @@ from dpgap.orlicz import (LogPower, PurePower, TabulatedConjugate, conjugate,
                           luxemburg_norm)
 
 CONJ_CASES = [(2.0, 1.0), (2.0, -1.0), (2.0, 2.0), (2.0, -2.0), (3.0, 2.0)]
+# knotted (p, gamma) pairs: the quadratic substitute runs up to 4.5, 175, 765
+# and 3.0e14 respectively
+KNOTTED = [(2.0, -3.0), (2.0, -5.0), (1.5, -3.0), (1.2, -5.0)]
+
+
+def _decimal_log_space(f, ln_t):
+    """(ln f(t), ln f'(t)) for each ln t, in 50-digit decimal arithmetic."""
+    t0, a2, a1 = (Decimal(v) for v in f._knot)
+    p, gamma, scale = Decimal(f.p), Decimal(f.gamma), Decimal(f.scale)
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e = Decimal(1).exp()
+        for x in ln_t:
+            t = Decimal(float(x)).exp()
+            if t < t0:
+                val, der = a2 * t * t + a1 * t, a1 + 2 * a2 * t
+            else:
+                L = (e + t).ln()
+                val = scale * t**p * L**gamma
+                der = scale * t ** (p - 1) * L ** (gamma - 1) * (p * L + gamma * t / (e + t))
+            out.append((float(val.ln()), float(der.ln())))
+    return np.array(out).T
+
+
+def _assert_log_space_matches_reference(f, ln_t):
+    ref_eval, ref_deriv = _decimal_log_space(f, ln_t)
+    tol = 1e-14 * np.maximum(1.0, np.abs(ln_t))
+    assert np.all(np.abs(f.log_eval(ln_t) - ref_eval) <= tol)
+    assert np.all(np.abs(f.log_eval(ln_t, 2.0) - (ref_eval - 2.0 * ln_t)) <= tol)
+    assert np.all(np.abs(f.log_deriv(ln_t) - ref_deriv) <= tol)
 
 
 class TestLogPower:
@@ -40,6 +73,15 @@ class TestLogPower:
         with pytest.raises(DomainError):
             LogPower(1.0, 0.0)
 
+    def test_rejects_non_finite_parameters(self):
+        for kwargs in ({"gamma": np.nan}, {"gamma": np.inf}, {"scale": np.inf},
+                       {"scale": np.nan}, {"p": np.nan}):
+            with pytest.raises(DomainError):
+                LogPower(**{"p": 2.0, **kwargs})
+        for scale in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(DomainError):
+                PurePower(2.0, scale)
+
     def test_rejects_huge_argument(self):
         with pytest.raises(DomainError):
             LogPower(2.0, 1.0)(1e301)
@@ -53,6 +95,31 @@ class TestLogPower:
         for p, gamma in ((2.0, -1.5), (2.0, 2.0), (3.0, 0.5)):
             direct = t**p * np.log(np.e + t) ** gamma
             np.testing.assert_allclose(LogPower(p, gamma)(t), direct, rtol=1e-12)
+
+    @pytest.mark.parametrize("p,gamma", KNOTTED)
+    def test_log_eval_follows_knot(self, p, gamma):
+        f = LogPower(p, gamma)
+        t = np.logspace(-3.0, 150.0, 1200)
+        np.testing.assert_allclose(np.exp(f.log_eval(np.log(t))) / f(t), 1.0,
+                                   rtol=0.0, atol=1e-13)
+
+    def test_no_jump_at_log_switch(self):
+        # the knot sits above 1e8, where evaluation moves to log space
+        f = LogPower(1.2, -5.0)
+        t0, a2, a1 = f._knot
+        assert t0 > 1e9
+        t = 1e8 * (1.0 + np.linspace(-0.01, 0.01, 41))
+        np.testing.assert_allclose(f(t), a2 * t * t + a1 * t, rtol=1e-13)
+        np.testing.assert_allclose(f.deriv(t), 2.0 * a2 * t + a1, rtol=1e-13)
+
+    @pytest.mark.parametrize("p,gamma", [(2.0, 0.5), (2.0, -2.0), (3.0, 0.0), (2.0, 2.0),
+                                         (1.5, -3.0), (1.2, -5.0), (2.0, -3.0)])
+    def test_log_space_matches_decimal_reference(self, p, gamma):
+        f = LogPower(p, gamma)
+        ln_t = np.linspace(-1000.0, 1000.0, 401)
+        if f.knot > 0.0:
+            ln_t = np.sort(np.append(ln_t, np.log(f.knot) + np.array([-1e-9, 0.0, 1e-9])))
+        _assert_log_space_matches_reference(f, ln_t)
 
     def test_knot_continuity(self):
         # below the knot the quadratic substitute takes over; it matches the
@@ -83,15 +150,14 @@ class TestLogPower:
         assert np.all(np.diff(np.asarray(f(t))) > 0.0)
 
     def test_log_deriv_where_deriv_under_or_overflows(self):
-        # for p = 3, deriv is 0 at t = e^-500 and inf at e^500, both inside
-        # |ln t| <= 600; log_deriv takes the asymptote of each side there
+        # for p = 3, deriv is 0 at t = e^-500 and inf at e^500; log_deriv
+        # stays finite there
         f = LogPower(3.0, 0.0)
         got = f.log_deriv([-500.0, 500.0])
         assert got[0] == pytest.approx(np.log(3.0) - 1000.0, rel=1e-15)
         assert got[1] == pytest.approx(np.log(3.0) + 1000.0, rel=1e-12)
-        # where deriv is finite and nonzero the log is taken directly
-        ln_t = np.array([-300.0, 0.0, 300.0])
-        np.testing.assert_array_equal(f.log_deriv(ln_t), np.log(f.deriv(np.exp(ln_t))))
+        # across the whole range it matches a 50-digit reference
+        _assert_log_space_matches_reference(f, np.linspace(-1000.0, 1000.0, 401))
 
     def test_log_deriv_where_deriv_is_subnormal(self):
         # for p = 2.5, deriv(t) = 2.5 t^1.5 is subnormal below ln t ~ -472.9;
