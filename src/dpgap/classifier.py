@@ -224,8 +224,10 @@ def regularity_modulus_check(omega, phi, psi, k0, d):
     omega / (k0 * min) stays bounded as eps -> 0; a diverging ratio fails
     with the worst (eps, t) as witness.
     """
-    if d < 1:
-        raise DomainError("dimension d >= 1 required")
+    if not (0.0 < k0 < np.inf):
+        raise DomainError("finite k0 > 0 required")
+    if not (1.0 <= d < np.inf):
+        raise DomainError("finite dimension d >= 1 required")
     eps_grid = MODULUS_EPS_GRID
     om = np.asarray([float(omega(e)) for e in eps_grid])
     if np.any(np.diff(om) < -1e-12 * np.max(om)):

@@ -15,7 +15,8 @@ None for the s part of a conforming field. How the s dof is laid out next to
 the nodal ones is left to ``solve``.
 ``enrichment_rule`` also holds the b2 pairing, which keeps the full rule
 (mesh.qpts/qw/qel): b2 is nonzero where the enrichment gradient vanishes.
-That record, built on first enriched use, is the only data cached on a mesh.
+That record is built on first enriched use and cached on the mesh, next to
+the full rule it reads (see MeshSpace).
 Summation orders are fixed (element order, then quadrature order) so repeated
 runs are bit-identical.
 """
@@ -157,17 +158,6 @@ def _pointwise_hessian(g, t, k1, k2):
 EnrichmentRule = namedtuple("EnrichmentRule", "qw qel ge starts L L_s")
 
 
-def _element_starts(qel, n_elements):
-    """Index of the first point of each element in the sorted owner array qel.
-
-    Every element must own at least one point: np.add.reduceat over these
-    starts then sums exactly the points of each element.
-    """
-    starts = np.searchsorted(qel, np.arange(n_elements))
-    assert np.all(np.diff(starts, append=len(qel)) > 0), "element without points"
-    return starts
-
-
 def _b2_pairing(mesh, ge, starts):
     """(L, L_s) of int b2 . grad u at the full rule, given grad E (ge) and the
     first point of each element (starts) there.
@@ -200,11 +190,12 @@ def enrichment_rule(mesh):
     if rule is not None:
         return rule
     qel = mesh.qel
-    starts = _element_starts(qel, mesh.n_elements)
+    # every element owns points in both rules, so reduceat over starts is exact
+    counts = np.bincount(qel, minlength=mesh.n_elements)
+    starts = np.cumsum(counts) - counts
     ge = enrichment_gradient(mesh.qpts)
     L, L_s = _b2_pairing(mesh, ge, starts)
-    active = np.zeros(mesh.n_elements, dtype=bool)
-    active[qel[np.any(ge != 0.0, axis=1)]] = True
+    active = np.logical_or.reduceat(np.any(ge != 0.0, axis=1), starts)
     keep = active[qel]
     keep[starts] = True
     qel_split = qel[keep]
@@ -212,8 +203,8 @@ def enrichment_rule(mesh):
     qw = np.where(lone, mesh.area[qel_split], mesh.qw[keep])
     ge_split = ge[keep]
     ge_split[lone] = 0.0
-    rule = EnrichmentRule(qw, qel_split, ge_split,
-                          _element_starts(qel_split, mesh.n_elements), L, L_s)
+    n_split = np.where(active, counts, 1)
+    rule = EnrichmentRule(qw, qel_split, ge_split, np.cumsum(n_split) - n_split, L, L_s)
     for arr in rule[:-1]:
         arr.setflags(write=False)
     object.__setattr__(mesh, "_enrichment_rule", rule)

@@ -10,6 +10,9 @@ The quadrant mesh is built by the same code from the nonnegative half of the
 grid, so its elements, quadrature points and weights are exactly those of the
 full mesh in x1, x2 >= 0. Its Dirichlet boundary is x1 = 1, x2 = 0 and
 x2 = 1; the edge x1 = 0 is left free (a natural boundary).
+
+``build_mesh`` builds the geometry only; the full quadrature rule, which only
+enriched assembly reads, is built on the first read of qpts, qw or qel.
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ ORIGIN_SUBDIV_LEVELS = 3
 
 @dataclass(frozen=True)
 class MeshSpace:
+    """Mesh geometry. Two records are cached on it on first use, read-only,
+    with object.__setattr__: the full rule (qpts, qw, qel) as _full_rule and
+    the record of assembly.enrichment_rule as _enrichment_rule."""
+
     n: int
     grading: float
     xs: np.ndarray = field(repr=False)          # shared 1D grid, 2n+1 or n+1 lines
@@ -45,13 +52,21 @@ class MeshSpace:
     area: np.ndarray = field(repr=False)        # (Ne,)
     phase: np.ndarray = field(repr=False)       # (Ne,) weight a in {0,1}
     grad_basis: np.ndarray = field(repr=False)  # (Ne, 3, 2) nabla lambda_j
-    # the full quadrature rule; enriched assembly integrates with its split,
-    # the b2 pairing with the rule itself (both in assembly.enrichment_rule)
-    qpts: np.ndarray = field(repr=False)        # (Nq, 2)
-    qw: np.ndarray = field(repr=False)          # (Nq,)
-    qel: np.ndarray = field(repr=False)         # (Nq,) owning element, sorted
     boundary_mask: np.ndarray = field(repr=False)
     origin_vertex: int = 0
+
+    # the full quadrature rule; enriched assembly integrates with its split,
+    # the b2 pairing with the rule itself (both in assembly.enrichment_rule)
+    qpts = property(lambda self: self._rule()[0])  # (Nq, 2)
+    qw = property(lambda self: self._rule()[1])    # (Nq,)
+    qel = property(lambda self: self._rule()[2])   # (Nq,) owning element, sorted
+
+    def _rule(self):
+        rule = getattr(self, "_full_rule", None)
+        if rule is None:
+            rule = _build_full_rule(self)
+            object.__setattr__(self, "_full_rule", rule)
+        return rule
 
     @property
     def n_vertices(self):
@@ -123,29 +138,57 @@ def _graded_axis(n, grading):
     return np.concatenate([-pos[::-1], [0.0], pos])
 
 
-def _subdivide(tri_coords, levels):
-    """Uniform 4-way midpoint refinement; accepts one triangle or a batch."""
-    tris = np.asarray(tri_coords, dtype=np.float64)
-    if tris.ndim == 2:
-        tris = tris[None]
+def _subdivide(tris, levels):
+    """Uniform 4-way midpoint refinement (N, 3, 2) -> (N, 4^levels, 3, 2); each
+    triangle's children stay together, the newest split outermost."""
+    sub = tris[:, None]
     for _ in range(levels):
-        p0, p1, p2 = tris[:, 0], tris[:, 1], tris[:, 2]
+        p0, p1, p2 = sub[:, :, 0], sub[:, :, 1], sub[:, :, 2]
         m01, m12, m20 = 0.5 * (p0 + p1), 0.5 * (p1 + p2), 0.5 * (p2 + p0)
-        tris = np.concatenate([
-            np.stack([p0, m01, m20], axis=1),
-            np.stack([m01, p1, m12], axis=1),
-            np.stack([m20, m12, p2], axis=1),
-            np.stack([m01, m12, m20], axis=1),
-        ])
-    return tris
+        sub = np.concatenate([
+            np.stack([p0, m01, m20], axis=2),
+            np.stack([m01, p1, m12], axis=2),
+            np.stack([m20, m12, p2], axis=2),
+            np.stack([m01, m12, m20], axis=2),
+        ], axis=1)
+    return sub
+
+
+def _build_full_rule(mesh):
+    """(qpts, qw, qel), read-only: the 6-point rule on each element's uniform
+    subdivision, deep enough to keep sub-triangle diameters below about a
+    quarter of the centroid radius (enrichment gradients scale like 1/r);
+    origin-touching elements get the full depth. Each element's 6 * 4^depth
+    points fill one contiguous block, so qel is sorted."""
+    p = mesh.nodes[mesh.tris]  # (Ne, 3, 2)
+    touches_origin = np.any(np.all(p == 0.0, axis=2), axis=1)
+    edge = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
+    diam = np.max(np.linalg.norm(edge, axis=2), axis=0)
+    r_c = np.linalg.norm(p.mean(axis=1), axis=1)
+    with np.errstate(divide="ignore"):
+        depth = np.ceil(np.log2(np.maximum(diam / (0.25 * r_c), 1e-9)))
+    depth = np.clip(depth, 0, ORIGIN_SUBDIV_LEVELS).astype(np.int64)
+    depth[touches_origin] = ORIGIN_SUBDIV_LEVELS
+    counts = len(_QWEIGHTS) * 4 ** depth
+    qel = np.repeat(np.arange(mesh.n_elements), counts)
+    first = np.cumsum(counts) - counts
+    qpts, qw = np.empty((len(qel), 2)), np.empty(len(qel))
+    for lvl in range(ORIGIN_SUBDIV_LEVELS + 1):
+        els = np.flatnonzero(depth == lvl)
+        block = (first[els, None] + np.arange(len(_QWEIGHTS) * 4 ** lvl)).ravel()
+        sub = _subdivide(p[els], lvl).reshape(-1, 3, 2)
+        qpts[block] = np.einsum("qj,sjk->sqk", _QBARY, sub).reshape(-1, 2)
+        qw[block] = np.tile((mesh.area[els] / 4.0 ** lvl)[:, None] * _QWEIGHTS, 4 ** lvl).ravel()
+    for arr in (qpts, qw, qel):
+        arr.setflags(write=False)
+    return qpts, qw, qel
 
 
 def build_mesh(n, grading=1.0, quadrant=False):
     """Criss-cross mesh with 16 n^2 phase-conforming triangles on (-1,1)^2,
     or with 4 n^2 on the quadrant [0,1]^2 when ``quadrant`` is set.
 
-    Triangles touching the origin get subdivided quadrature (the enrichment
-    gradient scales like 1/r there).
+    Only the geometry: the quadrature rule is built on its first read.
     """
     n = int(n)
     if n < 8:
@@ -196,8 +239,7 @@ def build_mesh(n, grading=1.0, quadrant=False):
     grad_basis[:, 2, 1] = e1[:, 0] / det
     grad_basis[:, 0] = -grad_basis[:, 1] - grad_basis[:, 2]
 
-    centroid = p.mean(axis=1)
-    phase = eval_weight(centroid[:, 0], centroid[:, 1])
+    phase = eval_weight(*p.mean(axis=1).T)
 
     boundary_mask = np.zeros(len(nodes), dtype=bool)
     gx_idx, gy_idx = np.divmod(np.arange(ng * ng), ng)
@@ -208,43 +250,9 @@ def build_mesh(n, grading=1.0, quadrant=False):
 
     origin_vertex = int(zero * ng + zero)
 
-    # subdivision depth per element: enrichment gradients scale like 1/r, so
-    # keep the sub-triangle diameter below about a quarter of the centroid
-    # radius; origin-touching elements get the full depth
-    touches_origin = np.any(np.all(p == 0.0, axis=2), axis=1)
-    edge = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
-    diam = np.max(np.linalg.norm(edge, axis=2), axis=0)
-    r_c = np.linalg.norm(centroid, axis=1)
-    with np.errstate(divide="ignore"):
-        depth = np.ceil(np.log2(np.maximum(diam / (0.25 * r_c), 1e-9)))
-    depth = np.clip(depth, 0, ORIGIN_SUBDIV_LEVELS).astype(np.int64)
-    depth[touches_origin] = ORIGIN_SUBDIV_LEVELS
-
-    qpts_list, qw_list, qel_list = [], [], []
-    for lvl in range(ORIGIN_SUBDIV_LEVELS + 1):
-        els = np.where(depth == lvl)[0]
-        if els.size == 0:
-            continue
-        sub = _subdivide(p[els], lvl)  # (4^lvl * Nl, 3, 2)
-        qp = np.einsum("qj,sjk->sqk", _QBARY, sub).reshape(-1, 2)
-        sub_area = np.tile(area[els], 4 ** lvl) / 4.0 ** lvl
-        qw_lvl = (sub_area[:, None] * _QWEIGHTS[None, :]).reshape(-1)
-        qpts_list.append(qp)
-        qw_list.append(qw_lvl)
-        qel_list.append(np.repeat(np.tile(els, 4 ** lvl), len(_QWEIGHTS)))
-
-    qpts = np.vstack(qpts_list)
-    qw = np.concatenate(qw_list)
-    qel = np.concatenate(qel_list)
-
-    # deterministic quadrature order: sort by (element, appearance)
-    order = np.argsort(qel, kind="stable")
-    qpts, qw, qel = qpts[order], qw[order], qel[order]
-
     if abs(float(np.sum(area)) - (1.0 if quadrant else 4.0)) > 1e-10:
         raise MeshError("element areas do not partition the domain")
 
     return MeshSpace(n=n, grading=float(grading), xs=xs, nodes=nodes,
                      tris=tris, area=area, phase=phase, grad_basis=grad_basis,
-                     qpts=qpts, qw=qw, qel=qel, boundary_mask=boundary_mask,
-                     origin_vertex=origin_vertex)
+                     boundary_mask=boundary_mask, origin_vertex=origin_vertex)

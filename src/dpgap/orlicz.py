@@ -157,7 +157,7 @@ def _split_at_knot(ln_t, t0, raw, substitute):
     out = np.empty_like(ln_t)
     out[~small] = raw(ln_t[~small])
     out[small] = substitute(ln_t[small])
-    return out
+    return out[()]
 
 
 # In log space L = ln(e + t) is np.logaddexp(1, ln t), finite for every finite
@@ -236,8 +236,7 @@ class LogPower:
 
     def log_deriv(self, ln_t):
         """ln Phi'(e^{ln_t}) in closed form, finite over the full double range."""
-        return _logpower_log_deriv(np.atleast_1d(ln_t), self.p, self.gamma, self.scale,
-                                   *self._knot)
+        return _logpower_log_deriv(ln_t, self.p, self.gamma, self.scale, *self._knot)
 
 
 @dataclass(frozen=True)
@@ -274,8 +273,7 @@ class PurePower:
 
     def log_deriv(self, ln_t):
         """ln Phi'(e^{ln_t}), exact."""
-        ln_t = np.atleast_1d(np.asarray(ln_t, dtype=np.float64))
-        return np.log(self.scale * self.p) + (self.p - 1.0) * ln_t
+        return np.log(self.scale * self.p) + (self.p - 1.0) * np.asarray(ln_t, dtype=np.float64)
 
 
 class TabulatedConjugate:
@@ -362,8 +360,8 @@ def luxemburg_norm(values, weights, f):
     """inf{gamma > 0 : sum_i w_i f(|v_i| / gamma) <= 1} by bisection."""
     values = np.abs(np.asarray(values, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
-    if np.any(weights <= 0.0):
-        raise DomainError("quadrature weights must be positive")
+    if not np.all((weights > 0.0) & (weights < math.inf)):
+        raise DomainError("quadrature weights must be finite and positive")
     if not np.any(values > 0.0):
         return 0.0
 

@@ -7,7 +7,7 @@ from dpgap import classifier
 from dpgap.classifier import (CONVERGES, DIVERGES, GAP, NO_GAP,
                               classify, classify_alpha_beta, phase_diagram,
                               regularity_modulus_check, tail_integral_verdict)
-from dpgap.errors import NumericalError, PreconditionError
+from dpgap.errors import DomainError, NumericalError, PreconditionError
 from dpgap.orlicz import LogPower, PurePower, TabulatedConjugate, conjugate
 
 GRID = [0.25, 0.5, 1.0, 1.25, 2.0, 3.0]
@@ -178,6 +178,18 @@ class TestRegularityModulus:
         eps_w, t_w = v.witness
         assert 0.0 < eps_w <= 0.25
         assert t_w >= 1.0
+
+    @pytest.mark.parametrize("k0", [np.nan, -1.0, 0.0, np.inf], ids=str)
+    def test_bad_k0_rejected(self, k0):
+        with pytest.raises(DomainError, match="k0 > 0"):
+            regularity_modulus_check(lambda e: 1.0, LogPower(2.0, -1.0), LogPower(2.0, 1.0),
+                                     k0=k0, d=2)
+
+    @pytest.mark.parametrize("d", [np.nan, np.inf], ids=str)
+    def test_bad_dimension_rejected(self, d):
+        with pytest.raises(DomainError, match="d >= 1"):
+            regularity_modulus_check(lambda e: 1.0, LogPower(2.0, -1.0), LogPower(2.0, 1.0),
+                                     k0=1.0, d=d)
 
     def test_decreasing_modulus_rejected(self):
         phi = LogPower(2.0, -1.0)

@@ -10,6 +10,7 @@ from dpgap.fem import (DofField, EnrichedField, build_mesh, cone_trace_diagnosti
                        functional_G, gap_experiment, minimize, modular_energy,
                        separating_functional)
 from dpgap.fem import assembly, solve
+from dpgap.fem import mesh as mesh_module
 from dpgap.fem.assembly import enrichment_rule, modular_gradient, modular_hessian
 from dpgap.fem.fields import enrichment_gradient, enrichment_value
 from dpgap.fem.solve import CONFORMING, ENRICHED, OBJECTIVE_DIRICHLET, OBJECTIVE_G
@@ -194,6 +195,7 @@ class TestSplitRule:
         ne = mesh16.n_elements
         assert np.all(np.diff(qel) >= 0)
         np.testing.assert_array_equal(qel[starts], np.arange(ne))
+        np.testing.assert_array_equal(starts, np.searchsorted(qel, np.arange(ne)))
         np.testing.assert_allclose(np.bincount(qel, qw, minlength=ne), mesh16.area,
                                    rtol=1e-14)
         # active: grad E nonzero at some full-rule point of the element
@@ -244,6 +246,33 @@ class TestSplitRule:
         assert calls == []
         minimize(ENRICHED, OBJECTIVE_G, pair, fresh)
         assert calls and all(m is fresh for m in calls)
+
+    def test_full_rule_built_once_per_mesh_on_enriched_use(self, monkeypatch):
+        calls = []
+        original = mesh_module._build_full_rule
+
+        def counting(mesh):
+            calls.append(mesh)
+            return original(mesh)
+
+        monkeypatch.setattr(mesh_module, "_build_full_rule", counting)
+        pair = double_phase_log(2.0, 2.0)
+        full, quad = build_mesh(8, grading=2.0), build_mesh(8, grading=2.0, quadrant=True)
+        for m in (full, quad):
+            base = DofField.interpolate(m, eval_u2)
+            minimize(CONFORMING, OBJECTIVE_G, pair, m)
+            minimize(CONFORMING, OBJECTIVE_DIRICHLET, pair, m,
+                     boundary_data=base.values[m.boundary_mask])
+            m.locate(m.nodes)
+            m.evaluate(base.values, [0.1, 0.2])
+            if m is full:  # the cone trace reads arcs on both sides of the origin
+                for u in (base, EnrichedField(base, 0.7)):
+                    cone_trace_diagnostic(u, m, radii=[0.05, 0.1, 0.2])
+        assert calls == []
+        for m in (full, quad):
+            res = minimize(ENRICHED, OBJECTIVE_G, pair, m)
+            separating_functional(res.field)
+        assert calls == [full, quad]
 
 
 class TestLinearTerm:

@@ -10,7 +10,7 @@ from dpgap.cutoffs import build_loglog_cutoff, build_psi_harmonic_cutoff
 from dpgap.errors import RangeError
 from dpgap.fem import DofField, EnrichedField, build_mesh
 from dpgap.fem.fields import enrichment_gradient, enrichment_value
-from dpgap.orlicz import LogPower
+from dpgap.orlicz import LogPower, PurePower
 
 
 class TestTheta:
@@ -189,6 +189,15 @@ class TestShapeConvention:
                 ("value", lambda x1, x2, r, c=cut: c.eta(r)),
                 ("value", lambda x1, x2, r, c=cut: c.eta_at_log(np.log(r))),
                 ("value", lambda x1, x2, r, c=cut: c.ln_eta_prime_at_log(np.log(r))),
+            ]
+        # LogPower(1.5, -3) has its knot near t = 765 (ln t = 6.64), which
+        # ln t = -1.3 ln r straddles
+        for f in (LogPower(2.0, 1.0), LogPower(1.5, -3.0), PurePower(2.0)):
+            cases += [
+                ("value", lambda x1, x2, r, f=f: f.log_eval(np.log(r))),
+                ("value", lambda x1, x2, r, f=f: f.log_eval(-1.3 * np.log(r), 2.0)),
+                ("value", lambda x1, x2, r, f=f: f.log_deriv(np.log(r))),
+                ("value", lambda x1, x2, r, f=f: f.log_deriv(-1.3 * np.log(r))),
             ]
         return cases
 

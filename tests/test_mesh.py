@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dpgap.errors import MeshError
-from dpgap.fem.mesh import MeshSpace, build_mesh
+from dpgap.fem.mesh import (_QBARY, _QWEIGHTS, ORIGIN_SUBDIV_LEVELS, MeshSpace,
+                            build_mesh)
 from dpgap.geometry import eval_weight
 
 
@@ -85,6 +86,66 @@ class TestQuadrature:
         assert np.all(counts[touches] == 6 * 4 ** 3)
         far = np.linalg.norm(p.mean(axis=1), axis=1) > 1.0
         assert np.all(counts[far] == 6)
+
+
+def _subdivide_reference(tris, levels):
+    """Uniform 4-way midpoint refinement of a batch, children level by level."""
+    for _ in range(levels):
+        p0, p1, p2 = tris[:, 0], tris[:, 1], tris[:, 2]
+        m01, m12, m20 = 0.5 * (p0 + p1), 0.5 * (p1 + p2), 0.5 * (p2 + p0)
+        tris = np.concatenate([
+            np.stack([p0, m01, m20], axis=1),
+            np.stack([m01, p1, m12], axis=1),
+            np.stack([m20, m12, p2], axis=1),
+            np.stack([m01, m12, m20], axis=1),
+        ])
+    return tris
+
+
+def _full_rule_reference(mesh):
+    """The full rule level by level, then stably sorted by owning element."""
+    p = mesh.nodes[mesh.tris]
+    touches_origin = np.any(np.all(p == 0.0, axis=2), axis=1)
+    edge = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
+    diam = np.max(np.linalg.norm(edge, axis=2), axis=0)
+    r_c = np.linalg.norm(p.mean(axis=1), axis=1)
+    with np.errstate(divide="ignore"):
+        depth = np.ceil(np.log2(np.maximum(diam / (0.25 * r_c), 1e-9)))
+    depth = np.clip(depth, 0, ORIGIN_SUBDIV_LEVELS).astype(np.int64)
+    depth[touches_origin] = ORIGIN_SUBDIV_LEVELS
+    qpts, qw, qel = [], [], []
+    for lvl in range(ORIGIN_SUBDIV_LEVELS + 1):
+        els = np.where(depth == lvl)[0]
+        if els.size == 0:
+            continue
+        sub = _subdivide_reference(p[els], lvl)
+        qpts.append(np.einsum("qj,sjk->sqk", _QBARY, sub).reshape(-1, 2))
+        sub_area = np.tile(mesh.area[els], 4 ** lvl) / 4.0 ** lvl
+        qw.append((sub_area[:, None] * _QWEIGHTS[None, :]).reshape(-1))
+        qel.append(np.repeat(np.tile(els, 4 ** lvl), len(_QWEIGHTS)))
+    qpts, qw, qel = np.vstack(qpts), np.concatenate(qw), np.concatenate(qel)
+    order = np.argsort(qel, kind="stable")
+    return qpts[order], qw[order], qel[order]
+
+
+class TestFullRule:
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("grading", [1.0, 2.0])
+    @pytest.mark.parametrize("quadrant", [False, True], ids=["full", "quadrant"])
+    def test_matches_sorted_reference(self, n, grading, quadrant):
+        mesh = build_mesh(n, grading, quadrant=quadrant)
+        for got, ref in zip((mesh.qpts, mesh.qw, mesh.qel), _full_rule_reference(mesh)):
+            assert got.dtype == ref.dtype
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    def test_built_on_first_read_and_cached(self):
+        mesh = build_mesh(8)
+        assert "_full_rule" not in vars(mesh)
+        qpts = mesh.qpts
+        assert mesh.qw is mesh.qw and mesh.qpts is qpts
+        for arr in (mesh.qpts, mesh.qw, mesh.qel):
+            assert not arr.flags.writeable
 
 
 class TestGradientsAndEvaluation:

@@ -311,6 +311,12 @@ class TestLuxemburg:
     def test_zero_field(self):
         assert luxemburg_norm(np.zeros(10), np.full(10, 0.1), PurePower(2.0)) == 0.0
 
+    @pytest.mark.parametrize("weights", [np.full(4, np.nan), [0.5, np.inf, 0.5, 0.5],
+                                         [0.5, 0.0, 0.5, 0.5]], ids=["nan", "inf", "zero"])
+    def test_bad_weights_rejected(self, weights):
+        with pytest.raises(DomainError, match="finite and positive"):
+            luxemburg_norm(np.ones(4), weights, PurePower(2.0))
+
     def test_triangle_inequality_random(self):
         rng = np.random.default_rng(11)
         w = np.full(300, 1.0 / 300)
