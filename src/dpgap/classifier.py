@@ -230,6 +230,9 @@ def regularity_modulus_check(omega, phi, psi, k0, d):
         raise DomainError("finite dimension d >= 1 required")
     eps_grid = MODULUS_EPS_GRID
     om = np.asarray([float(omega(e)) for e in eps_grid])
+    # NaN fails both comparisons
+    if not np.all((om >= 0.0) & (om < np.inf)):
+        raise DomainError("omega must be finite and nonnegative")
     if np.any(np.diff(om) < -1e-12 * np.max(om)):
         raise PreconditionError("omega must be nondecreasing")
 

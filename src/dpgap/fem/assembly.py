@@ -1,5 +1,10 @@
 """Energy, gradient, Hessian and the b2 pairing on the criss-cross mesh.
 
+Nodal terms go through one operator, the mesh's discrete gradient G: element
+gradients are G u, a per-element (Ne, 2) vector m (the gradient, the node-s
+border, the b2 pairing) reaches the nodes as G^T m, and the nodal Hessian
+block is K = G^T D G, D block-diagonal in the per-element 2x2 Hessian sums.
+
 Energy, gradient and Hessian share one path over integration points. For a
 conforming field the points are the elements themselves: its gradient is
 constant per element, so each element is one point weighted by its area. For
@@ -85,11 +90,6 @@ def _per_element(values, starts):
     return np.add.reduceat(values, starts, axis=0)
 
 
-def _to_nodes(contrib, mesh):
-    """Sum (Ne, 3) per-element vertex terms into the vertices."""
-    return np.bincount(mesh.tris.ravel(), contrib.ravel(), minlength=mesh.n_vertices)
-
-
 def modular_energy(u, pair):
     """Quadrature of phi(|grad u|) + a psi(|grad u|) over u's mesh."""
     _, t, w, a, _, _ = _points(u)
@@ -101,11 +101,9 @@ def modular_energy(u, pair):
 
 def modular_gradient(u, pair):
     """(nodal gradient (Nv,), d/ds or None) of the modular energy."""
-    mesh = u.mesh
     g, t, w, a, starts, ge = _points(u)
     m = (w * _integrand(pair, t, a, 1))[:, None] * g  # (points, 2)
-    contrib = np.einsum("ejk,ek->ej", mesh.grad_basis, _per_element(m, starts))
-    nodal = _to_nodes(contrib, mesh)
+    nodal = u.mesh.grad.T @ _per_element(m, starts).ravel()
     if ge is None:
         return nodal, None
     return nodal, float(np.sum(m * ge))
@@ -118,22 +116,17 @@ def modular_hessian(u, pair):
     adds the (Nv,) cross terms between the nodes and s and the float s-s
     entry; a conforming field returns None for both.
     """
-    mesh = u.mesh
+    G = u.mesh.grad
     g, t, w, a, starts, ge = _points(u)
     H = _pointwise_hessian(g, t, _integrand(pair, t, a, 2), _integrand(pair, t, a, 1))
-    B = mesh.grad_basis
     # node-node block, weighted and summed per element in 2x2 form first
     M = _per_element(H * w[:, None, None], starts)
-    Ke = np.einsum("ejk,ekl,eml->ejm", B, M, B)
-    nv = mesh.n_vertices
-    K = sp.coo_matrix((Ke.ravel(), (np.repeat(mesh.tris, 3, axis=1).ravel(),
-                                   np.tile(mesh.tris, (1, 3)).ravel())),
-                      shape=(nv, nv)).tocsr()
+    D = sp.bsr_matrix((M, np.arange(len(M)), np.arange(len(M) + 1)))  # (2 Ne, 2 Ne)
+    K = G.T @ D @ G
     if ge is None:
         return K, None, None
     Hge = np.einsum("qkl,ql->qk", H, ge)
-    border = _to_nodes(np.einsum("ejk,ek->ej", B, _per_element(w[:, None] * Hge, starts)),
-                       mesh)
+    border = G.T @ _per_element(w[:, None] * Hge, starts).ravel()
     h_ss = float(np.sum(w * np.einsum("qk,qk->q", ge, Hge)))
     return K, border, h_ss
 
@@ -170,8 +163,7 @@ def _b2_pairing(mesh, ge, starts):
     """
     b = eval_b2(mesh.qpts[:, 0], mesh.qpts[:, 1]).T  # (Nq, 2)
     L_s = float(np.sum(mesh.qw * np.einsum("qk,qk->q", b, ge)))
-    per_elem = _per_element(mesh.qw[:, None] * b, starts)
-    return _to_nodes(np.einsum("ejk,ek->ej", mesh.grad_basis, per_elem), mesh), L_s
+    return mesh.grad.T @ _per_element(mesh.qw[:, None] * b, starts).ravel(), L_s
 
 
 def enrichment_rule(mesh):

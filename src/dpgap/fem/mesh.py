@@ -11,8 +11,9 @@ grid, so its elements, quadrature points and weights are exactly those of the
 full mesh in x1, x2 >= 0. Its Dirichlet boundary is x1 = 1, x2 = 0 and
 x2 = 1; the edge x1 = 0 is left free (a natural boundary).
 
-``build_mesh`` builds the geometry only; the full quadrature rule, which only
-enriched assembly reads, is built on the first read of qpts, qw or qel.
+``build_mesh`` builds the geometry and its gradient G; the full quadrature
+rule, which only enriched assembly reads, is built on the first read of qpts,
+qw or qel.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..errors import MeshError
 from ..geometry import eval_weight
@@ -51,7 +53,9 @@ class MeshSpace:
     tris: np.ndarray = field(repr=False)        # (Ne, 3) vertex ids, CCW
     area: np.ndarray = field(repr=False)        # (Ne,)
     phase: np.ndarray = field(repr=False)       # (Ne,) weight a in {0,1}
-    grad_basis: np.ndarray = field(repr=False)  # (Ne, 3, 2) nabla lambda_j
+    # discrete gradient G, CSR (2 Ne, Nv): rows 2e and 2e+1 hold d/dx1 and
+    # d/dx2 of element e's three basis functions, in tris order, read-only
+    grad: sp.csr_matrix = field(repr=False)
     boundary_mask: np.ndarray = field(repr=False)
     origin_vertex: int = 0
 
@@ -87,8 +91,7 @@ class MeshSpace:
 
     def element_gradients(self, values):
         """Constant per-element gradient of the nodal field (Ne, 2)."""
-        v = np.asarray(values, dtype=np.float64)[self.tris]  # (Ne, 3)
-        return np.einsum("ej,ejk->ek", v, self.grad_basis)
+        return (self.grad @ np.asarray(values, dtype=np.float64)).reshape(-1, 2)
 
     def locate(self, points):
         """(element id, barycentric coords) for each query point.
@@ -230,14 +233,18 @@ def build_mesh(n, grading=1.0, quadrant=False):
     if np.any(area < 1e-14):
         raise MeshError("degenerate triangle in mesh construction")
 
-    # gradients of the barycentric basis: inverse transpose of the edge matrix
+    # gradients of the barycentric basis: inverse transpose of the edge matrix;
+    # G is built from its CSR arrays, 3 entries per row in tris order
     det = 2.0 * area
-    grad_basis = np.empty((len(tris), 3, 2))
-    grad_basis[:, 1, 0] = e2[:, 1] / det
-    grad_basis[:, 1, 1] = -e2[:, 0] / det
-    grad_basis[:, 2, 0] = -e1[:, 1] / det
-    grad_basis[:, 2, 1] = e1[:, 0] / det
-    grad_basis[:, 0] = -grad_basis[:, 1] - grad_basis[:, 2]
+    gb = np.empty((len(tris), 2, 3))
+    gb[:, 0, 1:] = np.column_stack([e2[:, 1], -e1[:, 1]]) / det[:, None]
+    gb[:, 1, 1:] = np.column_stack([-e2[:, 0], e1[:, 0]]) / det[:, None]
+    gb[:, :, 0] = -gb[:, :, 1] - gb[:, :, 2]
+    grad = sp.csr_matrix((gb.ravel(), np.repeat(tris, 2, axis=0).ravel(),
+                          np.arange(0, 6 * len(tris) + 1, 3)),
+                         shape=(2 * len(tris), len(nodes)))
+    for arr in (grad.data, grad.indices, grad.indptr):
+        arr.setflags(write=False)
 
     phase = eval_weight(*p.mean(axis=1).T)
 
@@ -254,5 +261,5 @@ def build_mesh(n, grading=1.0, quadrant=False):
         raise MeshError("element areas do not partition the domain")
 
     return MeshSpace(n=n, grading=float(grading), xs=xs, nodes=nodes,
-                     tris=tris, area=area, phase=phase, grad_basis=grad_basis,
+                     tris=tris, area=area, phase=phase, grad=grad,
                      boundary_mask=boundary_mask, origin_vertex=origin_vertex)

@@ -219,7 +219,6 @@ class LogPower:
     def second_deriv(self, t):
         t = _check_arg(t)
         t0, a2, a1 = self._knot
-        t = np.asarray(t, dtype=np.float64)
         # below 1e-8 the raw formula cancels catastrophically (A^2 + dA with
         # A ~ p/t); the clamp keeps the t->0 limit p(p-1)t^{p-2}L^gamma exact
         # to quadrature accuracy for p = 2 and finite elsewhere
@@ -255,17 +254,17 @@ class PurePower:
     def __call__(self, t):
         t = _check_arg(t)
         with np.errstate(over="ignore"):
-            return self.scale * np.asarray(t, dtype=np.float64) ** self.p
+            return self.scale * t ** self.p
 
     def deriv(self, t):
         t = _check_arg(t)
-        return self.scale * self.p * np.asarray(t, dtype=np.float64) ** (self.p - 1.0)
+        return self.scale * self.p * t ** (self.p - 1.0)
 
     deriv_ratio = _deriv_ratio
 
     def second_deriv(self, t):
         t = _check_arg(t)
-        return self.scale * self.p * (self.p - 1.0) * np.asarray(t) ** (self.p - 2.0)
+        return self.scale * self.p * (self.p - 1.0) * t ** (self.p - 2.0)
 
     def log_eval(self, ln_t, k=0.0):
         """ln(Phi(t) / t^k) given ln t, exact."""
@@ -296,7 +295,6 @@ class TabulatedConjugate:
 
     def __call__(self, s):
         s = _check_arg(s)
-        s = np.asarray(s, dtype=np.float64)
         out = np.zeros_like(s)
         pos = s > 0.0
         out[pos] = np.exp(self._interp(np.log(s[pos])))

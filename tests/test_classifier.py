@@ -191,6 +191,17 @@ class TestRegularityModulus:
             regularity_modulus_check(lambda e: 1.0, LogPower(2.0, -1.0), LogPower(2.0, 1.0),
                                      k0=1.0, d=d)
 
+    @pytest.mark.parametrize("omega", [
+        lambda e: np.nan,
+        lambda e: np.nan if e > 0.1 else 1.0 / np.log(1.0 / e) ** 2,
+        lambda e: np.inf,
+        lambda e: -1.0,
+    ], ids=["nan", "nan_above_0.1", "inf", "negative"])
+    def test_bad_modulus_rejected(self, omega):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            regularity_modulus_check(omega, LogPower(2.0, -1.0), LogPower(2.0, 1.0),
+                                     k0=1.0, d=2)
+
     def test_decreasing_modulus_rejected(self):
         phi = LogPower(2.0, -1.0)
         psi = LogPower(2.0, 1.0)

@@ -28,6 +28,11 @@ def mesh16():
     return build_mesh(16, grading=2.0)
 
 
+def _grad_basis(mesh):
+    """(Ne, 3, 2) gradients of each element's basis functions, read off G."""
+    return mesh.grad.data.reshape(-1, 2, 3).transpose(0, 2, 1)
+
+
 def _random_interior_field(mesh, rng, amp=1.0):
     vals = np.zeros(mesh.n_vertices)
     vals[mesh.interior] = amp * rng.standard_normal(len(mesh.interior))
@@ -127,6 +132,29 @@ class TestGradient:
         mask = np.abs(fd) > 1e-6
         np.testing.assert_allclose(hv[mask], fd[mask], rtol=2e-4)
 
+    @pytest.mark.parametrize("space", [CONFORMING, ENRICHED])
+    def test_stiffness_matches_element_matrices(self, mesh, space):
+        """K = G^T D G against element matrices B M B^T summed by COO."""
+        rng = np.random.default_rng(4)
+        u = _random_interior_field(mesh, rng, amp=0.3)
+        if space == ENRICHED:
+            u = EnrichedField(u, 0.2)
+        pair = double_phase_log(2.0, 2.0)
+        g, t, w, a, starts, _ = assembly._points(u)
+        H = assembly._pointwise_hessian(g, t, assembly._integrand(pair, t, a, 2),
+                                        assembly._integrand(pair, t, a, 1))
+        M = assembly._per_element(H * w[:, None, None], starts)
+        B = _grad_basis(mesh)
+        Ke = np.einsum("ejk,ekl,eml->ejm", B, M, B)
+        nv, tris = mesh.n_vertices, mesh.tris
+        ref = sp.coo_matrix((Ke.ravel(), (np.repeat(tris, 3, axis=1).ravel(),
+                                         np.tile(tris, (1, 3)).ravel())),
+                            shape=(nv, nv)).toarray()
+        K = modular_hessian(u, pair)[0]
+        assert K.shape == (nv, nv)
+        np.testing.assert_allclose(K.toarray(), ref, rtol=0.0,
+                                   atol=1e-14 * np.max(np.abs(ref)))
+
 
 class TestEnrichment:
     def test_value_plateau(self):
@@ -169,7 +197,7 @@ def _full_rule_assembly(u, pair, mesh):
     ghat = np.where(t[:, None] > 1e-12, g / np.maximum(t, 1e-300)[:, None], 0.0)
     Hq = (ratio[:, None, None] * np.eye(2)
           + (second - ratio)[:, None, None] * np.einsum("qk,ql->qkl", ghat, ghat))
-    B = mesh.grad_basis[mesh.qel]  # (Nq, 3, 2)
+    B = _grad_basis(mesh)[mesh.qel]  # (Nq, 3, 2)
     tris = mesh.tris[mesh.qel]
     nv = mesh.n_vertices
     m = (w * ratio)[:, None] * g

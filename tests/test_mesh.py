@@ -155,6 +155,23 @@ class TestGradientsAndEvaluation:
         np.testing.assert_allclose(g[:, 0], 2.0, atol=1e-11)
         np.testing.assert_allclose(g[:, 1], -3.0, atol=1e-11)
 
+    @pytest.mark.parametrize("quadrant", [False, True], ids=["full", "quadrant"])
+    def test_discrete_gradient(self, quadrant):
+        mesh = build_mesh(8, grading=2.0, quadrant=quadrant)
+        G = mesh.grad
+        assert G.format == "csr"
+        assert not any(a.flags.writeable for a in (G.data, G.indices, G.indptr))
+        assert G.shape == (2 * mesh.n_elements, mesh.n_vertices)
+        assert np.array_equal(np.diff(G.indptr), np.full(G.shape[0], 3))
+        assert np.array_equal(G.indices.reshape(-1, 3), np.repeat(mesh.tris, 2, axis=0))
+        # the basis sums to 1, so every row sums to 0
+        scale = np.max(np.abs(G.data))
+        np.testing.assert_allclose(G @ np.ones(mesh.n_vertices), 0.0, atol=1e-14 * scale)
+        x1, x2 = mesh.nodes.T
+        np.testing.assert_allclose(mesh.element_gradients(2.0 * x1 - 3.0 * x2 + 1.0),
+                                   np.tile([2.0, -3.0], (mesh.n_elements, 1)),
+                                   rtol=0.0, atol=1e-13 * scale)
+
     def test_locate_and_evaluate(self, mesh8):
         vals = mesh8.nodes[:, 0] + 0.5 * mesh8.nodes[:, 1]
         rng = np.random.default_rng(0)
@@ -243,11 +260,18 @@ class TestQuadrant:
 
     def test_is_the_full_mesh_restricted(self, meshes):
         full, quad = meshes
-        assert np.array_equal(quad.nodes, full.nodes[np.all(full.nodes >= 0.0, axis=1)])
+        quad_nodes = np.all(full.nodes >= 0.0, axis=1)
+        assert np.array_equal(quad.nodes, full.nodes[quad_nodes])
         els = np.where(np.all(full.nodes[full.tris].mean(axis=1) > 0.0, axis=1))[0]
         assert np.array_equal(quad.nodes[quad.tris], full.nodes[full.tris[els]])
-        for attr in ("area", "phase", "grad_basis"):
+        for attr in ("area", "phase"):
             assert np.array_equal(getattr(quad, attr), getattr(full, attr)[els]), attr
+        # each element's 2 x 3 block of basis gradients
+        assert np.array_equal(quad.grad.data.reshape(-1, 6),
+                              full.grad.data.reshape(-1, 6)[els])
+        values = np.random.default_rng(5).standard_normal(full.n_vertices)
+        assert np.array_equal(quad.element_gradients(values[quad_nodes]),
+                              full.element_gradients(values)[els])
         in_quad = np.isin(full.qel, els)
         assert np.array_equal(quad.qpts, full.qpts[in_quad])
         assert np.array_equal(quad.qw, full.qw[in_quad])
