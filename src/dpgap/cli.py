@@ -193,12 +193,10 @@ def _cmd_conjugate(args):
     samples = _parse_floats(args.s)
     if not all(s > 0.0 for s in samples):
         raise RangeError("conjugate samples must be positive")
-    ratios = []
-    for s in samples:
-        num = conjugate_numeric(LogPower(args.p, args.gamma), s)
-        ratios.append({"s": s, "numeric": num,
-                       "closed_form": float(star(s)),
-                       "ratio": num / float(star(s))})
+    numeric = conjugate_numeric(LogPower(args.p, args.gamma), samples)
+    ratios = [{"s": s, "numeric": num, "closed_form": float(star(s)),
+               "ratio": num / float(star(s))}
+              for s, num in zip(samples, numeric.tolist())]
     _write_text(args.out, _dump_json({
         "p": args.p, "gamma": args.gamma,
         "conjugate": {"p": star.p, "gamma": star.gamma},
@@ -225,8 +223,16 @@ def _cmd_fields(args):
 
 # ---------------------------------------------------------------- plumbing
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is a RangeError: one ``RANGE:`` line and exit 2,
+    not argparse's usage text.  Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise RangeError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dpgap",
         description="Double-phase Lavrentiev-gap laboratory")
     parser.add_argument("--config", default=None,

@@ -9,8 +9,9 @@ inverse of psi' (not a growth-equivalent conjugate) precisely so that this
 identity is satisfied to solver precision.
 
 The psi-harmonic builders take a ``LogPower`` or ``PurePower`` psi: the
-inverse is a bisection on ``psi.log_deriv`` (ln psi' as a function of ln t),
-and the dual tail of ``find_inner_radius`` is that of ``orlicz.conjugate``.
+inverse is ``orlicz.log_deriv_inverse``, a safeguarded Newton iteration on
+ln psi' as a function of ln t, and the dual tail of ``find_inner_radius`` is
+that of ``orlicz.conjugate``.
 Energies take a ``LogPower``, a ``PurePower`` or a ``DoublePhase`` of them and
 read the integrand through its ``log_eval(ln_t, k)``.
 
@@ -31,7 +32,7 @@ from .classifier import DIVERGES, tail_integral_verdict
 from .errors import (DomainError, EnergyOverflowError,
                      NoRemovableSingularityError, NormalizationError,
                      RangeError)
-from .orlicz import DoublePhase, conjugate
+from .orlicz import DoublePhase, conjugate, log_deriv_inverse
 
 LOGLOG = "LogLog"
 PSI_HARMONIC = "PsiHarmonic"
@@ -41,32 +42,6 @@ _ENERGY_NODES = 16384
 _MAX_BRACKET_EXPANSIONS = 400
 # inner radii below e^{-700} underflow double precision
 _LN_R_MIN = -700.0
-
-
-def _log_deriv_inverse(psi, ln_s):
-    """ln t solving psi'(t) = e^{ln_s}, by bisection in ln t."""
-    ln_s = np.atleast_1d(np.asarray(ln_s, dtype=np.float64))
-    lo = np.minimum(ln_s, 4.0 * ln_s) - 100.0
-    hi = np.maximum(ln_s, 4.0 * ln_s) + 100.0
-    for _ in range(12):
-        bad_lo = psi.log_deriv(lo) > ln_s
-        bad_hi = psi.log_deriv(hi) < ln_s
-        if not (np.any(bad_lo) or np.any(bad_hi)):
-            break
-        span = hi - lo
-        lo = np.where(bad_lo, lo - span, lo)
-        hi = np.where(bad_hi, hi + span, hi)
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        below = psi.log_deriv(mid) < ln_s
-        new_lo = np.where(below, mid, lo)
-        new_hi = np.where(below, hi, mid)
-        # a step is a function of (lo, hi) alone, so once one leaves both
-        # unchanged every later step repeats it: stopping here is exact
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -112,7 +87,7 @@ class RadialCutoff:
             d = _loglog_denominator(self.eps)
             out[inside] = -ln_r[inside] - np.log(-ln_r[inside]) - np.log(d)
         else:
-            out[inside] = _log_deriv_inverse(self.psi, np.log(self.c) - ln_r[inside])
+            out[inside] = log_deriv_inverse(self.psi, np.log(self.c) - ln_r[inside])
         return out[()]
 
     def profile_table(self):
@@ -134,7 +109,7 @@ def _check_radii(ln_r1, ln_r2):
 
 def _normalization_integral(psi, ln_c, u_grid):
     # int_{r1}^{r2} (psi')^{-1}(c/rho) drho, evaluated as exp(ln t + u) in u = ln rho
-    ln_t = _log_deriv_inverse(psi, ln_c - u_grid)
+    ln_t = log_deriv_inverse(psi, ln_c - u_grid)
     return float(np.trapezoid(np.exp(ln_t + u_grid), u_grid))
 
 
@@ -175,7 +150,7 @@ def build_psi_harmonic_cutoff(psi, r1, r2):
     _check_radii(np.log(r1), np.log(r2))
     u = np.linspace(np.log(r1), np.log(r2), N_NODES)
     c = solve_normalization_constant(psi, r1, r2)
-    ln_ep = _log_deriv_inverse(psi, np.log(c) - u)
+    ln_ep = log_deriv_inverse(psi, np.log(c) - u)
     # cumulative trapezoid of eta' dr = e^{ln eta' + u} du reuses the
     # normalization rule, so eta(r2) = 1 to the solver tolerance
     integrand = np.exp(ln_ep + u)

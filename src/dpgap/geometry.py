@@ -182,11 +182,16 @@ def disjoint_support_audit(n_samples, seed):
     return worst
 
 
+# the largest grid: 4.2M rows, a 201 MiB table and about 540 MiB at peak
+MAX_FIELDS_RESOLUTION = 2048
+
+
 def sample_fields_grid(resolution):
-    """Rows (x1, x2, a, u2, |grad_u2|, |b2|) on a uniform cell-center grid."""
+    """Rows (x1, x2, a, u2, |grad_u2|, |b2|) on a uniform n x n cell-center
+    grid, 1 <= n <= MAX_FIELDS_RESOLUTION."""
     n = int(resolution)
-    if n < 1:
-        raise RangeError("resolution >= 1 required")
+    if not 1 <= n <= MAX_FIELDS_RESOLUTION:
+        raise RangeError(f"resolution must lie in [1, {MAX_FIELDS_RESOLUTION}]")
     xs = (np.arange(n) + 0.5) / n * 2.0 - 1.0
     X1, X2 = np.meshgrid(xs, xs, indexing="ij")
     x1 = X1.ravel()

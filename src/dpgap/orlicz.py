@@ -8,11 +8,15 @@ matching value and slope at the knot; only large-t behaviour matters for
 anything built on top.
 
 This module is the only one that knows how an integrand behaves in log
-space (``log_eval``, ``log_deriv``) and which conjugate stands for it
-(``conjugate``); the classifier and the cutoffs ask the integrand.  For a
-``LogPower`` each log-space value is one closed form in ln t, finite over the
-full double range and exact to the knot: ``log_eval(ln_t, k)`` is
-ln(Phi(t) / t^k), and the integrand itself goes through it above 1e8.
+space (``log_eval``, ``log_deriv``, ``log_deriv_slope``) and which conjugate
+stands for it (``conjugate``); the classifier and the cutoffs ask the
+integrand.  For a ``LogPower`` each log-space value is one closed form in
+ln t, finite over the full double range and exact to the knot:
+``log_eval(ln_t, k)`` is ln(Phi(t) / t^k), and the integrand itself goes
+through it above 1e8.  ``log_deriv_inverse`` is the one inverse of Phi': a
+safeguarded Newton iteration in ln t on ``log_deriv``, whose slope is
+``log_deriv_slope``.  The psi-harmonic cutoffs and ``conjugate_numeric`` both
+go through it.
 """
 
 from __future__ import annotations
@@ -182,6 +186,22 @@ def _logpower_log_deriv(ln_t, p, gamma, scale, t0, a2, a1):
     return _split_at_knot(ln_t, t0, raw, lambda x: np.log(a1 + 2.0 * a2 * np.exp(x)))
 
 
+def _logpower_log_deriv_slope(ln_t, p, gamma, t0, a2, a1):
+    """d ln Phi'(t) / d ln t given ln t."""
+    def raw(x):
+        L = np.logaddexp(1.0, x)
+        w = np.exp(x - L)  # t / (e + t), the derivative of L in ln t
+        return ((p - 1.0) + (gamma - 1.0) * w / L
+                + w * (p + gamma * (1.0 - w)) / (p * L + gamma * w))
+
+    def substitute(x):
+        # underflows to 0 far below the knot, where ln Phi' flattens to ln a1
+        q = 2.0 * a2 * np.exp(x)
+        return q / (a1 + q)
+
+    return _split_at_knot(ln_t, t0, raw, substitute)
+
+
 @dataclass(frozen=True)
 class LogPower:
     """Integrand t^p log^gamma(e+t), convexified near 0 when needed."""
@@ -237,6 +257,10 @@ class LogPower:
         """ln Phi'(e^{ln_t}) in closed form, finite over the full double range."""
         return _logpower_log_deriv(ln_t, self.p, self.gamma, self.scale, *self._knot)
 
+    def log_deriv_slope(self, ln_t):
+        """d ln Phi' / d ln t in closed form, the Newton slope of ``log_deriv``."""
+        return _logpower_log_deriv_slope(ln_t, self.p, self.gamma, *self._knot)
+
 
 @dataclass(frozen=True)
 class PurePower:
@@ -274,6 +298,77 @@ class PurePower:
         """ln Phi'(e^{ln_t}), exact."""
         return np.log(self.scale * self.p) + (self.p - 1.0) * np.asarray(ln_t, dtype=np.float64)
 
+    def log_deriv_slope(self, ln_t):
+        """d ln Phi' / d ln t = p - 1."""
+        return np.full(np.shape(ln_t), self.p - 1.0)
+
+
+def log_deriv_inverse(f, ln_s):
+    """ln t with ln f'(t) = ln_s, elementwise, for an integrand with
+    ``log_deriv`` and ``log_deriv_slope``.
+
+    The bracket starts at [min(ln s, 4 ln s) - 100, max(ln s, 4 ln s) + 100]
+    in ln t and doubles its span past an end that does not hold the root, at
+    most 12 times; where no root exists (ln s below ln f'(0+) of a knotted f)
+    the result is the far end of that bracket.
+    """
+    ln_s = np.asarray(ln_s, dtype=np.float64)
+    flat = ln_s.ravel()
+    lo = np.minimum(flat, 4.0 * flat) - 100.0
+    hi = np.maximum(flat, 4.0 * flat) + 100.0
+    for _ in range(12):
+        g_lo = f.log_deriv(lo) - flat
+        g_hi = f.log_deriv(hi) - flat
+        bad_lo = g_lo > 0.0
+        bad_hi = g_hi < 0.0
+        if not (np.any(bad_lo) or np.any(bad_hi)):
+            break
+        span = hi - lo
+        lo = np.where(bad_lo, lo - span, lo)
+        hi = np.where(bad_hi, hi + span, hi)
+    return _newton_in_log(f, flat, lo, hi, g_lo, g_hi).reshape(ln_s.shape)[()]
+
+
+# bisection alone meets the stopping rule within about 70 steps from any
+# bracket that log_deriv_inverse or conjugate_numeric builds
+_NEWTON_MAX_STEPS = 200
+# the Newton step divides by at least this slope, so it stays finite; a slope
+# that underflowed to 0 below a knot sends it out of the bracket
+_MIN_SLOPE = 1e-200
+
+
+def _newton_in_log(f, ln_s, lo, hi, g_lo, g_hi):
+    """Safeguarded Newton on g(x) = ln f'(e^x) - ln s over brackets [lo, hi].
+
+    All arguments are 1-d arrays of one length; lo and hi are narrowed in
+    place.  g_lo and g_hi are g at the ends: where they change sign the first
+    iterate is the secant point, elsewhere the midpoint.  Each iterate narrows
+    the bracket, and the next one is its Newton step if that lies strictly
+    inside and its midpoint otherwise.  An entry stops once |g| is within 2
+    ulp of max(1, |ln s|), or when its next iterate would not move.
+    """
+    straddle = (g_lo < 0.0) & (g_hi > 0.0)
+    frac = np.divide(g_lo, g_lo - g_hi, out=np.full_like(lo, 0.5), where=straddle)
+    x = lo + frac * (hi - lo)
+    tol = 2.0 * np.spacing(np.maximum(1.0, np.abs(ln_s)))
+    active = np.arange(x.size)
+    for _ in range(_NEWTON_MAX_STEPS):
+        if active.size == 0:
+            break
+        xa = x[active]
+        g = f.log_deriv(xa) - ln_s[active]
+        above = g > 0.0
+        lo_a = np.where(above, lo[active], xa)
+        hi_a = np.where(above, xa, hi[active])
+        x_next = xa - g / np.maximum(f.log_deriv_slope(xa), _MIN_SLOPE)
+        x_next = np.where((lo_a < x_next) & (x_next < hi_a), x_next, 0.5 * (lo_a + hi_a))
+        going = (np.abs(g) > tol[active]) & (x_next != xa)
+        x[active] = np.where(going, x_next, xa)
+        lo[active] = lo_a
+        hi[active] = hi_a
+        active = active[going]
+    return x
+
 
 class TabulatedConjugate:
     """Numeric conjugate of a base N-function, cached on a log grid.
@@ -288,7 +383,7 @@ class TabulatedConjugate:
     def __init__(self, base):
         s = np.logspace(math.log10(self.S_RANGE[0]), math.log10(self.S_RANGE[1]),
                         self.N_NODES)
-        vals = np.array([conjugate_numeric(base, si) for si in s])
+        vals = conjugate_numeric(base, s)
         pos = vals > 0.0
         self._interp = PchipInterpolator(np.log(s[pos]), np.log(vals[pos]),
                                          extrapolate=True)
@@ -308,8 +403,10 @@ def conjugate_log_power(p, gamma):
     descriptor is an equivalence-class representative, valid up to a
     multiplicative growth constant.
     """
-    if not p > 1.0:
-        raise DomainError("conjugate_log_power requires p > 1")
+    if not (1.0 < p < math.inf):
+        raise DomainError("conjugate_log_power requires a finite p > 1")
+    if not math.isfinite(gamma):
+        raise DomainError("conjugate_log_power requires a finite gamma")
     fp = Fraction(p).limit_denominator(10**12)
     fg = Fraction(gamma).limit_denominator(10**12)
     q = fp / (fp - 1)
@@ -331,27 +428,48 @@ def conjugate(f):
 
 
 def conjugate_numeric(f, s):
-    """Legendre-Fenchel conjugate sup_t (s t - f(t)) of a convex N-function.
+    """Legendre-Fenchel conjugate sup_t (s t - f(t)) of a convex N-function,
+    elementwise in s; a scalar s gives a float.
 
-    Locates the stationary point f'(t) = s by bisection on a log bracket.
+    The supremum is s t* - f(t*) at the t* in [1e-12, 1e12] with f'(t*) = s.
+    For an integrand with ``log_deriv``, t* comes from the Newton iteration of
+    ``log_deriv_inverse`` on that bracket; otherwise from ``brentq`` on
+    ``f.deriv``.  Where f'(1e-12) >= s it is the endpoint value
+    max(0, s 1e-12 - f(1e-12)); an s above f'(1e12) raises
+    ``UnboundedConjugateError``.
     """
-    s = float(s)
-    if not math.isfinite(s) or s < 0.0:
+    s = np.asarray(s, dtype=np.float64)
+    if not np.all((s >= 0.0) & (s < math.inf)):
         raise DomainError("conjugate argument must be finite and nonnegative")
-    if s == 0.0:
-        return 0.0
     lo, hi = _CONJ_BRACKET
-    dlo = float(f.deriv(lo))
-    dhi = float(f.deriv(hi))
-    if dhi < s:
+    flat = s.ravel()
+    pos = flat > 0.0
+    log_space = hasattr(f, "log_deriv")
+    # g_lo, g_hi: f' - s at the ends of the bracket, in log space if f has one
+    if log_space:
+        ln_s = np.log(flat, out=np.full_like(flat, -math.inf), where=pos)
+        g_lo, g_hi = (v - ln_s for v in f.log_deriv(np.log(_CONJ_BRACKET)))
+    else:
+        g_lo, g_hi = (float(f.deriv(v)) - flat for v in _CONJ_BRACKET)
+    if np.any(g_hi < 0.0):
         raise UnboundedConjugateError(
-            f"f' never reaches {s} on [{lo}, {hi}]")
-    if dlo >= s:
-        # supremum attained at (numerical) zero
-        return max(0.0, s * lo - float(f(lo)))
-    t_star = brentq(lambda t: float(f.deriv(t)) - s, lo, hi,
-                    xtol=1e-300, rtol=1e-12, maxiter=200)
-    return s * t_star - float(f(t_star))
+            f"f' never reaches {flat[g_hi < 0.0][0]} on [{lo}, {hi}]")
+    inner = pos & (g_lo < 0.0)
+    if log_space:
+        n = np.count_nonzero(inner)
+        t_star = np.exp(_newton_in_log(f, ln_s[inner], np.full(n, math.log(lo)),
+                                       np.full(n, math.log(hi)), g_lo[inner], g_hi[inner]))
+    else:
+        t_star = np.array([brentq(lambda t: float(f.deriv(t)) - v, lo, hi,
+                                  xtol=1e-300, rtol=1e-12, maxiter=200)
+                           for v in flat[inner]])
+    out = np.zeros_like(flat)
+    out[inner] = flat[inner] * t_star - f(t_star)
+    # elsewhere the supremum is attained at (numerical) zero
+    edge = pos & ~inner
+    if np.any(edge):
+        out[edge] = np.maximum(0.0, flat[edge] * lo - float(f(lo)))
+    return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
 def luxemburg_norm(values, weights, f):

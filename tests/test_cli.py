@@ -3,11 +3,13 @@
 import csv
 import functools
 import json
+import re
 
 import pytest
 
 from dpgap.cli import main
 from dpgap.fem import solve
+from dpgap.geometry import MAX_FIELDS_RESOLUTION
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -200,6 +202,42 @@ class TestRangeErrors:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("RANGE: ")
+
+
+class TestOneLineFailures:
+    @pytest.mark.parametrize("argv", [("conjugate", "--p", "2", "--gamma", "nan"),
+                                      ("conjugate", "--p", "2", "--gamma", "inf"),
+                                      ("conjugate", "--p", "inf", "--gamma", "1")],
+                             ids=["gamma-nan", "gamma-inf", "p-inf"])
+    def test_conjugate_non_finite_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("DOMAIN: ")
+
+    @pytest.mark.parametrize("argv", [("conjugate", "--p", "2"),
+                                      ("cutoff", "--kind", "spline"),
+                                      ("gap", "--alpha", "2", "--beta", "2",
+                                       "--mode", "neumann"),
+                                      ("nonsense",)],
+                             ids=["missing-flag", "bad-choice", "bad-mode",
+                                  "bad-command"])
+    def test_argparse_failure_is_one_range_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert re.match(r"^[A-Z_]+: ", lines[0])
+        assert lines[0].startswith("RANGE: ")
+
+    @pytest.mark.parametrize("command", ["norm", "fields"])
+    def test_resolution_above_bound_exit_two(self, capsys, command):
+        code, out, err = run(capsys, command, "--res", "100000000")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"RANGE: resolution must lie in [1, {MAX_FIELDS_RESOLUTION}]"]
 
 
 class TestConfig:

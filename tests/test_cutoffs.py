@@ -9,7 +9,7 @@ from dpgap.cutoffs import (build_loglog_cutoff, build_psi_harmonic_cutoff,
                            find_inner_radius, solve_normalization_constant)
 from dpgap.errors import (NoRemovableSingularityError, NormalizationError,
                           RangeError)
-from dpgap.orlicz import DoublePhase, LogPower, PurePower
+from dpgap.orlicz import DoublePhase, LogPower, PurePower, log_deriv_inverse
 
 
 class TestNormalization:
@@ -38,14 +38,14 @@ class TestNormalization:
 class TestDerivInverse:
     def test_quadratic(self):
         s = np.array([1.0, 10.0, 1e6])
-        t = np.exp(cutoffs._log_deriv_inverse(PurePower(2.0), np.log(s)))
+        t = np.exp(log_deriv_inverse(PurePower(2.0), np.log(s)))
         np.testing.assert_allclose(t, s / 2.0, rtol=1e-12)
 
     def test_inverts_log_power_derivative(self):
         psi = LogPower(2.0, 1.0)
         t = np.logspace(-3.0, 6.0, 40)
         ln_s = np.log(np.asarray(psi.deriv(t)))
-        np.testing.assert_allclose(np.exp(cutoffs._log_deriv_inverse(psi, ln_s)), t,
+        np.testing.assert_allclose(np.exp(log_deriv_inverse(psi, ln_s)), t,
                                    rtol=1e-9)
 
 
@@ -72,14 +72,27 @@ def _inverse_reference(psi, ln_s):
 
 class TestLogDerivInverse:
     PSIS = [PurePower(2.0)] + [LogPower(2.0, g) for g in (0.0, 0.5, 1.0, -2.0)]
+    # the knotted integrands of test_orlicz.KNOTTED, whose ln psi' flattens to
+    # ln a1 below the knot (and has no root below it)
+    KNOTTED = [LogPower(p, g) for p, g in [(2.0, -3.0), (2.0, -5.0), (1.5, -3.0),
+                                           (1.2, -5.0)]]
     LN_S = np.linspace(-700.0, 700.0, 281)  # roots out to |ln t| ~ 700
 
-    @pytest.mark.parametrize("psi", PSIS, ids=["t2", "L0", "L0.5", "L1", "L-2"])
+    @pytest.mark.parametrize("psi", PSIS + KNOTTED,
+                             ids=["t2", "L0", "L0.5", "L1", "L-2",
+                                  "L2,-3", "L2,-5", "L1.5,-3", "L1.2,-5"])
     def test_matches_full_bisection(self, psi):
-        got = cutoffs._log_deriv_inverse(psi, self.LN_S)
-        assert got.tobytes() == _inverse_reference(psi, self.LN_S).tobytes()
+        # as accurate as bisecting to adjacent doubles: a residual at most 2 ulp
+        # of max(1, |ln s|) above the bisection's, and the same root
+        got = log_deriv_inverse(psi, self.LN_S)
+        ref = _inverse_reference(psi, self.LN_S)
+        ulp = np.spacing(np.maximum(1.0, np.abs(self.LN_S)))
+        excess = np.abs(psi.log_deriv(got) - self.LN_S) - np.abs(psi.log_deriv(ref) - self.LN_S)
+        assert np.all(excess <= 2.0 * ulp)
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
 
-    def test_stops_at_fixed_point(self, monkeypatch):
+    @pytest.mark.parametrize("psi", PSIS[1:], ids=["L0", "L0.5", "L1", "L-2"])
+    def test_few_newton_steps(self, psi, monkeypatch):
         calls = []
         log_deriv = LogPower.log_deriv
 
@@ -88,9 +101,28 @@ class TestLogDerivInverse:
             return log_deriv(psi, ln_t)
 
         monkeypatch.setattr(LogPower, "log_deriv", counted)
-        cutoffs._log_deriv_inverse(LogPower(2.0, 0.5), self.LN_S)
-        # bracket and bisection together stay below the 110-step cap
-        assert len(calls) < 110
+        log_deriv_inverse(psi, self.LN_S)
+        # the bracket holds every root at once: 2 evaluations, then Newton
+        assert len(calls) - 2 <= 12
+
+    def test_shape_follows_input(self):
+        psi = LogPower(2.0, 1.0)
+        ln_s = self.LN_S[:12].reshape(3, 4)
+        got = log_deriv_inverse(psi, ln_s)
+        assert got.shape == (3, 4)
+        assert got.ravel().tobytes() == log_deriv_inverse(psi, ln_s.ravel()).tobytes()
+        assert log_deriv_inverse(psi, float(ln_s[1, 2])) == got[1, 2]
+
+    def test_flat_below_knot_without_warning(self):
+        # far below the knot the slope of ln psi' underflows to 0 and no root
+        # exists; the step is guarded, not divided by 0 (RuntimeWarning is an
+        # error here), and the result is the bracket's far end
+        psi = LogPower(1.2, -5.0)
+        assert psi.log_deriv_slope(np.array([-700.0]))[0] == 0.0
+        got = log_deriv_inverse(psi, np.array([-700.0]))
+        ref = _inverse_reference(psi, np.array([-700.0]))
+        assert got[0] == pytest.approx(ref[0], rel=1e-15)
+        assert got[0] < -1e6
 
 
 class TestPsiHarmonic:

@@ -171,6 +171,19 @@ class TestLogPower:
         assert f.log_deriv([-496.0])[0] == np.log(2.5) + 1.5 * -496.0
         assert LogPower(3.0, 0.0).log_deriv([-372.0])[0] == np.log(3.0) + 2.0 * -372.0
 
+    @pytest.mark.parametrize("p,gamma", [(2.0, 1.0), (2.0, -2.0), (3.0, 0.5)] + KNOTTED)
+    def test_log_deriv_slope_matches_finite_difference(self, p, gamma):
+        # d ln f' / d ln t, the Newton slope of log_deriv_inverse, on both
+        # sides of any knot
+        f = LogPower(p, gamma)
+        ln_t = np.linspace(-30.0, 700.0, 367) + 0.123
+        h = 1e-5
+        fd = (f.log_deriv(ln_t + h) - f.log_deriv(ln_t - h)) / (2.0 * h)
+        np.testing.assert_allclose(f.log_deriv_slope(ln_t), fd, rtol=1e-6, atol=1e-9)
+
+    def test_pure_power_log_deriv_slope(self):
+        assert PurePower(2.5, 3.0).log_deriv_slope(np.zeros(4)).tolist() == [1.5] * 4
+
     def test_deriv_matches_finite_difference(self):
         f = LogPower(2.0, -2.0)
         t = np.logspace(-2.0, 4.0, 30)
@@ -272,6 +285,61 @@ class TestConjugate:
         slow = PurePower(2.0, scale=1e-290)
         with pytest.raises(UnboundedConjugateError):
             conjugate_numeric(slow, 1e280)
+        with pytest.raises(UnboundedConjugateError):
+            conjugate_numeric(slow, np.array([1.0, 1e280]))
+
+    def test_conjugate_log_power_rejects_non_finite(self):
+        for p, gamma in [(2.0, np.nan), (2.0, np.inf), (np.inf, 1.0), (np.nan, 1.0),
+                         (1.0, 1.0)]:
+            with pytest.raises(DomainError):
+                conjugate_log_power(p, gamma)
+
+    @pytest.mark.parametrize("f", [LogPower(2.0, 1.0), LogPower(3.0, 2.0),
+                                   LogPower(2.0, -5.0), PurePower(2.5, 3.0)],
+                             ids=["L2,1", "L3,2", "L2,-5", "t2.5"])
+    def test_array_matches_scalar_calls(self, f):
+        # zeros, the endpoint branch (f'(1e-12) >= s) and interior roots
+        s = np.concatenate([[0.0, 1e-30, 1e-14], np.logspace(-6.0, 3.0, 61)])
+        got = conjugate_numeric(f, s.reshape(2, 32))
+        assert got.shape == (2, 32)
+        scalar = [conjugate_numeric(f, v) for v in s]
+        assert all(type(v) is float for v in scalar)
+        assert got.ravel().tolist() == scalar
+        assert got.ravel()[0] == 0.0
+
+    def test_endpoint_branch(self):
+        # f'(1e-12) >= s: the supremum sits at t = 1e-12 and is clipped at 0
+        f = LogPower(2.0, -5.0)  # f'(0+) = a1 > 0, so small s stay at the endpoint
+        a1 = f._knot[2]
+        assert conjugate_numeric(f, 0.5 * a1) == 0.0
+        assert conjugate_numeric(f, np.array([0.5 * a1, 2.0 * a1]))[0] == 0.0
+        assert conjugate_numeric(f, 2.0 * a1) > 0.0
+
+    def test_log_space_integrands_never_reach_brentq(self, monkeypatch):
+        from dpgap import orlicz
+
+        fs = [LogPower(2.0, 1.0), LogPower(2.0, -2.0), LogPower(2.0, -5.0), PurePower(2.0)]
+        calls = []
+        monkeypatch.setattr(orlicz, "brentq", lambda *a, **k: calls.append(1))
+        for f in fs:
+            conjugate_numeric(f, 1e3)
+            conjugate_numeric(f, np.logspace(-6.0, 3.0, 16))
+        TabulatedConjugate(LogPower(2.0, 1.0))
+        assert calls == []
+
+    def test_tabulated_builds_its_nodes_in_one_call(self, monkeypatch):
+        from dpgap import orlicz
+
+        calls = []
+        numeric = orlicz.conjugate_numeric
+
+        def counted(f, s):
+            calls.append(np.size(s))
+            return numeric(f, s)
+
+        monkeypatch.setattr(orlicz, "conjugate_numeric", counted)
+        TabulatedConjugate(PurePower(3.0))
+        assert calls == [TabulatedConjugate.N_NODES]
 
 
 class TestYoung:
