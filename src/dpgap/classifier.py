@@ -9,6 +9,14 @@ an exact closed-form path, so the borderline cells are decided exactly.
 psi* is ``orlicz.conjugate(psi)``, the one conjugate rule: the closed-form
 log-power conjugate for a ``LogPower``, the exact conjugate for a
 ``PurePower``, and a numeric ``TabulatedConjugate`` for anything else.
+
+A verdict has three parts, shared by ``classify`` and ``phase_diagram``: the
+pair check on phi and psi values at a fixed 60-point grid, one
+``tail_integral_verdict`` each for phi and psi*, and the status-to-verdict
+rule.  For the family phi = t^p log^-beta, psi = t^p log^alpha the phi tail
+depends on beta alone and the psi* tail on alpha alone, so a phase diagram
+costs one integrand and one tail test per distinct axis value plus one pair
+check per cell.
 """
 
 from __future__ import annotations
@@ -79,7 +87,9 @@ class RegimeReport:
 def _check_superlinear(f):
     # p_- > 1 growth check on a grid: f(t)/t should grow
     t = np.array([1e2, 1e4, 1e6])
-    v = np.asarray(f(t)) / t
+    # an overflow to inf or NaN fails the comparisons
+    with np.errstate(all="ignore"):
+        v = np.asarray(f(t)) / t
     if not (v[1] > v[0] and v[2] > v[1]):
         raise PreconditionError("integrand lacks superlinear growth")
 
@@ -135,9 +145,20 @@ def tail_integral_verdict(f):
     return TailVerdict(status, fitted, sums)
 
 
-def _check_pair_preconditions(phi, psi):
-    t = np.logspace(0.0, 8.0, 60)
-    ratio = np.asarray(phi(t)) / np.asarray(psi(t))
+_PAIR_GRID = np.logspace(0.0, 8.0, 60)
+
+
+def _pair_values(f):
+    """f on the pair-check grid; overflow and NaN are left to ``_check_pair``."""
+    with np.errstate(all="ignore"):
+        return np.asarray(f(_PAIR_GRID))
+
+
+def _check_pair(phi_vals, psi_vals):
+    """Preconditions of the pair from its ``_pair_values``: phi/psi finite,
+    tending to 0, and bounded."""
+    with np.errstate(all="ignore"):
+        ratio = phi_vals / psi_vals
     if not np.all(np.isfinite(ratio)):
         raise PreconditionError("phi/psi not finite on the sampled grid")
     # phi/psi -> 0 shows up as a strictly decreasing ratio on the log grid;
@@ -148,21 +169,24 @@ def _check_pair_preconditions(phi, psi):
         raise PreconditionError("phi is not dominated by psi on the sampled grid")
 
 
+def _verdict(phi_tail, psi_star_tail):
+    """(verdict, rule) from the two tail verdicts: Gap iff both converge."""
+    statuses = (phi_tail.status, psi_star_tail.status)
+    if statuses == (CONVERGES, CONVERGES):
+        return GAP, "both tail integrals finite"
+    if DIVERGES in statuses:
+        which = "phi" if phi_tail.status == DIVERGES else "psi*"
+        return NO_GAP, f"{which} tail integral infinite"
+    return INCONCLUSIVE, "borderline dyadic fit"
+
+
 def classify(phi, psi):
     """RegimeReport for the double-phase pair: Gap iff both tails converge."""
-    _check_pair_preconditions(phi, psi)
+    _check_pair(_pair_values(phi), _pair_values(psi))
 
     phi_tail = tail_integral_verdict(phi)
     psi_star_tail = tail_integral_verdict(conjugate(psi))
-
-    statuses = (phi_tail.status, psi_star_tail.status)
-    if statuses == (CONVERGES, CONVERGES):
-        verdict, rule = GAP, "both tail integrals finite"
-    elif DIVERGES in statuses:
-        which = "phi" if phi_tail.status == DIVERGES else "psi*"
-        verdict, rule = NO_GAP, f"{which} tail integral infinite"
-    else:
-        verdict, rule = INCONCLUSIVE, "borderline dyadic fit"
+    verdict, rule = _verdict(phi_tail, psi_star_tail)
 
     # duality: for the conjugate pair (psi*, phi*) the roles swap and its
     # psi*-tail is that of phi** = phi, so a diverging phi tail decides it too
@@ -172,9 +196,13 @@ def classify(phi, psi):
     return RegimeReport(phi_tail, psi_star_tail, verdict, rule, dual_rule)
 
 
+def _single_phase(alpha, beta):
+    return -beta >= alpha
+
+
 def classify_alpha_beta(alpha, beta, p=2.0, scale=1.0):
     """Closed-form family Phi_{p,alpha,beta}: phi = t^p log^-beta, psi = t^p log^alpha."""
-    if -beta >= alpha:
+    if _single_phase(alpha, beta):
         raise PreconditionError("alpha + beta <= 0: single-phase regime, "
                                 "phi/psi does not tend to 0")
     return classify(LogPower(p, -beta, scale), LogPower(p, alpha, scale))
@@ -183,15 +211,39 @@ def classify_alpha_beta(alpha, beta, p=2.0, scale=1.0):
 def phase_diagram(alphas, betas, p=2.0):
     """Verdict table over the (alpha, beta) grid, ordered by (alpha, beta).
 
-    A cell outside the double-phase regime (alpha + beta <= 0) reads
-    ``"SinglePhase"``; every other PreconditionError of a cell propagates, and
-    an empty axis raises RangeError.
+    Each row's verdict is ``classify_alpha_beta(alpha, beta, p).verdict``.
+    The integrand of each distinct beta (phi) and alpha (psi), its pair-check
+    values and its tail verdict (of phi, and of psi*) are built once, at
+    their first use, walking the cells in row order; each cell runs only the
+    pair check.  A cell outside the double-phase regime (alpha + beta <= 0)
+    reads ``"SinglePhase"`` and builds nothing; the first other failing cell
+    raises what ``classify_alpha_beta`` raises for it, and an empty axis
+    raises RangeError.
     """
     if len(alphas) == 0 or len(betas) == 0:
         raise RangeError("phase diagram needs at least one alpha and one beta")
 
-    def cell(a, b):  # single phase by the test of classify_alpha_beta
-        return "SinglePhase" if -b >= a else classify_alpha_beta(a, b, p).verdict
+    # axis value -> (integrand, its pair-check values), and -> tail verdict:
+    # phi's own tail per beta, the tail of conjugate(psi) per alpha
+    phis, psis, phi_tails, psi_star_tails = {}, {}, {}, {}
+
+    def integrand(memo, key, gamma):
+        if key not in memo:
+            f = LogPower(p, gamma)
+            memo[key] = (f, _pair_values(f))
+        return memo[key]
+
+    def cell(a, b):
+        if _single_phase(a, b):
+            return "SinglePhase"
+        phi, phi_vals = integrand(phis, b, -b)
+        psi, psi_vals = integrand(psis, a, a)
+        _check_pair(phi_vals, psi_vals)
+        if b not in phi_tails:
+            phi_tails[b] = tail_integral_verdict(phi)
+        if a not in psi_star_tails:
+            psi_star_tails[a] = tail_integral_verdict(conjugate(psi))
+        return _verdict(phi_tails[b], psi_star_tails[a])[0]
 
     return [(float(a), float(b), cell(a, b))
             for a in sorted(alphas) for b in sorted(betas)]

@@ -74,21 +74,35 @@ def _find_knot(p, gamma, scale):
     """Convexification knot and quadratic substitute coefficients.
 
     Returns (t0, a2, a1); t0 = 0 when the raw formula is already convex.
+    Raises DomainError when the sign change of Phi'' lies beyond the range
+    where Phi'' can be evaluated.
     """
     if gamma >= 0.0:
         return 0.0, 0.0, 0.0
+    try:
+        return _knot_search(p, gamma, scale)
+    except OverflowError as exc:
+        # float arithmetic in brentq's calls overflows where the sign change
+        # sits past t ~ 1e154 (t**2 in Phi''), e.g. p = 1 + 1e-7, gamma = -2
+        raise DomainError("convexification knot search failed") from exc
+
+
+def _knot_search(p, gamma, scale):
     grid = np.logspace(-8.0, 10.0, 2400)
-    neg = np.where(_logpower_second_deriv(grid, p, gamma, scale) < 0.0)[0]
-    if neg.size == 0:
-        return 0.0, 0.0, 0.0
-    i = neg[-1]
-    hi = grid[i + 1] if i + 1 < len(grid) else 2.0 * grid[i]
-    # for p near 1 with very negative gamma the sign change sits beyond the
-    # grid; extend the bracket until the second derivative turns positive
-    while _logpower_second_deriv(hi, p, gamma, scale) < 0.0:
-        hi *= 10.0
-        if hi > 1e280:  # pragma: no cover
-            raise DomainError("convexification knot search failed")
+    # Phi'' overflowing to inf or NaN (huge p, or t past 1e154) fails the
+    # sign tests
+    with np.errstate(all="ignore"):
+        neg = np.where(_logpower_second_deriv(grid, p, gamma, scale) < 0.0)[0]
+        if neg.size == 0:
+            return 0.0, 0.0, 0.0
+        i = neg[-1]
+        hi = grid[i + 1] if i + 1 < len(grid) else 2.0 * grid[i]
+        # for p near 1 with very negative gamma the sign change sits beyond the
+        # grid; extend the bracket until the second derivative turns positive
+        while _logpower_second_deriv(hi, p, gamma, scale) < 0.0:
+            hi *= 10.0
+            if hi > 1e280:  # pragma: no cover
+                raise DomainError("convexification knot search failed")
     t0 = brentq(
         lambda t: _logpower_second_deriv(t, p, gamma, scale),
         grid[i], hi, xtol=1e-14, rtol=1e-13,
@@ -310,22 +324,28 @@ def log_deriv_inverse(f, ln_s):
     The bracket starts at [min(ln s, 4 ln s) - 100, max(ln s, 4 ln s) + 100]
     in ln t and doubles its span past an end that does not hold the root, at
     most 12 times; where no root exists (ln s below ln f'(0+) of a knotted f)
-    the result is the far end of that bracket.
+    the result is the far end of that bracket.  Each doubling evaluates
+    ``log_deriv`` only at the ends it moved.
     """
     ln_s = np.asarray(ln_s, dtype=np.float64)
     flat = ln_s.ravel()
     lo = np.minimum(flat, 4.0 * flat) - 100.0
     hi = np.maximum(flat, 4.0 * flat) + 100.0
-    for _ in range(12):
-        g_lo = f.log_deriv(lo) - flat
-        g_hi = f.log_deriv(hi) - flat
-        bad_lo = g_lo > 0.0
-        bad_hi = g_hi < 0.0
-        if not (np.any(bad_lo) or np.any(bad_hi)):
+    g_lo = f.log_deriv(lo) - flat
+    g_hi = f.log_deriv(hi) - flat
+    for doubling in range(12):
+        bad_lo = np.flatnonzero(g_lo > 0.0)
+        bad_hi = np.flatnonzero(g_hi < 0.0)
+        if bad_lo.size == 0 and bad_hi.size == 0:
             break
         span = hi - lo
-        lo = np.where(bad_lo, lo - span, lo)
-        hi = np.where(bad_hi, hi + span, hi)
+        lo[bad_lo] -= span[bad_lo]
+        hi[bad_hi] += span[bad_hi]
+        # after the last doubling the moved ends keep their old g, so those
+        # entries start from the bracket's midpoint
+        if doubling < 11:
+            g_lo[bad_lo] = f.log_deriv(lo[bad_lo]) - flat[bad_lo]
+            g_hi[bad_hi] = f.log_deriv(hi[bad_hi]) - flat[bad_hi]
     return _newton_in_log(f, flat, lo, hi, g_lo, g_hi).reshape(ln_s.shape)[()]
 
 

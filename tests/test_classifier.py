@@ -134,6 +134,19 @@ class TestClassify:
         assert (rep.dual_rule is not None) == dual
         assert (rep.phi_tail.status == DIVERGES) == dual
 
+    @pytest.mark.parametrize("alpha, beta, p, error", [
+        (1e308, 1.0, 2.0, PreconditionError),  # psi overflows on the pair grid
+        (2.0, 2.0, 1e6, PreconditionError),  # and phi'' on the knot grid
+        (2.0, -1.0, 1.0000001, PreconditionError),  # psi* overflows in the growth check
+        (2.0, 2.0, 1.0000001, DomainError),  # phi's knot lies past t ~ 1e154
+    ])
+    def test_extreme_inputs_raise_without_warning(self, alpha, beta, p, error):
+        # RuntimeWarning is an error here; the cell's check decides instead
+        with pytest.raises(error):
+            classify_alpha_beta(alpha, beta, p)
+        with pytest.raises(error):
+            phase_diagram([alpha], [beta], p)
+
     def test_report_round_trip(self):
         d = classify_alpha_beta(2.0, 2.0).to_dict()
         assert d["verdict"] == GAP
@@ -157,6 +170,67 @@ class TestPhaseDiagram:
     def test_unsorted_axes_and_single_phase_cell(self):
         rows = phase_diagram([2.0, 0.25], [-0.5])
         assert rows == [(0.25, -0.5, "SinglePhase"), (2.0, -0.5, NO_GAP)]
+
+    # borderline values, a duplicate, unsorted, and single-phase cells
+    AXIS = [3.0, 1.0 + 1e-9, 0.25, 1.0, -0.5, 1.0 - 1e-9, 2.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_rows_match_classify_alpha_beta(self, p):
+        rows = phase_diagram(self.AXIS, self.AXIS[::-1], p)
+        expected = [(a, b, "SinglePhase" if -b >= a else classify_alpha_beta(a, b, p).verdict)
+                    for a in sorted(self.AXIS) for b in sorted(self.AXIS)]
+        assert rows == expected
+        assert {v for _, _, v in rows} >= {"SinglePhase", NO_GAP}
+
+    @pytest.mark.parametrize("alphas, betas, p", [
+        # two SinglePhase cells and a valid one, then a ratio that barely decays
+        ([2.0, -1.0], [0.5, 3.0, -2.0 + 1e-10], 2.0),
+        # psi* = LogPower(~1e7, ~-2e7) overflows in the growth check
+        ([2.0], [-1.0, 2.0], 1.0000001),
+        # phi's knot lies past t ~ 1e154
+        ([2.0], [2.0, 3.0], 1.0000001),
+        ([0.5, 1.0], [2.0, np.nan], 2.0),
+    ])
+    def test_first_failing_cell_raises_as_classify(self, alphas, betas, p):
+        cells = [(a, b) for a in sorted(alphas) for b in sorted(betas) if not -b >= a]
+        for a, b in cells:
+            try:
+                classify_alpha_beta(a, b, p)
+            except PreconditionError as exc:
+                expected = exc
+                break
+        else:
+            pytest.fail("no failing cell")
+        with pytest.raises(PreconditionError) as got:
+            phase_diagram(alphas, betas, p)
+        assert type(got.value) is type(expected)
+        assert str(got.value) == str(expected)
+
+    def test_single_phase_grid_builds_nothing(self):
+        # p = 1 is outside the log-power domain, but no cell needs an integrand
+        rows = phase_diagram([0.5, -1.0], [-2.0, -0.5], p=1.0)
+        assert [v for _, _, v in rows] == ["SinglePhase"] * 4
+
+    def test_work_is_per_axis_value(self, monkeypatch):
+        built, tails = [], []
+        post_init = LogPower.__post_init__
+        verdict = classifier.tail_integral_verdict
+
+        def counted_init(self):
+            built.append((self.p, self.gamma))
+            post_init(self)
+
+        def counted_verdict(f):
+            tails.append(f)
+            return verdict(f)
+
+        monkeypatch.setattr(LogPower, "__post_init__", counted_init)
+        monkeypatch.setattr(classifier, "tail_integral_verdict", counted_verdict)
+        rows = phase_diagram(GRID, GRID)
+        assert len(rows) == 36
+        # 6 phi and 6 psi integrands, and 6 conjugates of psi
+        assert len(built) <= 12 + 6
+        assert len(tails) <= 12
 
 
 class TestRegularityModulus:

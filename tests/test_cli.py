@@ -3,9 +3,12 @@
 import csv
 import functools
 import json
+import math
 import re
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from dpgap.cli import main
 from dpgap.fem import solve
@@ -238,6 +241,53 @@ class TestOneLineFailures:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [f"RANGE: resolution must lie in [1, {MAX_FIELDS_RESOLUTION}]"]
+
+
+# non-finite, zero, negative, subnormal, huge, just above 1 and typical
+EXTREMES = [math.nan, math.inf, -math.inf, 0.0, -0.5, -3.0, 1e-320, 1e308, 1e6,
+            1.0000001, 0.5, 1.0, 1.5, 2.0, 3.0]
+_axis = st.lists(st.sampled_from(EXTREMES), min_size=1, max_size=3)
+_contract = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _flag(name, values):
+    # the --name=value form, so argparse does not read "-3.0" as a flag
+    return f"--{name}=" + ",".join(repr(float(v)) for v in values)
+
+
+def _assert_exit_contract(code, err):
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err == ""
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert re.match(r"^[A-Z_]+: ", lines[0]), err
+
+
+class TestExitCodeContract:
+    """Every input exits 0, 2, 3 or 4, and a failure leaves one ``CODE:`` line;
+    NumPy warnings are errors here, so a warning on stderr fails too."""
+
+    @_contract
+    @given(alpha=st.sampled_from(EXTREMES), beta=st.sampled_from(EXTREMES),
+           p=st.sampled_from(EXTREMES))
+    @example(alpha=2.0, beta=2.0, p=1.0000001)  # knot beyond the double range
+    @example(alpha=2.0, beta=-3.0, p=1.0000001)  # psi* overflows
+    def test_classify(self, capsys, alpha, beta, p):
+        code, _, err = run(capsys, "classify", _flag("alpha", [alpha]),
+                           _flag("beta", [beta]), _flag("p", [p]))
+        _assert_exit_contract(code, err)
+
+    @_contract
+    @given(alphas=_axis, betas=_axis, p=st.sampled_from(EXTREMES))
+    @example(alphas=[1e308], betas=[1.0], p=2.0)  # psi overflows on the pair grid
+    @example(alphas=[2.0], betas=[2.0], p=1e6)  # Phi'' overflows on the knot grid
+    def test_phase_diagram(self, capsys, alphas, betas, p):
+        code, _, err = run(capsys, "phase-diagram", _flag("alphas", alphas),
+                           _flag("betas", betas), _flag("p", [p]))
+        _assert_exit_contract(code, err)
 
 
 class TestConfig:

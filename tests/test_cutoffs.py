@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dpgap import cutoffs
+from dpgap import cutoffs, orlicz
 from dpgap.cutoffs import (build_loglog_cutoff, build_psi_harmonic_cutoff,
                            cutoff_energy, euler_lagrange_residual,
                            find_inner_radius, solve_normalization_constant)
@@ -49,9 +49,8 @@ class TestDerivInverse:
                                    rtol=1e-9)
 
 
-def _inverse_reference(psi, ln_s):
-    """The bracket search followed by all 110 bisection steps."""
-    ln_s = np.atleast_1d(np.asarray(ln_s, dtype=np.float64))
+def _bracket_reference(psi, ln_s):
+    """The bracket search, evaluating both ends of every entry each round."""
     lo = np.minimum(ln_s, 4.0 * ln_s) - 100.0
     hi = np.maximum(ln_s, 4.0 * ln_s) + 100.0
     for _ in range(12):
@@ -62,6 +61,13 @@ def _inverse_reference(psi, ln_s):
         span = hi - lo
         lo = np.where(bad_lo, lo - span, lo)
         hi = np.where(bad_hi, hi + span, hi)
+    return lo, hi
+
+
+def _inverse_reference(psi, ln_s):
+    """The bracket search followed by all 110 bisection steps."""
+    ln_s = np.atleast_1d(np.asarray(ln_s, dtype=np.float64))
+    lo, hi = _bracket_reference(psi, ln_s)
     for _ in range(110):
         mid = 0.5 * (lo + hi)
         below = psi.log_deriv(mid) < ln_s
@@ -104,6 +110,34 @@ class TestLogDerivInverse:
         log_deriv_inverse(psi, self.LN_S)
         # the bracket holds every root at once: 2 evaluations, then Newton
         assert len(calls) - 2 <= 12
+
+    def test_bracket_evaluates_only_missed_ends(self, monkeypatch):
+        # ln s below ln psi'(0+) has no root: only those entries keep
+        # doubling (11 evaluations of their low end after the first 2 calls),
+        # and every entry ends with the bracket of the all-entry search
+        psi = LogPower(1.5, -3.0)
+        rootless = int(np.count_nonzero(self.LN_S < psi.log_deriv(-1e4)))
+        assert 0 < rootless < self.LN_S.size
+        lo_ref, hi_ref = _bracket_reference(psi, self.LN_S)
+        points = []
+        log_deriv = LogPower.log_deriv
+
+        def counted(psi, ln_t):
+            points.append(np.size(ln_t))
+            return log_deriv(psi, ln_t)
+
+        brackets = []
+
+        def bracket_only(f, ln_s, lo, hi, g_lo, g_hi):
+            brackets.append((lo, hi))
+            return lo
+
+        monkeypatch.setattr(orlicz, "_newton_in_log", bracket_only)
+        monkeypatch.setattr(LogPower, "log_deriv", counted)
+        log_deriv_inverse(psi, self.LN_S)
+        assert sum(points) == 2 * self.LN_S.size + 11 * rootless
+        [(lo, hi)] = brackets
+        assert lo.tobytes() == lo_ref.tobytes() and hi.tobytes() == hi_ref.tobytes()
 
     def test_shape_follows_input(self):
         psi = LogPower(2.0, 1.0)

@@ -82,6 +82,16 @@ class TestLogPower:
             with pytest.raises(DomainError):
                 PurePower(2.0, scale)
 
+    def test_knot_beyond_double_range_rejected(self):
+        # for p = 1 + 1e-7 and gamma = -2 the raw formula turns convex only
+        # near ln t ~ 2e7; the search overflows instead of finding it
+        with pytest.raises(DomainError, match="knot search failed"):
+            LogPower(1.0000001, -2.0)
+
+    def test_huge_exponent_knot_search_is_quiet(self):
+        # Phi'' overflows on the knot grid (RuntimeWarning is an error here)
+        assert LogPower(1e6, -2.0).knot == 0.0
+
     def test_rejects_huge_argument(self):
         with pytest.raises(DomainError):
             LogPower(2.0, 1.0)(1e301)
