@@ -2,13 +2,12 @@
 
 The gap criterion for the checkerboard pair (phi, psi) is: both
 ``int_0 phi(1/r) r dr`` and ``int_0 psi*(1/r) r dr`` finite.  After the
-substitution t = 1/r these become ``int_2^inf f(t) t^-3 dt``, tested by
-dyadic block sums with a fitted decay exponent; log-power descriptors take
-an exact closed-form path, so the borderline cells are decided exactly.
-
-psi* is ``orlicz.conjugate(psi)``, the one conjugate rule: the closed-form
-log-power conjugate for a ``LogPower``, the exact conjugate for a
-``PurePower``, and a numeric ``TabulatedConjugate`` for anything else.
+substitution t = 1/r these become ``int_2^inf f(t) t^-3 dt``, finite iff
+p < 2, or p = 2 and gamma < -1, for f = t^p log^gamma(e + t) (a ``LogPower``;
+gamma = 0 for a ``PurePower``).  The verdict is this closed form, so the
+borderline cells are decided exactly; dyadic block sums with a fitted decay
+exponent are only reported.  psi* is ``orlicz.conjugate(psi)``, in closed
+form for both integrand classes.
 
 A verdict has three parts, shared by ``classify`` and ``phase_diagram``: the
 pair check on phi and psi values at a fixed 60-point grid, one
@@ -26,20 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalError, PreconditionError, RangeError
-from .orlicz import LogPower, TabulatedConjugate, conjugate
+from .orlicz import LogPower, _check_integrand, conjugate
 
 CONVERGES = "Converges"
 DIVERGES = "Diverges"
-INCONCLUSIVE = "Inconclusive"
 
 GAP = "Gap"
 NO_GAP = "NoGap"
-
-# |fitted block-decay exponent + 1| below the margin is numerically
-# undecidable; tabulated conjugates inherit a growth-class bracket and use
-# the wider margin
-DYADIC_MARGIN = 0.05
-DYADIC_MARGIN_TABULATED = 0.15
 
 _K_MAX = 60
 _FIT_RANGE = (20, _K_MAX)
@@ -54,8 +46,8 @@ _GL_W = 0.5 * _GL_W
 class TailVerdict:
     status: str
     fitted_exponent: float
-    block_sums: list = field(default_factory=list, repr=False)
-    rule: str = "dyadic"
+    block_sums: list = field(repr=False)
+    rule: str
 
     def to_dict(self):
         return {
@@ -85,9 +77,9 @@ class RegimeReport:
 
 
 def _check_superlinear(f):
-    # p_- > 1 growth check on a grid: f(t)/t should grow
+    # f(t)/t should grow on a grid; for p > 1 it fails to grow only where f
+    # overflows to inf or NaN, and those fail the comparisons
     t = np.array([1e2, 1e4, 1e6])
-    # an overflow to inf or NaN fails the comparisons
     with np.errstate(all="ignore"):
         v = np.asarray(f(t)) / t
     if not (v[1] > v[0] and v[2] > v[1]):
@@ -98,11 +90,8 @@ def _dyadic_blocks(f):
     a = 2.0 ** np.arange(_K_MAX + 1)
     t = a[:, None] * (1.0 + _GL_X)  # row k: block [2^k, 2^{k+1}]
     with np.errstate(over="ignore"):
-        if hasattr(f, "log_eval"):
-            # overflow-free: f(t)/t^3 = exp(log f - 3 ln t)
-            vals = np.exp(np.asarray(f.log_eval(np.log(t))) - 3.0 * np.log(t))
-        else:
-            vals = np.asarray(f(t)) / t**3
+        # overflow-free: f(t)/t^3 = exp(log f - 3 ln t)
+        vals = np.exp(np.asarray(f.log_eval(np.log(t))) - 3.0 * np.log(t))
     sums = np.sum(_GL_W * vals, axis=1) * a
     if not np.all(np.isfinite(sums)):
         raise NumericalError("non-finite dyadic block sum")
@@ -121,28 +110,20 @@ def _fit_exponent(sums):
 
 
 def tail_integral_verdict(f):
-    """Convergence of int_2^inf f(t) t^-3 dt (= int_0^{1/2} f(1/r) r dr)."""
+    """Convergence of int_2^inf f(t) t^-3 dt (= int_0^{1/2} f(1/r) r dr) for
+    a ``LogPower`` or ``PurePower`` f, in closed form from its (p, gamma)."""
+    _check_integrand(f, "tail_integral_verdict")
+    gamma = f.gamma if isinstance(f, LogPower) else 0.0
     _check_superlinear(f)
-
-    if isinstance(f, LogPower):
-        sums = _dyadic_blocks(f)
-        fitted = _fit_exponent(sums)
-        if f.p < 2.0:
-            return TailVerdict(CONVERGES, fitted, sums, rule="closed_form p<2")
-        if f.p > 2.0:
-            return TailVerdict(DIVERGES, fitted, sums, rule="closed_form p>2")
-        status = CONVERGES if f.gamma < -1.0 else DIVERGES
-        return TailVerdict(status, fitted, sums,
-                           rule=f"closed_form p=2, gamma {'<' if f.gamma < -1 else '>='} -1")
-
-    margin = (DYADIC_MARGIN_TABULATED if isinstance(f, TabulatedConjugate)
-              else DYADIC_MARGIN)
     sums = _dyadic_blocks(f)
     fitted = _fit_exponent(sums)
-    if abs(fitted + 1.0) < margin:
-        return TailVerdict(INCONCLUSIVE, fitted, sums)
-    status = CONVERGES if fitted < -1.0 else DIVERGES
-    return TailVerdict(status, fitted, sums)
+    if f.p < 2.0:
+        return TailVerdict(CONVERGES, fitted, sums, rule="closed_form p<2")
+    if f.p > 2.0:
+        return TailVerdict(DIVERGES, fitted, sums, rule="closed_form p>2")
+    status = CONVERGES if gamma < -1.0 else DIVERGES
+    return TailVerdict(status, fitted, sums,
+                       rule=f"closed_form p=2, gamma {'<' if gamma < -1 else '>='} -1")
 
 
 _PAIR_GRID = np.logspace(0.0, 8.0, 60)
@@ -171,13 +152,11 @@ def _check_pair(phi_vals, psi_vals):
 
 def _verdict(phi_tail, psi_star_tail):
     """(verdict, rule) from the two tail verdicts: Gap iff both converge."""
-    statuses = (phi_tail.status, psi_star_tail.status)
-    if statuses == (CONVERGES, CONVERGES):
-        return GAP, "both tail integrals finite"
-    if DIVERGES in statuses:
-        which = "phi" if phi_tail.status == DIVERGES else "psi*"
-        return NO_GAP, f"{which} tail integral infinite"
-    return INCONCLUSIVE, "borderline dyadic fit"
+    if phi_tail.status == DIVERGES:
+        return NO_GAP, "phi tail integral infinite"
+    if psi_star_tail.status == DIVERGES:
+        return NO_GAP, "psi* tail integral infinite"
+    return GAP, "both tail integrals finite"
 
 
 def classify(phi, psi):

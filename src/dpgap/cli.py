@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from . import classifier, cutoffs, geometry
-from .errors import DpgapError, NonConvergedError, PreconditionError, RangeError
+from .errors import (DpgapError, NonConvergedError, NumericalError, PreconditionError,
+                     RangeError)
 from .fem.solve import OBJECTIVE_DIRICHLET, OBJECTIVE_G, gap_experiment
 from .orlicz import LogPower, conjugate_log_power, conjugate_numeric, luxemburg_norm
 
@@ -193,10 +194,16 @@ def _cmd_conjugate(args):
     samples = _parse_floats(args.s)
     if not all(s > 0.0 for s in samples):
         raise RangeError("conjugate samples must be positive")
-    numeric = conjugate_numeric(LogPower(args.p, args.gamma), samples)
-    ratios = [{"s": s, "numeric": num, "closed_form": float(star(s)),
-               "ratio": num / float(star(s))}
-              for s, num in zip(samples, numeric.tolist())]
+    # extreme exponents overflow or underflow in both conjugates
+    with np.errstate(all="ignore"):
+        numeric = conjugate_numeric(LogPower(args.p, args.gamma), samples)
+        closed = np.array([float(star(s)) for s in samples])
+        ratio = numeric / closed
+    if not np.all(np.isfinite([numeric, closed, ratio])):
+        raise NumericalError("conjugate or ratio not finite in double precision")
+    ratios = [{"s": s, "numeric": num, "closed_form": cf, "ratio": r}
+              for s, num, cf, r in zip(samples, numeric.tolist(), closed.tolist(),
+                                       ratio.tolist())]
     _write_text(args.out, _dump_json({
         "p": args.p, "gamma": args.gamma,
         "conjugate": {"p": star.p, "gamma": star.gamma},

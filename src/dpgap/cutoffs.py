@@ -101,22 +101,25 @@ class RadialCutoff:
         return np.column_stack([r, self.eta_table, ep, self.ln_r])
 
 
-def _check_radii(ln_r1, ln_r2):
-    if not (_LN_R_MIN <= ln_r1 < ln_r2 <= np.log(0.5)):
+def _log_radii(r1, r2):
+    """(ln r1, ln r2); NaN fails the first test, so no log sees r <= 0."""
+    if not (0.0 < r1 < r2 <= 0.5 and _LN_R_MIN <= np.log(r1) < np.log(r2)):
         raise RangeError("radii must satisfy 0 < r1 < r2 <= 1/2 "
                          "within double-precision range")
+    return np.log(r1), np.log(r2)
 
 
 def _normalization_integral(psi, ln_c, u_grid):
-    # int_{r1}^{r2} (psi')^{-1}(c/rho) drho, evaluated as exp(ln t + u) in u = ln rho
+    # int_{r1}^{r2} (psi')^{-1}(c/rho) drho, evaluated as exp(ln t + u) in u = ln rho;
+    # an overflow to inf only means the integral is far above 1
     ln_t = log_deriv_inverse(psi, ln_c - u_grid)
-    return float(np.trapezoid(np.exp(ln_t + u_grid), u_grid))
+    with np.errstate(over="ignore"):
+        return float(np.trapezoid(np.exp(ln_t + u_grid), u_grid))
 
 
 def solve_normalization_constant(psi, r1, r2):
     """The unique c > 0 with int_{r1}^{r2} (psi')^{-1}(c/rho) drho = 1."""
-    _check_radii(np.log(r1), np.log(r2))
-    u_grid = np.linspace(np.log(r1), np.log(r2), N_NODES)
+    u_grid = np.linspace(*_log_radii(r1, r2), N_NODES)
 
     def gap(ln_c):
         return _normalization_integral(psi, ln_c, u_grid) - 1.0
@@ -147,8 +150,8 @@ def solve_normalization_constant(psi, r1, r2):
 
 def build_psi_harmonic_cutoff(psi, r1, r2):
     """Radial cutoff with eta'(r) = (psi')^{-1}(c/r), eta(r1)=0, eta(r2)=1."""
-    _check_radii(np.log(r1), np.log(r2))
-    u = np.linspace(np.log(r1), np.log(r2), N_NODES)
+    ln_r1, ln_r2 = _log_radii(r1, r2)
+    u = np.linspace(ln_r1, ln_r2, N_NODES)
     c = solve_normalization_constant(psi, r1, r2)
     ln_ep = log_deriv_inverse(psi, np.log(c) - u)
     # cumulative trapezoid of eta' dr = e^{ln eta' + u} du reuses the
@@ -157,7 +160,7 @@ def build_psi_harmonic_cutoff(psi, r1, r2):
     eta = np.concatenate([[0.0], np.cumsum(
         0.5 * (integrand[1:] + integrand[:-1]) * np.diff(u))])
     cut = RadialCutoff(kind=PSI_HARMONIC, r1=float(r1), r2=float(r2),
-                       ln_r1=float(np.log(r1)), ln_r2=float(np.log(r2)),
+                       ln_r1=float(ln_r1), ln_r2=float(ln_r2),
                        c=c, ln_r=u, eta_table=eta,
                        ln_eta_prime_table=ln_ep, psi=psi)
     return replace(cut, energy_certificate=cutoff_energy(cut, psi))
@@ -225,8 +228,9 @@ def _loglog_eta_from_log(ln_r, eps):
 
 def build_loglog_cutoff(eps):
     """Three-branch profile: 0 below e^{-1/eps}, log-log ramp, 1 above eps."""
-    if not (0.0 < eps < 0.1):
-        raise RangeError("eps must lie in (0, 1/10)")
+    # below about 5.6e-309, ln r1 = -1/eps overflows
+    if not (0.0 < eps < 0.1 and 1.0 / eps < np.inf):
+        raise RangeError("eps must lie in (0, 1/10), with 1/eps finite")
     ln_r2 = float(np.log(eps))
     ln_r1 = float(-1.0 / eps)
     # nodes equispaced in w = ln ln(1/r), where the ramp is linear
@@ -253,22 +257,24 @@ def cutoff_energy(cutoff, integrand):
 
 
 def _scalar_energy(cutoff, f):
-    if cutoff.kind == PSI_HARMONIC:
-        x = cutoff.ln_r
-        ln_vals = f.log_eval(cutoff.ln_eta_prime_table) + 2.0 * x
-    else:
-        d = _loglog_denominator(cutoff.eps)
-        # u = ln(1/r) in [ln(1/eps), 1/eps]; x = ln u keeps the huge range
-        # tractable; eta' = e^(u + q) = e^u / (u d) and the integrand is
-        # f(eta') e^{-2u} u dx = (f(eta') / eta'^2) e^{2q} u dx, with f / eta'^2
-        # taken inside log_eval: ln eta' reaches 1/eps, where subtracting
-        # 2 ln eta' from ln f(eta') would cancel every bit
-        x = np.linspace(np.log(np.log(1.0 / cutoff.eps)), np.log(1.0 / cutoff.eps),
-                        _ENERGY_NODES)
-        uu = np.exp(x)
-        q = -(np.log(uu) + np.log(d))
-        ln_vals = f.log_eval(uu + q, 2.0) + 2.0 * q + x
-    with np.errstate(over="ignore"):
+    # a huge exponent overflows log_eval itself (to inf, or to NaN from
+    # inf - inf); the finiteness check below rejects both
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cutoff.kind == PSI_HARMONIC:
+            x = cutoff.ln_r
+            ln_vals = f.log_eval(cutoff.ln_eta_prime_table) + 2.0 * x
+        else:
+            d = _loglog_denominator(cutoff.eps)
+            # u = ln(1/r) in [ln(1/eps), 1/eps]; x = ln u keeps the huge range
+            # tractable; eta' = e^(u + q) = e^u / (u d) and the integrand is
+            # f(eta') e^{-2u} u dx = (f(eta') / eta'^2) e^{2q} u dx, with
+            # f / eta'^2 taken inside log_eval: ln eta' reaches 1/eps, where
+            # subtracting 2 ln eta' from ln f(eta') would cancel every bit
+            x = np.linspace(np.log(np.log(1.0 / cutoff.eps)), np.log(1.0 / cutoff.eps),
+                            _ENERGY_NODES)
+            uu = np.exp(x)
+            q = -(np.log(uu) + np.log(d))
+            ln_vals = f.log_eval(uu + q, 2.0) + 2.0 * q + x
         vals = np.exp(ln_vals)
     if not np.all(np.isfinite(vals)):
         raise EnergyOverflowError("integrand overflowed in the energy quadrature")

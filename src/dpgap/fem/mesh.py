@@ -193,9 +193,10 @@ def build_mesh(n, grading=1.0, quadrant=False):
 
     Only the geometry: the quadrature rule is built on its first read.
     """
-    n = int(n)
-    if n < 8:
+    # NaN fails the comparison, where int() would raise a bare ValueError
+    if not (8 <= n < np.inf):
         raise MeshError("resolution n >= 8 required")
+    n = int(n)
     if not (1.0 <= grading < np.inf):
         raise MeshError("finite grading exponent >= 1 required")
     xs = _graded_axis(n, float(grading))

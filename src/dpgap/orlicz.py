@@ -7,16 +7,15 @@ origin and is replaced below a knot ``t0`` by a quadratic substitute
 matching value and slope at the knot; only large-t behaviour matters for
 anything built on top.
 
-This module is the only one that knows how an integrand behaves in log
-space (``log_eval``, ``log_deriv``, ``log_deriv_slope``) and which conjugate
-stands for it (``conjugate``); the classifier and the cutoffs ask the
-integrand.  For a ``LogPower`` each log-space value is one closed form in
-ln t, finite over the full double range and exact to the knot:
-``log_eval(ln_t, k)`` is ln(Phi(t) / t^k), and the integrand itself goes
-through it above 1e8.  ``log_deriv_inverse`` is the one inverse of Phi': a
-safeguarded Newton iteration in ln t on ``log_deriv``, whose slope is
-``log_deriv_slope``.  The psi-harmonic cutoffs and ``conjugate_numeric`` both
-go through it.
+The integrands are ``LogPower`` and ``PurePower`` (c t^p), and this module
+is the only one that knows how they behave in log space (``log_eval``,
+``log_deriv``, ``log_deriv_slope``) and which closed-form conjugate stands
+for each (``conjugate``).  For a ``LogPower`` each log-space value is one
+closed form in ln t, exact to the knot: ``log_eval(ln_t, k)`` is
+ln(Phi(t) / t^k), and the integrand itself goes through it above 1e8.
+``log_deriv_inverse`` is the one inverse of Phi': a safeguarded Newton
+iteration in ln t on ``log_deriv``, whose slope is ``log_deriv_slope``.  The
+psi-harmonic cutoffs and ``conjugate_numeric`` both go through it.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .errors import DomainError, NormOverflowError, UnboundedConjugateError
@@ -390,32 +388,6 @@ def _newton_in_log(f, ln_s, lo, hi, g_lo, g_hi):
     return x
 
 
-class TabulatedConjugate:
-    """Numeric conjugate of a base N-function, cached on a log grid.
-
-    512 log-spaced nodes with monotone (PCHIP in log-log) interpolation;
-    outside the table the interpolant's own extrapolation is used.
-    """
-
-    N_NODES = 512
-    S_RANGE = (1.0e-6, 1.0e9)
-
-    def __init__(self, base):
-        s = np.logspace(math.log10(self.S_RANGE[0]), math.log10(self.S_RANGE[1]),
-                        self.N_NODES)
-        vals = conjugate_numeric(base, s)
-        pos = vals > 0.0
-        self._interp = PchipInterpolator(np.log(s[pos]), np.log(vals[pos]),
-                                         extrapolate=True)
-
-    def __call__(self, s):
-        s = _check_arg(s)
-        out = np.zeros_like(s)
-        pos = s > 0.0
-        out[pos] = np.exp(self._interp(np.log(s[pos])))
-        return out
-
-
 def conjugate_log_power(p, gamma):
     """Closed-form conjugate exponents: (p, gamma) -> (p', gamma/(1-p)).
 
@@ -429,60 +401,56 @@ def conjugate_log_power(p, gamma):
         raise DomainError("conjugate_log_power requires a finite gamma")
     fp = Fraction(p).limit_denominator(10**12)
     fg = Fraction(gamma).limit_denominator(10**12)
-    q = fp / (fp - 1)
-    gq = fg / (1 - fp)
-    return LogPower(float(q), float(gq))
+    try:
+        q, gq = float(fp / (fp - 1)), float(fg / (1 - fp))
+    except OverflowError as exc:
+        raise DomainError("conjugate exponent gamma/(1-p) overflows") from exc
+    return LogPower(q, gq)
+
+
+def _check_integrand(f, caller):
+    if not isinstance(f, (LogPower, PurePower)):
+        raise DomainError(f"{caller} takes a LogPower or a PurePower, "
+                          f"not {type(f).__name__}")
 
 
 def conjugate(f):
     """The conjugate that stands for f*: the closed-form growth-class
-    representative for a LogPower, the exact conjugate for a PurePower, and
-    a numeric table for anything else."""
+    representative for a LogPower and the exact conjugate for a PurePower."""
     if isinstance(f, LogPower):
         return conjugate_log_power(f.p, f.gamma)
-    if isinstance(f, PurePower):
-        q = f.p / (f.p - 1.0)
-        cq = (f.p - 1.0) / f.p * (f.scale * f.p) ** (1.0 / (1.0 - f.p))
-        return PurePower(q, cq)
-    return TabulatedConjugate(f)
+    _check_integrand(f, "conjugate")
+    q = f.p / (f.p - 1.0)
+    cq = (f.p - 1.0) / f.p * (f.scale * f.p) ** (1.0 / (1.0 - f.p))
+    return PurePower(q, cq)
 
 
 def conjugate_numeric(f, s):
-    """Legendre-Fenchel conjugate sup_t (s t - f(t)) of a convex N-function,
-    elementwise in s; a scalar s gives a float.
+    """Legendre-Fenchel conjugate sup_t (s t - f(t)) of a ``LogPower`` or
+    ``PurePower`` f, elementwise in s; a scalar s gives a float.
 
-    The supremum is s t* - f(t*) at the t* in [1e-12, 1e12] with f'(t*) = s.
-    For an integrand with ``log_deriv``, t* comes from the Newton iteration of
-    ``log_deriv_inverse`` on that bracket; otherwise from ``brentq`` on
-    ``f.deriv``.  Where f'(1e-12) >= s it is the endpoint value
-    max(0, s 1e-12 - f(1e-12)); an s above f'(1e12) raises
-    ``UnboundedConjugateError``.
+    The supremum is s t* - f(t*) at the t* in [1e-12, 1e12] with f'(t*) = s,
+    found by the Newton iteration of ``log_deriv_inverse`` on that bracket.
+    Where f'(1e-12) >= s it is the endpoint value max(0, s 1e-12 - f(1e-12));
+    an s above f'(1e12) raises ``UnboundedConjugateError``.
     """
+    _check_integrand(f, "conjugate_numeric")
     s = np.asarray(s, dtype=np.float64)
     if not np.all((s >= 0.0) & (s < math.inf)):
         raise DomainError("conjugate argument must be finite and nonnegative")
     lo, hi = _CONJ_BRACKET
     flat = s.ravel()
     pos = flat > 0.0
-    log_space = hasattr(f, "log_deriv")
-    # g_lo, g_hi: f' - s at the ends of the bracket, in log space if f has one
-    if log_space:
-        ln_s = np.log(flat, out=np.full_like(flat, -math.inf), where=pos)
-        g_lo, g_hi = (v - ln_s for v in f.log_deriv(np.log(_CONJ_BRACKET)))
-    else:
-        g_lo, g_hi = (float(f.deriv(v)) - flat for v in _CONJ_BRACKET)
+    # g_lo, g_hi: ln f' - ln s at the ends of the bracket
+    ln_s = np.log(flat, out=np.full_like(flat, -math.inf), where=pos)
+    g_lo, g_hi = (v - ln_s for v in f.log_deriv(np.log(_CONJ_BRACKET)))
     if np.any(g_hi < 0.0):
         raise UnboundedConjugateError(
             f"f' never reaches {flat[g_hi < 0.0][0]} on [{lo}, {hi}]")
     inner = pos & (g_lo < 0.0)
-    if log_space:
-        n = np.count_nonzero(inner)
-        t_star = np.exp(_newton_in_log(f, ln_s[inner], np.full(n, math.log(lo)),
-                                       np.full(n, math.log(hi)), g_lo[inner], g_hi[inner]))
-    else:
-        t_star = np.array([brentq(lambda t: float(f.deriv(t)) - v, lo, hi,
-                                  xtol=1e-300, rtol=1e-12, maxiter=200)
-                           for v in flat[inner]])
+    n = np.count_nonzero(inner)
+    t_star = np.exp(_newton_in_log(f, ln_s[inner], np.full(n, math.log(lo)),
+                                   np.full(n, math.log(hi)), g_lo[inner], g_hi[inner]))
     out = np.zeros_like(flat)
     out[inner] = flat[inner] * t_star - f(t_star)
     # elsewhere the supremum is attained at (numerical) zero
@@ -496,6 +464,8 @@ def luxemburg_norm(values, weights, f):
     """inf{gamma > 0 : sum_i w_i f(|v_i| / gamma) <= 1} by bisection."""
     values = np.abs(np.asarray(values, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != values.shape:
+        raise DomainError("values and quadrature weights must have the same shape")
     if not np.all((weights > 0.0) & (weights < math.inf)):
         raise DomainError("quadrature weights must be finite and positive")
     if not np.any(values > 0.0):

@@ -8,7 +8,7 @@ from dpgap.classifier import (CONVERGES, DIVERGES, GAP, NO_GAP,
                               classify, classify_alpha_beta, phase_diagram,
                               regularity_modulus_check, tail_integral_verdict)
 from dpgap.errors import DomainError, NumericalError, PreconditionError
-from dpgap.orlicz import LogPower, PurePower, TabulatedConjugate, conjugate
+from dpgap.orlicz import LogPower, PurePower, conjugate
 
 GRID = [0.25, 0.5, 1.0, 1.25, 2.0, 3.0]
 
@@ -41,6 +41,23 @@ class TestTailVerdict:
         with pytest.raises(PreconditionError):
             tail_integral_verdict(lambda t: np.sqrt(t))
 
+    @pytest.mark.parametrize("p, status", [(1.5, CONVERGES), (1.95, CONVERGES),
+                                           (1.99, CONVERGES), (1.999, CONVERGES),
+                                           (2.0, DIVERGES), (2.001, DIVERGES),
+                                           (2.5, DIVERGES)])
+    def test_pure_power_closed_form(self, p, status):
+        # int_2^inf t^(p-3) dt is finite iff p < 2; the block sums decay like
+        # 2^(k(p-2)), which a power fit in k reads as -0.26 for p = 1.99
+        v = tail_integral_verdict(PurePower(p))
+        assert v.status == status
+        assert v.rule.startswith("closed_form")
+
+    @pytest.mark.parametrize("f", [lambda t: t**3, np.square, "t^3", None],
+                             ids=["lambda", "ufunc", "str", "None"])
+    def test_other_integrand_raises(self, f):
+        with pytest.raises(DomainError, match="LogPower or a PurePower"):
+            tail_integral_verdict(f)
+
 
 def _dyadic_blocks_reference(f):
     """One block [2^k, 2^{k+1}] at a time."""
@@ -49,18 +66,14 @@ def _dyadic_blocks_reference(f):
         a = 2.0 ** k
         t = a * (1.0 + classifier._GL_X)
         with np.errstate(over="ignore"):
-            if hasattr(f, "log_eval"):
-                vals = np.exp(np.asarray(f.log_eval(np.log(t))) - 3.0 * np.log(t))
-            else:
-                vals = np.asarray(f(t)) / t**3
+            vals = np.exp(np.asarray(f.log_eval(np.log(t))) - 3.0 * np.log(t))
         sums.append(float(np.sum(classifier._GL_W * vals) * a))
     return sums
 
 
 class TestDyadicBlocks:
     def test_matches_blockwise_reference(self):
-        cases = [PurePower(2.5), TabulatedConjugate(PurePower(3.0)),
-                 lambda t: t**2 * np.log(np.e + t)]
+        cases = [PurePower(2.5), conjugate(PurePower(3.0))]
         for gamma in np.linspace(0.0, 3.0, 13):
             for g in {gamma, -gamma}:
                 f = LogPower(2.0, float(g))
@@ -69,8 +82,9 @@ class TestDyadicBlocks:
             assert classifier._dyadic_blocks(f) == _dyadic_blocks_reference(f), f
 
     def test_non_finite_sum_raises(self):
+        # t^400 / t^3 overflows past t ~ 2^2.6
         with pytest.raises(NumericalError):
-            classifier._dyadic_blocks(lambda t: np.where(t > 1e6, np.inf, t**2))
+            classifier._dyadic_blocks(PurePower(400.0))
 
 
 class TestClassify:
@@ -104,24 +118,17 @@ class TestClassify:
         with pytest.raises(PreconditionError):
             classify(LogPower(2.0, 1.0), LogPower(2.0, -1.0))
 
+    # psi* = c s^(p/(p-1)); for p = 2.01 the exponent is below 2, so its tail
+    # converges though the fitted block-decay exponent is nowhere near -1
     @pytest.mark.parametrize("p,status", [(2.0, DIVERGES), (2.5, CONVERGES),
-                                          (3.0, CONVERGES), (4.0, CONVERGES)])
-    def test_pure_power_psi_uses_exact_conjugate(self, monkeypatch, p, status):
-        tables = []
-        init = TabulatedConjugate.__init__
-
-        def counted(self, base):
-            tables.append(base)
-            init(self, base)
-
-        monkeypatch.setattr(TabulatedConjugate, "__init__", counted)
+                                          (3.0, CONVERGES), (4.0, CONVERGES),
+                                          (2.01, CONVERGES)])
+    def test_pure_power_psi_uses_exact_conjugate(self, p, status):
         rep = classify(LogPower(p, -1.0), PurePower(p))
         assert rep.psi_star_tail.status == status
-        assert tables == []
 
     def test_pure_power_psi_below_two(self):
-        # psi'(1e12) = 1.5e6 is below the 1e9 top of a conjugate table, so no
-        # numeric table can be built; the exact conjugate, c s^3, needs none
+        # the exact conjugate is c s^3, whose tail diverges
         rep = classify(LogPower(1.5, -1.0), PurePower(1.5))
         assert rep.psi_star_tail.status == DIVERGES
 

@@ -247,6 +247,8 @@ class TestOneLineFailures:
 EXTREMES = [math.nan, math.inf, -math.inf, 0.0, -0.5, -3.0, 1e-320, 1e308, 1e6,
             1.0000001, 0.5, 1.0, 1.5, 2.0, 3.0]
 _axis = st.lists(st.sampled_from(EXTREMES), min_size=1, max_size=3)
+# a flag left out (None) takes its default
+_optional = st.none() | st.sampled_from(EXTREMES)
 _contract = settings(max_examples=60, deadline=None,
                      suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -287,6 +289,33 @@ class TestExitCodeContract:
     def test_phase_diagram(self, capsys, alphas, betas, p):
         code, _, err = run(capsys, "phase-diagram", _flag("alphas", alphas),
                            _flag("betas", betas), _flag("p", [p]))
+        _assert_exit_contract(code, err)
+
+    @_contract
+    @given(kind=st.sampled_from(["loglog", "psi-harmonic"]),
+           values=st.fixed_dictionaries({name: _optional for name in
+                                         ("eps", "alpha", "p", "r1", "r2", "delta")}))
+    @example(kind="psi-harmonic", values={"alpha": 1.0, "r1": 0.0})  # log before the check
+    @example(kind="psi-harmonic", values={"alpha": 1.0, "r1": -0.5})
+    @example(kind="psi-harmonic", values={"alpha": 1.0, "r1": 0.01, "r2": 0.0})
+    # the first probe of the inner-radius search overflows
+    @example(kind="psi-harmonic", values={"alpha": -3.0, "p": 1.5, "r2": 0.4, "delta": 0.5})
+    @example(kind="loglog", values={"eps": 1e-320})  # ln r1 = -1/eps overflows
+    @example(kind="loglog", values={"alpha": 0.0, "p": 1e308})  # log_eval overflows
+    def test_cutoff(self, capsys, kind, values):
+        flags = [_flag(name, [v]) for name, v in values.items() if v is not None]
+        code, _, err = run(capsys, "cutoff", f"--kind={kind}", *flags)
+        _assert_exit_contract(code, err)
+
+    @_contract
+    @given(p=st.sampled_from(EXTREMES), gamma=st.sampled_from(EXTREMES), s=_axis)
+    @example(p=2.0, gamma=0.0, s=[1e-320])  # the closed form underflows to 0
+    @example(p=1.5, gamma=1e308, s=[1.5])  # gamma / (1 - p) overflows
+    @example(p=1e6, gamma=1e308, s=[1e-320])  # ln f' overflows
+    @example(p=1.0000001, gamma=1e6, s=[1e6])  # the closed form overflows
+    def test_conjugate(self, capsys, p, gamma, s):
+        code, _, err = run(capsys, "conjugate", _flag("p", [p]), _flag("gamma", [gamma]),
+                           _flag("s", s))
         _assert_exit_contract(code, err)
 
 

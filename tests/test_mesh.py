@@ -45,6 +45,11 @@ class TestConstruction:
             with pytest.raises(MeshError):
                 build_mesh(8, grading=grading)
 
+    @pytest.mark.parametrize("n", [np.nan, np.inf, -np.inf, 7.9, -8], ids=str)
+    def test_rejects_bad_resolution(self, n):
+        with pytest.raises(MeshError, match="resolution n >= 8"):
+            build_mesh(n)
+
 
 class TestPhase:
     def test_elements_are_single_phase(self, mesh8):

@@ -8,9 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpgap.errors import DomainError, UnboundedConjugateError
-from dpgap.orlicz import (LogPower, PurePower, TabulatedConjugate, conjugate,
-                          conjugate_log_power, conjugate_numeric, double_phase_log,
-                          luxemburg_norm)
+from dpgap.orlicz import (LogPower, PurePower, conjugate, conjugate_log_power,
+                          conjugate_numeric, double_phase_log, luxemburg_norm)
+
+
+class Quadratic:
+    """t^2 with a derivative, but neither a LogPower nor a PurePower."""
+
+    def __call__(self, t):
+        return np.asarray(t, dtype=np.float64) ** 2
+
+    def deriv(self, t):
+        return 2.0 * np.asarray(t, dtype=np.float64)
+
 
 CONJ_CASES = [(2.0, 1.0), (2.0, -1.0), (2.0, 2.0), (2.0, -2.0), (3.0, 2.0)]
 # knotted (p, gamma) pairs: the quadratic substitute runs up to 4.5, 175, 765
@@ -242,18 +252,13 @@ class TestConjugate:
         for s in (0.5, 10.0, 1e4):
             assert float(star(s)) == pytest.approx(conjugate_numeric(f, s), rel=1e-10)
 
-    def test_rule_other_integrand_is_tabulated(self):
-        class Quadratic:
-            def __call__(self, t):
-                return np.asarray(t, dtype=np.float64) ** 2
-
-            def deriv(self, t):
-                return 2.0 * np.asarray(t, dtype=np.float64)
-
-        star = conjugate(Quadratic())
-        assert isinstance(star, TabulatedConjugate)
-        s = np.array([1e-3, 1.0, 1e3])
-        np.testing.assert_allclose(star(s), s**2 / 4.0, rtol=1e-9)
+    @pytest.mark.parametrize("f", [Quadratic(), lambda t: t * t, "t^2", None],
+                             ids=["class", "lambda", "str", "None"])
+    def test_other_integrand_raises(self, f):
+        with pytest.raises(DomainError, match="LogPower or a PurePower"):
+            conjugate(f)
+        with pytest.raises(DomainError, match="LogPower or a PurePower"):
+            conjugate_numeric(f, 1.0)
 
     @pytest.mark.parametrize("p,gamma", CONJ_CASES)
     def test_numeric_within_bracket(self, p, gamma):
@@ -325,32 +330,6 @@ class TestConjugate:
         assert conjugate_numeric(f, np.array([0.5 * a1, 2.0 * a1]))[0] == 0.0
         assert conjugate_numeric(f, 2.0 * a1) > 0.0
 
-    def test_log_space_integrands_never_reach_brentq(self, monkeypatch):
-        from dpgap import orlicz
-
-        fs = [LogPower(2.0, 1.0), LogPower(2.0, -2.0), LogPower(2.0, -5.0), PurePower(2.0)]
-        calls = []
-        monkeypatch.setattr(orlicz, "brentq", lambda *a, **k: calls.append(1))
-        for f in fs:
-            conjugate_numeric(f, 1e3)
-            conjugate_numeric(f, np.logspace(-6.0, 3.0, 16))
-        TabulatedConjugate(LogPower(2.0, 1.0))
-        assert calls == []
-
-    def test_tabulated_builds_its_nodes_in_one_call(self, monkeypatch):
-        from dpgap import orlicz
-
-        calls = []
-        numeric = orlicz.conjugate_numeric
-
-        def counted(f, s):
-            calls.append(np.size(s))
-            return numeric(f, s)
-
-        monkeypatch.setattr(orlicz, "conjugate_numeric", counted)
-        TabulatedConjugate(PurePower(3.0))
-        assert calls == [TabulatedConjugate.N_NODES]
-
 
 class TestYoung:
     def test_gap_nonnegative_random(self):
@@ -394,6 +373,16 @@ class TestLuxemburg:
     def test_bad_weights_rejected(self, weights):
         with pytest.raises(DomainError, match="finite and positive"):
             luxemburg_norm(np.ones(4), weights, PurePower(2.0))
+
+    @pytest.mark.parametrize("values, weights", [([1.0, 1.0, 1.0], [1.0, 1.0]),
+                                                 ([1.0, 1.0], [0.5]),
+                                                 ([1.0, 1.0], 0.5),
+                                                 (1.0, [0.5, 0.5])],
+                             ids=["longer-values", "one-weight", "scalar-weight",
+                                  "scalar-value"])
+    def test_mismatched_shapes_rejected(self, values, weights):
+        with pytest.raises(DomainError, match="same shape"):
+            luxemburg_norm(values, weights, PurePower(2.0))
 
     def test_triangle_inequality_random(self):
         rng = np.random.default_rng(11)
