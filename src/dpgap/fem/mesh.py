@@ -38,6 +38,9 @@ _QBARY = np.array([
 _QWEIGHTS = np.array([_QW1, _QW1, _QW1, _QW2, _QW2, _QW2])
 
 ORIGIN_SUBDIV_LEVELS = 3
+# checked before anything is allocated: the full mesh at n = 1024 has 16.8M
+# triangles, and a quadrant gap level at n = 512 already peaks at 1.2 GiB
+MAX_MESH_RESOLUTION = 1024
 
 
 @dataclass(frozen=True)
@@ -194,8 +197,8 @@ def build_mesh(n, grading=1.0, quadrant=False):
     Only the geometry: the quadrature rule is built on its first read.
     """
     # NaN fails the comparison, where int() would raise a bare ValueError
-    if not (8 <= n < np.inf):
-        raise MeshError("resolution n >= 8 required")
+    if not (8 <= n <= MAX_MESH_RESOLUTION):
+        raise MeshError(f"resolution n >= 8 and at most {MAX_MESH_RESOLUTION} required")
     n = int(n)
     if not (1.0 <= grading < np.inf):
         raise MeshError("finite grading exponent >= 1 required")

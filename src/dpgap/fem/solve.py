@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..classifier import CONVERGES, classify_alpha_beta
+from ..classifier import GAP, classify_alpha_beta
 from ..errors import GapPreconditionError, RangeError
 from ..geometry import eval_u2
 from ..orlicz import double_phase_log
@@ -228,13 +228,6 @@ class GapReport:
         }
 
 
-def _g_mode_admissible(report):
-    # the gap demonstration needs b2 in the conjugate class (psi* tail
-    # finite) and the jump direction in the energy space (phi tail finite)
-    return (report.psi_star_tail.status == CONVERGES
-            and report.phi_tail.status == CONVERGES)
-
-
 def gap_experiment(alpha, beta, levels, grading=2.0, mode=None, force_g=False):
     """Minimize over conforming vs enriched spaces across mesh levels.
 
@@ -253,15 +246,18 @@ def gap_experiment(alpha, beta, levels, grading=2.0, mode=None, force_g=False):
     if levels != sorted(levels):
         raise RangeError("mesh levels must be ascending")
     regime = classify_alpha_beta(alpha, beta)
+    # G mode needs b2 in the conjugate class (psi* tail finite) and the jump
+    # direction in the energy space (phi tail finite): the Gap verdict
+    g_admissible = regime.verdict == GAP
     note = None
     if mode is None:
-        if _g_mode_admissible(regime):
+        if g_admissible:
             mode = OBJECTIVE_G
         else:
             mode = OBJECTIVE_DIRICHLET
             note = ("the pair fails the dual-integrability preconditions "
                     "of G mode; fell back to Dirichlet mode")
-    elif mode == OBJECTIVE_G and not _g_mode_admissible(regime) and not force_g:
+    elif mode == OBJECTIVE_G and not g_admissible and not force_g:
         raise GapPreconditionError(
             "the pair fails the dual-integrability preconditions of G mode "
             "(pass force_g=True to override)")

@@ -10,12 +10,15 @@ anything built on top.
 The integrands are ``LogPower`` and ``PurePower`` (c t^p), and this module
 is the only one that knows how they behave in log space (``log_eval``,
 ``log_deriv``, ``log_deriv_slope``) and which closed-form conjugate stands
-for each (``conjugate``).  For a ``LogPower`` each log-space value is one
-closed form in ln t, exact to the knot: ``log_eval(ln_t, k)`` is
-ln(Phi(t) / t^k), and the integrand itself goes through it above 1e8.
-``log_deriv_inverse`` is the one inverse of Phi': a safeguarded Newton
-iteration in ln t on ``log_deriv``, whose slope is ``log_deriv_slope``.  The
-psi-harmonic cutoffs and ``conjugate_numeric`` both go through it.
+for each (``conjugate``).  Every ``LogPower`` quantity goes through one
+rule, ``_split_at_knot``: the substitute below the knot, in t for the value
+and its two derivatives and in ln t for the three log-space ones.
+``log_eval(ln_t, k)`` is ln(Phi(t) / t^k), and the integrand itself is
+exp(log_eval) above 1e8, on either side of the knot, and wherever its direct
+formula leaves the double range.  ``log_deriv_inverse`` is the one inverse of
+Phi': a safeguarded Newton iteration in ln t on ``log_deriv``, whose slope is
+``log_deriv_slope``.  The psi-harmonic cutoffs and ``conjugate_numeric`` both
+go through it.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ def _slope_ratio(t, p, gamma):
     return p + gamma * t / ((np.e + t) * np.log(np.e + t))
 
 
-def _find_knot(p, gamma, scale):
+def _knot_search(p, gamma, scale):
     """Convexification knot and quadratic substitute coefficients.
 
     Returns (t0, a2, a1); t0 = 0 when the raw formula is already convex.
@@ -78,145 +81,74 @@ def _find_knot(p, gamma, scale):
     if gamma >= 0.0:
         return 0.0, 0.0, 0.0
     try:
-        return _knot_search(p, gamma, scale)
+        grid = np.logspace(-8.0, 10.0, 2400)
+        # Phi'' overflowing to inf or NaN (huge p, or t past 1e154) fails the
+        # sign tests
+        with np.errstate(all="ignore"):
+            neg = np.where(_logpower_second_deriv(grid, p, gamma, scale) < 0.0)[0]
+            if neg.size == 0:
+                return 0.0, 0.0, 0.0
+            i = neg[-1]
+            hi = grid[i + 1] if i + 1 < len(grid) else 2.0 * grid[i]
+            # for p near 1 with very negative gamma the sign change sits beyond
+            # the grid; extend the bracket until the second derivative turns
+            # positive
+            while _logpower_second_deriv(hi, p, gamma, scale) < 0.0:
+                hi *= 10.0
+                if hi > 1e280:  # pragma: no cover
+                    raise DomainError("convexification knot search failed")
+        t0 = brentq(
+            lambda t: _logpower_second_deriv(t, p, gamma, scale),
+            grid[i], hi, xtol=1e-14, rtol=1e-13,
+        )
+        # push the knot right until the substitute coefficients are nonnegative
+        if _slope_ratio(t0, p, gamma) < _KNOT_MIN_RATIO:
+            hi = t0
+            while _slope_ratio(hi, p, gamma) < _KNOT_MIN_RATIO:
+                hi *= 2.0
+                if hi > 1e250:  # pragma: no cover
+                    raise DomainError("convexification knot search failed")
+            t0 = brentq(
+                lambda t: _slope_ratio(t, p, gamma) - _KNOT_MIN_RATIO,
+                hi / 2.0, hi, xtol=1e-14, rtol=1e-13,
+            )
+        val = scale * t0**p * math.log(math.e + t0) ** gamma
+        r = _slope_ratio(t0, p, gamma)
+        a2 = (r - 1.0) * val / t0**2
+        a1 = (2.0 - r) * val / t0
     except OverflowError as exc:
         # float arithmetic in brentq's calls overflows where the sign change
         # sits past t ~ 1e154 (t**2 in Phi''), e.g. p = 1 + 1e-7, gamma = -2
         raise DomainError("convexification knot search failed") from exc
-
-
-def _knot_search(p, gamma, scale):
-    grid = np.logspace(-8.0, 10.0, 2400)
-    # Phi'' overflowing to inf or NaN (huge p, or t past 1e154) fails the
-    # sign tests
-    with np.errstate(all="ignore"):
-        neg = np.where(_logpower_second_deriv(grid, p, gamma, scale) < 0.0)[0]
-        if neg.size == 0:
-            return 0.0, 0.0, 0.0
-        i = neg[-1]
-        hi = grid[i + 1] if i + 1 < len(grid) else 2.0 * grid[i]
-        # for p near 1 with very negative gamma the sign change sits beyond the
-        # grid; extend the bracket until the second derivative turns positive
-        while _logpower_second_deriv(hi, p, gamma, scale) < 0.0:
-            hi *= 10.0
-            if hi > 1e280:  # pragma: no cover
-                raise DomainError("convexification knot search failed")
-    t0 = brentq(
-        lambda t: _logpower_second_deriv(t, p, gamma, scale),
-        grid[i], hi, xtol=1e-14, rtol=1e-13,
-    )
-    # push the knot right until the substitute coefficients are nonnegative
-    if _slope_ratio(t0, p, gamma) < _KNOT_MIN_RATIO:
-        hi = t0
-        while _slope_ratio(hi, p, gamma) < _KNOT_MIN_RATIO:
-            hi *= 2.0
-            if hi > 1e250:  # pragma: no cover
-                raise DomainError("convexification knot search failed")
-        t0 = brentq(
-            lambda t: _slope_ratio(t, p, gamma) - _KNOT_MIN_RATIO,
-            hi / 2.0, hi, xtol=1e-14, rtol=1e-13,
-        )
-    val = scale * t0**p * math.log(math.e + t0) ** gamma
-    r = _slope_ratio(t0, p, gamma)
-    a2 = (r - 1.0) * val / t0**2
-    a1 = (2.0 - r) * val / t0
     return t0, a2, a1
 
 
-# The evaluators below take the knot data (t0, a2, a1) of ``_find_knot``: below
-# t0 the quadratic substitute a2*t^2 + a1*t is used (a2 and a1 already contain
-# ``scale``); t0 = 0 disables it.
+def _split_at_knot(x, x_knot, raw, substitute):
+    """raw(x) at and above the knot and substitute(x) below it, computed
+    quietly, as an array of x's shape.  x is t or ln t and x_knot the knot
+    in the same variable: t0 = 0 or ln t0 = -inf where there is none."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        if x_knot == -math.inf or not (small := x < x_knot).any():
+            return np.asarray(raw(x))
+        out = np.empty_like(x)
+        out[~small] = raw(x[~small])
+        out[small] = substitute(x[small])
+    return out
 
-def _logpower_eval(t, p, gamma, scale, t0, a2, a1):
-    out = np.empty_like(t)
-    small = t < t0
-    big = t > _LOG_SWITCH
-    mid = ~(small | big)
 
-    tm = t[mid]
-    out[mid] = scale * tm**p * np.log(np.e + tm) ** gamma
-
-    if np.any(small):
-        ts = t[small]
-        out[small] = a2 * ts * ts + a1 * ts
-    if np.any(big):
+def _fill_from_log(out, t, where, log_value):
+    # out[where] = exp(log_value(ln t)): inf on overflow, 0 on underflow
+    if where.any():
         with np.errstate(over="ignore"):
-            out[big] = np.exp(_logpower_log_eval(np.log(t[big]), p, gamma, scale,
-                                                 t0, a2, a1))
+            out[where] = np.exp(log_value(np.log(t[where])))
     return out
-
-
-def _logpower_deriv(t, p, gamma, scale, t0, a2, a1):
-    out = np.empty_like(t)
-    small = t < t0
-    reg = ~small
-
-    tr = t[reg]
-    L = np.log(np.e + tr)
-    with np.errstate(over="ignore", invalid="ignore"):
-        base = scale * tr ** (p - 1.0) * L ** (gamma - 1.0)
-        out[reg] = base * (p * L + gamma * tr / (np.e + tr))
-    # t = 0 in the raw branch: derivative limit is 0 for p > 1
-    out[reg & (t == 0.0)] = 0.0
-
-    if np.any(small):
-        out[small] = 2.0 * a2 * t[small] + a1
-    return out
-
-
-def _split_at_knot(ln_t, t0, raw, substitute):
-    """raw(ln t) at and above the knot, substitute(ln t) below it."""
-    ln_t = np.asarray(ln_t, dtype=np.float64)
-    if t0 == 0.0:
-        return raw(ln_t)
-    small = ln_t < math.log(t0)
-    out = np.empty_like(ln_t)
-    out[~small] = raw(ln_t[~small])
-    out[small] = substitute(ln_t[small])
-    return out[()]
-
-
-# In log space L = ln(e + t) is np.logaddexp(1, ln t), finite for every finite
-# ln t, so neither formula below needs an overflow switch.
-
-def _logpower_log_eval(ln_t, p, gamma, scale, t0, a2, a1, k=0.0):
-    """ln(Phi(t) / t^k) given ln t."""
-    return _split_at_knot(
-        ln_t, t0,
-        lambda x: math.log(scale) + (p - k) * x + gamma * np.log(np.logaddexp(1.0, x)),
-        lambda x: (1.0 - k) * x + np.log(a1 + a2 * np.exp(x)))
-
-
-def _logpower_log_deriv(ln_t, p, gamma, scale, t0, a2, a1):
-    """ln Phi'(t) given ln t."""
-    def raw(x):
-        # Phi' = scale t^{p-1} L^{gamma-1} (p L + gamma t / (e + t))
-        L = np.logaddexp(1.0, x)
-        return (math.log(scale) + (p - 1.0) * x + (gamma - 1.0) * np.log(L)
-                + np.log(p * L + gamma * np.exp(x - L)))
-
-    return _split_at_knot(ln_t, t0, raw, lambda x: np.log(a1 + 2.0 * a2 * np.exp(x)))
-
-
-def _logpower_log_deriv_slope(ln_t, p, gamma, t0, a2, a1):
-    """d ln Phi'(t) / d ln t given ln t."""
-    def raw(x):
-        L = np.logaddexp(1.0, x)
-        w = np.exp(x - L)  # t / (e + t), the derivative of L in ln t
-        return ((p - 1.0) + (gamma - 1.0) * w / L
-                + w * (p + gamma * (1.0 - w)) / (p * L + gamma * w))
-
-    def substitute(x):
-        # underflows to 0 far below the knot, where ln Phi' flattens to ln a1
-        q = 2.0 * a2 * np.exp(x)
-        return q / (a1 + q)
-
-    return _split_at_knot(ln_t, t0, raw, substitute)
 
 
 @dataclass(frozen=True)
 class LogPower:
-    """Integrand t^p log^gamma(e+t), convexified near 0 when needed."""
+    """Integrand t^p log^gamma(e+t), convexified near 0 when needed: below
+    the knot t0 it is a2 t^2 + a1 t (a2 and a1 contain ``scale``)."""
 
     p: float
     gamma: float = 0.0
@@ -230,48 +162,98 @@ class LogPower:
             raise DomainError("LogPower requires a finite gamma")
         if not (0.0 < self.scale < math.inf):
             raise DomainError("LogPower requires a finite scale > 0")
-        object.__setattr__(self, "_knot", _find_knot(self.p, self.gamma, self.scale))
+        object.__setattr__(self, "_knot", _knot_search(self.p, self.gamma, self.scale))
 
     @property
     def knot(self):
         return self._knot[0]
 
+    @property
+    def _ln_knot(self):
+        return math.log(self.knot) if self.knot > 0.0 else -math.inf
+
     def __call__(self, t):
         t = _check_arg(t)
+        p, gamma, scale = self.p, self.gamma, self.scale
         t0, a2, a1 = self._knot
-        return _logpower_eval(t, self.p, self.gamma, self.scale, t0, a2, a1)
+        out = _split_at_knot(t, t0, lambda x: scale * x**p * np.log(np.e + x) ** gamma,
+                             lambda x: a2 * x * x + a1 * x)
+        # above 1e8, on either side of the knot, and where the direct formula
+        # leaves the double range (0 * inf is NaN) the value is exp(log_eval)
+        return _fill_from_log(out, t, (t > _LOG_SWITCH) | ~np.isfinite(out), self.log_eval)
 
     def deriv(self, t):
         t = _check_arg(t)
+        p, gamma, scale = self.p, self.gamma, self.scale
         t0, a2, a1 = self._knot
-        return _logpower_deriv(t, self.p, self.gamma, self.scale, t0, a2, a1)
+
+        def raw(x):
+            L = np.log(np.e + x)
+            return scale * x ** (p - 1.0) * L ** (gamma - 1.0) * (p * L + gamma * x / (np.e + x))
+
+        out = _split_at_knot(t, t0, raw, lambda x: 2.0 * a2 * x + a1)
+        # where t^(p-1) underflows and L^(gamma-1) overflows, 0 * inf is NaN
+        return _fill_from_log(out, t, np.isnan(out), self.log_deriv)
 
     deriv_ratio = _deriv_ratio
 
     def second_deriv(self, t):
-        t = _check_arg(t)
-        t0, a2, a1 = self._knot
         # below 1e-8 the raw formula cancels catastrophically (A^2 + dA with
         # A ~ p/t); the clamp keeps the t->0 limit p(p-1)t^{p-2}L^gamma exact
         # to quadrature accuracy for p = 2 and finite elsewhere
-        out = _logpower_second_deriv(np.maximum(t, 1e-8), self.p, self.gamma, self.scale)
-        return np.where(t < t0, 2.0 * a2, out)
+        t0, a2, _ = self._knot
+        return _split_at_knot(
+            _check_arg(t), t0,
+            lambda x: _logpower_second_deriv(np.maximum(x, 1e-8), self.p, self.gamma, self.scale),
+            lambda x: np.full_like(x, 2.0 * a2))
+
+    # In log space L = ln(e + t) is np.logaddexp(1, ln t), finite for every
+    # finite ln t, so these need no overflow switch.
 
     def log_eval(self, ln_t, k=0.0):
-        """ln(Phi(t) / t^k) given ln t, finite over the full double range.
+        """ln(Phi(t) / t^k) given ln t.
 
         Dividing by t^k here keeps (p - k) ln t exact where ln t is huge;
         subtracting k ln t from ln Phi(t) there would cancel every bit.
         """
-        return _logpower_log_eval(ln_t, self.p, self.gamma, self.scale, *self._knot, k)
+        p, gamma = self.p, self.gamma
+        _, a2, a1 = self._knot
+        return _split_at_knot(
+            ln_t, self._ln_knot,
+            lambda x: math.log(self.scale) + (p - k) * x + gamma * np.log(np.logaddexp(1.0, x)),
+            lambda x: (1.0 - k) * x + np.log(a1 + a2 * np.exp(x)))[()]
 
     def log_deriv(self, ln_t):
-        """ln Phi'(e^{ln_t}) in closed form, finite over the full double range."""
-        return _logpower_log_deriv(ln_t, self.p, self.gamma, self.scale, *self._knot)
+        """ln Phi'(e^{ln_t}) in closed form."""
+        p, gamma = self.p, self.gamma
+        _, a2, a1 = self._knot
+
+        def raw(x):
+            # Phi' = scale t^{p-1} L^{gamma-1} (p L + gamma t / (e + t))
+            L = np.logaddexp(1.0, x)
+            return (math.log(self.scale) + (p - 1.0) * x + (gamma - 1.0) * np.log(L)
+                    + np.log(p * L + gamma * np.exp(x - L)))
+
+        return _split_at_knot(ln_t, self._ln_knot, raw,
+                              lambda x: np.log(a1 + 2.0 * a2 * np.exp(x)))[()]
 
     def log_deriv_slope(self, ln_t):
         """d ln Phi' / d ln t in closed form, the Newton slope of ``log_deriv``."""
-        return _logpower_log_deriv_slope(ln_t, self.p, self.gamma, *self._knot)
+        p, gamma = self.p, self.gamma
+        _, a2, a1 = self._knot
+
+        def raw(x):
+            L = np.logaddexp(1.0, x)
+            w = np.exp(x - L)  # t / (e + t), the derivative of L in ln t
+            return ((p - 1.0) + (gamma - 1.0) * w / L
+                    + w * (p + gamma * (1.0 - w)) / (p * L + gamma * w))
+
+        def substitute(x):
+            # underflows to 0 far below the knot, where ln Phi' flattens to ln a1
+            q = 2.0 * a2 * np.exp(x)
+            return q / (a1 + q)
+
+        return _split_at_knot(ln_t, self._ln_knot, raw, substitute)[()]
 
 
 @dataclass(frozen=True)

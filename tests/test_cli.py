@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from dpgap.cli import main
 from dpgap.fem import solve
-from dpgap.geometry import MAX_FIELDS_RESOLUTION
+from dpgap.geometry import MAX_FIELDS_RESOLUTION, MAX_FLUX_NQUAD
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -90,6 +90,18 @@ class TestGap:
                            "--mode", "G")
         assert code == 2
         assert err.startswith("GAP_PRECONDITION_B_NOT_DUAL_INTEGRABLE:")
+
+    def test_force_g_overrides_the_precondition(self, capsys):
+        argv = ("gap", "--alpha", "2", "--beta", "0.5", "--mode", "G", "--levels", "8")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("GAP_PRECONDITION_B_NOT_DUAL_INTEGRABLE: ")
+        code, out, err = run(capsys, *argv, "--force-g")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["mode"], report["verdict"]) == ("G", "NoGap")
 
     def test_report_schema(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -247,6 +259,10 @@ class TestOneLineFailures:
 EXTREMES = [math.nan, math.inf, -math.inf, 0.0, -0.5, -3.0, 1e-320, 1e308, 1e6,
             1.0000001, 0.5, 1.0, 1.5, 2.0, 3.0]
 _axis = st.lists(st.sampled_from(EXTREMES), min_size=1, max_size=3)
+# grid resolutions: small, at the bounds, huge and not integers; never the
+# largest legal grid (2048), which takes about 540 MiB
+RESOLUTIONS = [-(2**62), -1, 0, 1, 2, 16, MAX_FIELDS_RESOLUTION + 1, 10**8, 2**62, "8.0", "nan"]
+
 # a flag left out (None) takes its default
 _optional = st.none() | st.sampled_from(EXTREMES)
 _contract = settings(max_examples=60, deadline=None,
@@ -316,6 +332,31 @@ class TestExitCodeContract:
     def test_conjugate(self, capsys, p, gamma, s):
         code, _, err = run(capsys, "conjugate", _flag("p", [p]), _flag("gamma", [gamma]),
                            _flag("s", s))
+        _assert_exit_contract(code, err)
+
+    @_contract
+    @given(field=st.sampled_from(["u2", "grad_u2", "b2", "v"]), p=st.sampled_from(EXTREMES),
+           gamma=st.sampled_from(EXTREMES), res=st.sampled_from(RESOLUTIONS))
+    # t^p underflows to 0 where log^gamma(e + t) overflows: 0 * inf
+    @example(field="u2", p=1e6, gamma=1e6, res=16)
+    @example(field="grad_u2", p=1e6, gamma=1e6, res=16)
+    def test_norm(self, capsys, field, p, gamma, res):
+        code, _, err = run(capsys, "norm", f"--field={field}", _flag("p", [p]),
+                           _flag("gamma", [gamma]), f"--res={res}")
+        _assert_exit_contract(code, err)
+
+    @_contract
+    @given(nquad=st.sampled_from([-(2**62), -1, 0, 63, 64, 65, 1024, MAX_FLUX_NQUAD + 2,
+                                  10**9, 2**62, "1e3", "nan"]))
+    @example(nquad=MAX_FLUX_NQUAD + 2)  # the rule was allocated unbounded
+    def test_flux(self, capsys, nquad):
+        code, _, err = run(capsys, "flux", f"--nquad={nquad}")
+        _assert_exit_contract(code, err)
+
+    @_contract
+    @given(res=st.sampled_from(RESOLUTIONS))
+    def test_fields(self, capsys, res):
+        code, _, err = run(capsys, "fields", f"--res={res}")
         _assert_exit_contract(code, err)
 
 

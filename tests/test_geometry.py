@@ -100,6 +100,20 @@ class TestB2:
         np.testing.assert_allclose(b[0], -dv_dx2, atol=1e-5)
         np.testing.assert_allclose(b[1], dv_dx1, atol=1e-5)
 
+    def test_components_match_closed_form(self):
+        # b2 is read off grad u2 at the swapped point; its documented
+        # components hold to rounding
+        rng = np.random.default_rng(7)
+        x1, x2 = rng.uniform(-1.0, 1.0, size=(2, 20_000))
+        b = geometry.eval_b2(x1, x2)
+        s = np.abs(x1) / np.abs(x2)
+        tp = geometry.theta_prime(s)
+        expected = (np.sign(x1) * np.sign(x2) * np.abs(x1) * tp / (2.0 * x2**2),
+                    tp / (2.0 * np.abs(x2)))
+        np.testing.assert_allclose(b[0], expected[0], rtol=1e-15, atol=0.0)
+        assert b[1].tobytes() == expected[1].tobytes()
+        assert geometry.eval_v(x1, x2).tobytes() == geometry.eval_u2(x2, x1).tobytes()
+
     def test_support_in_expensive_phase(self):
         rng = np.random.default_rng(4)
         pts = rng.uniform(-1.0, 1.0, size=(2, 50_000))
@@ -140,6 +154,13 @@ class TestFluxAndAudit:
         # carry the whole flux
         assert abs(sides["left"]) < 1e-12
         assert abs(sides["right"]) < 1e-12
+
+    @pytest.mark.parametrize("n_quad", [geometry.MAX_FLUX_NQUAD + 2, 10**9, np.nan, 63],
+                             ids=str)
+    def test_flux_rule_bounded(self, n_quad):
+        for flux in (geometry.boundary_flux, geometry.boundary_flux_segments):
+            with pytest.raises(RangeError, match="n_quad must lie in"):
+                flux(n_quad)
 
     def test_disjoint_supports_audit(self):
         assert geometry.disjoint_support_audit(100_000, seed=0) == 0.0

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dpgap.errors import MeshError
-from dpgap.fem.mesh import (_QBARY, _QWEIGHTS, ORIGIN_SUBDIV_LEVELS, MeshSpace,
-                            build_mesh)
+from dpgap.fem.mesh import (_QBARY, _QWEIGHTS, MAX_MESH_RESOLUTION, ORIGIN_SUBDIV_LEVELS,
+                            MeshSpace, build_mesh)
 from dpgap.geometry import eval_weight
 
 
@@ -45,7 +45,10 @@ class TestConstruction:
             with pytest.raises(MeshError):
                 build_mesh(8, grading=grading)
 
-    @pytest.mark.parametrize("n", [np.nan, np.inf, -np.inf, 7.9, -8], ids=str)
+    # above the bound, 2^62, 1e300 and 10^7 raised a bare ValueError or
+    # MemoryError from NumPy
+    @pytest.mark.parametrize("n", [np.nan, np.inf, -np.inf, 7.9, -8, 2**62, 1e300, 10**7,
+                                   MAX_MESH_RESOLUTION + 1], ids=str)
     def test_rejects_bad_resolution(self, n):
         with pytest.raises(MeshError, match="resolution n >= 8"):
             build_mesh(n)

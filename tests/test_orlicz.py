@@ -204,6 +204,34 @@ class TestLogPower:
     def test_pure_power_log_deriv_slope(self):
         assert PurePower(2.5, 3.0).log_deriv_slope(np.zeros(4)).tolist() == [1.5] * 4
 
+    def test_log_switch_wins_over_a_higher_knot(self):
+        # LogPower(1.2, -5) has its knot near 3.0e14: between 1e8 and the knot
+        # the value is exp(log_eval), not the quadratic substitute in t
+        f = LogPower(1.2, -5.0)
+        t = np.logspace(8.0, 14.0, 61)[1:]
+        assert np.all(t < f.knot)
+        assert f(t).tobytes() == np.exp(f.log_eval(np.log(t))).tobytes()
+
+    def test_direct_formula_kept_where_finite(self):
+        for p, gamma in ((2.0, 2.0), (2.0, -2.0), (3.0, 0.5)):
+            t = np.logspace(-12.0, 8.0, 400)
+            assert LogPower(p, gamma)(t).tobytes() == (t**p * np.log(np.e + t) ** gamma).tobytes()
+
+    @pytest.mark.parametrize("p,gamma", [(1e6, 1e6), (1e6, -1e6), (1e308, 1e308), (1e6, 0.0)])
+    def test_extreme_exponents_give_no_nan(self, p, gamma):
+        # t^p underflows to 0 where log^gamma(e + t) overflows: 0 * inf was
+        # NaN with a RuntimeWarning (an error here); log space gives 0 or inf
+        f = LogPower(p, gamma)
+        t = np.array([0.0, 1e-3, 0.5, 0.9, 1.0, 10.0])
+        for values in (f(t), f.deriv(t)):
+            assert not np.any(np.isnan(values))
+            assert values[0] == 0.0 and values[-1] == np.inf
+
+    def test_log_space_quiet_at_extreme_exponents(self):
+        # (p - k) ln t and gamma ln L overflow to inf without a warning
+        assert LogPower(1e308, 0.0).log_eval([10.0])[0] == np.inf
+        assert conjugate_numeric(LogPower(1e6, 1e308), 1e-320) == 0.0
+
     def test_deriv_matches_finite_difference(self):
         f = LogPower(2.0, -2.0)
         t = np.logspace(-2.0, 4.0, 30)
