@@ -3,11 +3,11 @@
 The gap criterion for the checkerboard pair (phi, psi) is: both
 ``int_0 phi(1/r) r dr`` and ``int_0 psi*(1/r) r dr`` finite.  After the
 substitution t = 1/r these become ``int_2^inf f(t) t^-3 dt``, finite iff
-p < 2, or p = 2 and gamma < -1, for f = t^p log^gamma(e + t) (a ``LogPower``;
-gamma = 0 for a ``PurePower``).  The verdict is this closed form, so the
-borderline cells are decided exactly; dyadic block sums with a fitted decay
-exponent are only reported.  psi* is ``orlicz.conjugate(psi)``, in closed
-form for both integrand classes.
+p < 2, or p = 2 and gamma < -1, for f = t^p log^gamma(e + t) (a ``LogPower``,
+of which the pure power c t^p is the gamma = 0 member).  The verdict is this
+closed form, so the borderline cells are decided exactly; dyadic block sums
+with a fitted decay exponent are only reported.  psi* is
+``orlicz.conjugate(psi)``, in closed form.
 
 A verdict has three parts, shared by ``classify`` and ``phase_diagram``: the
 pair check on phi and psi values at a fixed 60-point grid, one
@@ -20,6 +20,7 @@ check per cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,10 +90,11 @@ def _check_superlinear(f):
 def _dyadic_blocks(f):
     a = 2.0 ** np.arange(_K_MAX + 1)
     t = a[:, None] * (1.0 + _GL_X)  # row k: block [2^k, 2^{k+1}]
+    # f(t)/t^3 = exp(log f - 3 ln t); past p ~ 19 the sums leave the
+    # double range, which the check below reports
     with np.errstate(over="ignore"):
-        # overflow-free: f(t)/t^3 = exp(log f - 3 ln t)
         vals = np.exp(np.asarray(f.log_eval(np.log(t))) - 3.0 * np.log(t))
-    sums = np.sum(_GL_W * vals, axis=1) * a
+        sums = np.sum(_GL_W * vals, axis=1) * a
     if not np.all(np.isfinite(sums)):
         raise NumericalError("non-finite dyadic block sum")
     return sums.tolist()
@@ -111,9 +113,8 @@ def _fit_exponent(sums):
 
 def tail_integral_verdict(f):
     """Convergence of int_2^inf f(t) t^-3 dt (= int_0^{1/2} f(1/r) r dr) for
-    a ``LogPower`` or ``PurePower`` f, in closed form from its (p, gamma)."""
+    a ``LogPower`` f, in closed form from its (p, gamma)."""
     _check_integrand(f, "tail_integral_verdict")
-    gamma = f.gamma if isinstance(f, LogPower) else 0.0
     _check_superlinear(f)
     sums = _dyadic_blocks(f)
     fitted = _fit_exponent(sums)
@@ -121,9 +122,9 @@ def tail_integral_verdict(f):
         return TailVerdict(CONVERGES, fitted, sums, rule="closed_form p<2")
     if f.p > 2.0:
         return TailVerdict(DIVERGES, fitted, sums, rule="closed_form p>2")
-    status = CONVERGES if gamma < -1.0 else DIVERGES
+    status = CONVERGES if f.gamma < -1.0 else DIVERGES
     return TailVerdict(status, fitted, sums,
-                       rule=f"closed_form p=2, gamma {'<' if gamma < -1 else '>='} -1")
+                       rule=f"closed_form p=2, gamma {'<' if f.gamma < -1 else '>='} -1")
 
 
 _PAIR_GRID = np.logspace(0.0, 8.0, 60)
@@ -250,11 +251,14 @@ MODULUS_EPS_GRID = np.logspace(-8.0, np.log10(0.25), 40)
 def regularity_modulus_check(omega, phi, psi, k0, d):
     """Does the weight modulus omega(eps) stay below k0 * min phi/psi?
 
-    The minimum runs over 1 <= t <= eps^{-d}; for decreasing phi/psi (checked)
-    it sits at the endpoint t = eps^{-d}.  Regular means the ratio
+    phi and psi are ``LogPower``s.  The minimum runs over
+    1 <= t <= min(eps^{-d}, 1e280); for decreasing phi/psi it sits at the
+    right end.  Regular means the ratio
     omega / (k0 * min) stays bounded as eps -> 0; a diverging ratio fails
     with the worst (eps, t) as witness.
     """
+    _check_integrand(phi, "regularity_modulus_check")
+    _check_integrand(psi, "regularity_modulus_check")
     if not (0.0 < k0 < np.inf):
         raise DomainError("finite k0 > 0 required")
     if not (1.0 <= d < np.inf):
@@ -270,12 +274,17 @@ def regularity_modulus_check(omega, phi, psi, k0, d):
     ratios = np.empty_like(eps_grid)
     t_at_min = np.empty_like(eps_grid)
     for i, e in enumerate(eps_grid):
-        t_hi = min(e ** (-float(d)), 1e280)
-        ts = np.logspace(0.0, np.log10(t_hi), 200)
-        q = np.asarray(phi(ts)) / np.asarray(psi(ts))
+        # t up to eps^-d capped at 1e280, taken in log10 so that it cannot
+        # overflow, and phi/psi from log space, where neither overflows
+        ts = np.logspace(0.0, min(-d * math.log10(e), 280.0), 200)
+        ln_t = np.log(ts)
+        q = np.exp(phi.log_eval(ln_t) - psi.log_eval(ln_t))
         j = int(np.argmin(q))
         t_at_min[i] = ts[j]
-        ratios[i] = om[i] / (k0 * q[j])
+        # a ratio past the double range (k0 * q underflows) reads inf, and
+        # omega = 0 reads 0 whatever k0 * q is
+        with np.errstate(over="ignore", divide="ignore"):
+            ratios[i] = om[i] / (k0 * q[j]) if om[i] > 0.0 else 0.0
 
     sup_ratio = float(np.max(ratios))
 
@@ -290,6 +299,6 @@ def regularity_modulus_check(omega, phi, psi, k0, d):
 def _ratio_grows(eps_grid, ratios):
     # from coarse eps down to 0
     x = np.log(np.log(1.0 / eps_grid[::-1]))
-    y = np.log(np.maximum(ratios[::-1], 1e-300))
+    y = np.log(np.clip(ratios[::-1], 1e-300, 1e300))
     slope = float(np.polyfit(x, y, 1)[0])
     return slope if slope > MODULUS_GROWTH_SLOPE_MAX else 0.0

@@ -8,12 +8,12 @@ identity (r psi'(eta'))' = 0 holds along it; we build eta' from the true
 inverse of psi' (not a growth-equivalent conjugate) precisely so that this
 identity is satisfied to solver precision.
 
-The psi-harmonic builders take a ``LogPower`` or ``PurePower`` psi: the
-inverse is ``orlicz.log_deriv_inverse``, a safeguarded Newton iteration on
-ln psi' as a function of ln t, and the dual tail of ``find_inner_radius`` is
-that of ``orlicz.conjugate``.
-Energies take a ``LogPower``, a ``PurePower`` or a ``DoublePhase`` of them and
-read the integrand through its ``log_eval(ln_t, k)``.
+The psi-harmonic builders take a ``LogPower`` psi (a ``PurePower`` is one):
+the inverse is ``orlicz.log_deriv_inverse``, a safeguarded Newton iteration
+on ln psi' as a function of ln t, and the dual tail of ``find_inner_radius``
+is that of ``orlicz.conjugate``.  Energies take a ``LogPower`` or a
+``DoublePhase`` of them and read the integrand through its
+``log_eval(ln_t, k)``.
 
 Inner radii and slopes routinely leave double-precision range (r1 = e^{-1/eps}
 for the log-log family, eta' ~ c/r near a borderline inner radius), so all

@@ -102,8 +102,9 @@ class MeshSpace:
         A point takes the first of the 4 triangles of its grid cell, in
         element order, whose barycentric coordinates are all >= -1e-12, so a
         point on a shared edge or vertex goes to the lowest such element id.
-        A point that no triangle of its cell holds (one outside the mesh)
-        raises MeshError naming the first such point in input order.
+        A point that no triangle of its cell holds (one outside the mesh, or
+        with a non-finite coordinate) raises MeshError naming the first such
+        point in input order.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         m = len(self.xs) - 1
@@ -118,8 +119,11 @@ class MeshSpace:
             t = 4 * cell[todo] + j
             verts = self.nodes[self.tris[t]]  # (k, 3, 2)
             T = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=-1)
-            lam12 = np.linalg.solve(T, (pts[todo] - verts[:, 0])[:, :, None])[:, :, 0]
-            lam = np.column_stack([1.0 - (lam12[:, 0] + lam12[:, 1]), lam12])
+            # a NaN, infinite or huge coordinate gives NaN or infinite
+            # coordinates, which no triangle holds
+            with np.errstate(invalid="ignore", over="ignore"):
+                lam12 = np.linalg.solve(T, (pts[todo] - verts[:, 0])[:, :, None])[:, :, 0]
+                lam = np.column_stack([1.0 - (lam12[:, 0] + lam12[:, 1]), lam12])
             hit = np.all(lam >= -1e-12, axis=1)
             elems[todo[hit]] = t[hit]
             barys[todo[hit]] = lam[hit]

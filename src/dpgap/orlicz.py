@@ -7,18 +7,19 @@ origin and is replaced below a knot ``t0`` by a quadratic substitute
 matching value and slope at the knot; only large-t behaviour matters for
 anything built on top.
 
-The integrands are ``LogPower`` and ``PurePower`` (c t^p), and this module
-is the only one that knows how they behave in log space (``log_eval``,
-``log_deriv``, ``log_deriv_slope``) and which closed-form conjugate stands
-for each (``conjugate``).  Every ``LogPower`` quantity goes through one
-rule, ``_split_at_knot``: the substitute below the knot, in t for the value
-and its two derivatives and in ln t for the three log-space ones.
-``log_eval(ln_t, k)`` is ln(Phi(t) / t^k), and the integrand itself is
-exp(log_eval) above 1e8, on either side of the knot, and wherever its direct
-formula leaves the double range.  ``log_deriv_inverse`` is the one inverse of
-Phi': a safeguarded Newton iteration in ln t on ``log_deriv``, whose slope is
-``log_deriv_slope``.  The psi-harmonic cutoffs and ``conjugate_numeric`` both
-go through it.
+The integrand is ``LogPower``, and ``PurePower`` (c t^p) is its gamma = 0
+member: log^0 = 1 and there is no knot.  This module is the only one that
+knows how the integrand behaves in log space (``log_eval``, ``log_deriv``,
+``log_deriv_slope``) and which closed-form conjugate stands for it
+(``conjugate``: the exact one for a ``PurePower``).  Every quantity goes
+through one rule, ``_split_at_knot``: the substitute below the knot, in t
+for the value and its two derivatives and in ln t for the three log-space
+ones.  ``log_eval(ln_t, k)`` is ln(Phi(t) / t^k); the integrand and its two
+derivatives are taken from log space wherever their direct formulas leave
+the double range, and the integrand also above 1e8.  ``log_deriv_inverse``
+is the one inverse of Phi': a safeguarded Newton iteration in ln t on
+``log_deriv``, whose slope is ``log_deriv_slope``.  The psi-harmonic cutoffs
+and ``conjugate_numeric`` both go through it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .errors import DomainError, NormOverflowError, UnboundedConjugateError
 _T_MAX = 1.0e300
 # above this argument the integrand is evaluated in log space
 _LOG_SWITCH = 1.0e8
+# above this argument the second derivative is evaluated in log space
+_D2_LOG_SWITCH = 1.0e150
 _CONJ_BRACKET = (1.0e-12, 1.0e12)
 
 # smallest acceptable slope ratio Phi'(t0) t0 / Phi(t0) at the knot; below 1
@@ -51,12 +54,6 @@ def _check_arg(t):
     if np.any(t > _T_MAX):
         raise DomainError("argument above 1e300 rejected")
     return t
-
-
-def _deriv_ratio(f, t, floor=1e-12):
-    """Phi'(t)/t with the argument floored to avoid 0/0 in assembly."""
-    t = np.maximum(np.asarray(t, dtype=np.float64), floor)
-    return f.deriv(t) / t
 
 
 def _logpower_second_deriv(t, p, gamma, scale):
@@ -156,12 +153,13 @@ class LogPower:
     _knot: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        name = type(self).__name__
         if not (1.0 < self.p < math.inf):
-            raise DomainError("LogPower requires a finite p > 1")
+            raise DomainError(f"{name} requires a finite p > 1")
         if not math.isfinite(self.gamma):
-            raise DomainError("LogPower requires a finite gamma")
+            raise DomainError(f"{name} requires a finite gamma")
         if not (0.0 < self.scale < math.inf):
-            raise DomainError("LogPower requires a finite scale > 0")
+            raise DomainError(f"{name} requires a finite scale > 0")
         object.__setattr__(self, "_knot", _knot_search(self.p, self.gamma, self.scale))
 
     @property
@@ -192,20 +190,38 @@ class LogPower:
             return scale * x ** (p - 1.0) * L ** (gamma - 1.0) * (p * L + gamma * x / (np.e + x))
 
         out = _split_at_knot(t, t0, raw, lambda x: 2.0 * a2 * x + a1)
-        # where t^(p-1) underflows and L^(gamma-1) overflows, 0 * inf is NaN
-        return _fill_from_log(out, t, np.isnan(out), self.log_deriv)
+        # where t^(p-1) overflows, or underflows while L^(gamma-1) overflows
+        # (0 * inf is NaN), the derivative is exp(log_deriv)
+        return _fill_from_log(out, t, ~np.isfinite(out), self.log_deriv)
 
-    deriv_ratio = _deriv_ratio
+    def deriv_ratio(self, t, floor=1e-12):
+        """Phi'(t)/t with the argument floored to avoid 0/0 in assembly."""
+        t = np.maximum(np.asarray(t, dtype=np.float64), floor)
+        return self.deriv(t) / t
 
     def second_deriv(self, t):
         # below 1e-8 the raw formula cancels catastrophically (A^2 + dA with
         # A ~ p/t); the clamp keeps the t->0 limit p(p-1)t^{p-2}L^gamma exact
         # to quadrature accuracy for p = 2 and finite elsewhere
+        p, gamma = self.p, self.gamma
         t0, a2, _ = self._knot
-        return _split_at_knot(
-            _check_arg(t), t0,
-            lambda x: _logpower_second_deriv(np.maximum(x, 1e-8), self.p, self.gamma, self.scale),
-            lambda x: np.full_like(x, 2.0 * a2))
+
+        def raw(x):
+            x = np.asarray(np.maximum(x, 1e-8))
+            out = np.asarray(_logpower_second_deriv(x, p, gamma, self.scale))
+            # above 1e150, where A^2 leaves the normal range, and where the
+            # formula is not finite (t^p overflows, or 0 * inf), Phi'' is
+            # (Phi / t^2)(r^2 + t^2 A') with r = t A, both factors O(1)
+            far = (x > _D2_LOG_SWITCH) | ~np.isfinite(out)
+            if far.any():
+                xf = x[far]
+                L = np.log(np.e + xf)
+                r = _slope_ratio(xf, p, gamma)
+                t2_dA = -p - gamma * (L + 1.0) * (xf / ((np.e + xf) * L)) ** 2
+                out[far] = np.exp(self.log_eval(np.log(xf), 2.0)) * (r * r + t2_dA)
+            return out
+
+        return _split_at_knot(_check_arg(t), t0, raw, lambda x: np.full_like(x, 2.0 * a2))
 
     # In log space L = ln(e + t) is np.logaddexp(1, ln t), finite for every
     # finite ln t, so these need no overflow switch.
@@ -257,44 +273,11 @@ class LogPower:
 
 
 @dataclass(frozen=True)
-class PurePower:
-    """c * t^p; the analytic workhorse for closed-form cross-checks."""
+class PurePower(LogPower):
+    """c * t^p, the gamma = 0 ``LogPower``; ``conjugate`` gives it its exact
+    conjugate, the analytic workhorse for closed-form cross-checks."""
 
-    p: float
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not (1.0 < self.p < math.inf):
-            raise DomainError("PurePower requires a finite p > 1")
-        if not (0.0 < self.scale < math.inf):
-            raise DomainError("PurePower requires a finite scale > 0")
-
-    def __call__(self, t):
-        t = _check_arg(t)
-        with np.errstate(over="ignore"):
-            return self.scale * t ** self.p
-
-    def deriv(self, t):
-        t = _check_arg(t)
-        return self.scale * self.p * t ** (self.p - 1.0)
-
-    deriv_ratio = _deriv_ratio
-
-    def second_deriv(self, t):
-        t = _check_arg(t)
-        return self.scale * self.p * (self.p - 1.0) * t ** (self.p - 2.0)
-
-    def log_eval(self, ln_t, k=0.0):
-        """ln(Phi(t) / t^k) given ln t, exact."""
-        return math.log(self.scale) + (self.p - k) * np.asarray(ln_t, dtype=np.float64)
-
-    def log_deriv(self, ln_t):
-        """ln Phi'(e^{ln_t}), exact."""
-        return np.log(self.scale * self.p) + (self.p - 1.0) * np.asarray(ln_t, dtype=np.float64)
-
-    def log_deriv_slope(self, ln_t):
-        """d ln Phi' / d ln t = p - 1."""
-        return np.full(np.shape(ln_t), self.p - 1.0)
+    gamma: float = field(default=0.0, init=False)
 
 
 def log_deriv_inverse(f, ln_s):
@@ -391,25 +374,28 @@ def conjugate_log_power(p, gamma):
 
 
 def _check_integrand(f, caller):
-    if not isinstance(f, (LogPower, PurePower)):
+    if not isinstance(f, LogPower):
         raise DomainError(f"{caller} takes a LogPower or a PurePower, "
                           f"not {type(f).__name__}")
 
 
 def conjugate(f):
-    """The conjugate that stands for f*: the closed-form growth-class
-    representative for a LogPower and the exact conjugate for a PurePower."""
-    if isinstance(f, LogPower):
-        return conjugate_log_power(f.p, f.gamma)
+    """The conjugate that stands for f*: the exact conjugate for a PurePower
+    and the closed-form growth-class representative for any other LogPower."""
     _check_integrand(f, "conjugate")
+    if not isinstance(f, PurePower):
+        return conjugate_log_power(f.p, f.gamma)
     q = f.p / (f.p - 1.0)
-    cq = (f.p - 1.0) / f.p * (f.scale * f.p) ** (1.0 / (1.0 - f.p))
+    try:
+        cq = (f.p - 1.0) / f.p * (f.scale * f.p) ** (1.0 / (1.0 - f.p))
+    except OverflowError as exc:
+        raise DomainError("conjugate scale (c p)^(1/(1-p)) overflows") from exc
     return PurePower(q, cq)
 
 
 def conjugate_numeric(f, s):
-    """Legendre-Fenchel conjugate sup_t (s t - f(t)) of a ``LogPower`` or
-    ``PurePower`` f, elementwise in s; a scalar s gives a float.
+    """Legendre-Fenchel conjugate sup_t (s t - f(t)) of a ``LogPower`` f,
+    elementwise in s; a scalar s gives a float.
 
     The supremum is s t* - f(t*) at the t* in [1e-12, 1e12] with f'(t*) = s,
     found by the Newton iteration of ``log_deriv_inverse`` on that bracket.

@@ -1,4 +1,5 @@
-"""Command-line harness: dispatch, exit codes, artifacts, round trips."""
+"""Command-line harness: dispatch, exit codes, artifacts, round trips, and
+the library errors behind the exit codes."""
 
 import csv
 import functools
@@ -10,9 +11,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from dpgap.classifier import regularity_modulus_check
 from dpgap.cli import main
+from dpgap.cutoffs import find_inner_radius
+from dpgap.errors import DpgapError
 from dpgap.fem import solve
+from dpgap.fem.mesh import build_mesh
 from dpgap.geometry import MAX_FIELDS_RESOLUTION, MAX_FLUX_NQUAD
+from dpgap.orlicz import LogPower, PurePower, luxemburg_norm
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -293,6 +299,7 @@ class TestExitCodeContract:
            p=st.sampled_from(EXTREMES))
     @example(alpha=2.0, beta=2.0, p=1.0000001)  # knot beyond the double range
     @example(alpha=2.0, beta=-3.0, p=1.0000001)  # psi* overflows
+    @example(alpha=2.0, beta=2.0, p=20.0)  # the dyadic block sums overflow
     def test_classify(self, capsys, alpha, beta, p):
         code, _, err = run(capsys, "classify", _flag("alpha", [alpha]),
                            _flag("beta", [beta]), _flag("p", [p]))
@@ -302,6 +309,7 @@ class TestExitCodeContract:
     @given(alphas=_axis, betas=_axis, p=st.sampled_from(EXTREMES))
     @example(alphas=[1e308], betas=[1.0], p=2.0)  # psi overflows on the pair grid
     @example(alphas=[2.0], betas=[2.0], p=1e6)  # Phi'' overflows on the knot grid
+    @example(alphas=[1.0, 2.0], betas=[1.0, 2.0], p=20.0)  # the dyadic block sums overflow
     def test_phase_diagram(self, capsys, alphas, betas, p):
         code, _, err = run(capsys, "phase-diagram", _flag("alphas", alphas),
                            _flag("betas", betas), _flag("p", [p]))
@@ -358,6 +366,91 @@ class TestExitCodeContract:
     def test_fields(self, capsys, res):
         code, _, err = run(capsys, "fields", f"--res={res}")
         _assert_exit_contract(code, err)
+
+    # a fixed draw keeps the run time fixed: a pair that stalls Newton takes
+    # its 5000 iterations, about 100 s at n = 16
+    @settings(max_examples=15, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(alpha=st.sampled_from(EXTREMES), beta=st.sampled_from(EXTREMES),
+           grading=st.sampled_from(EXTREMES),
+           mode=st.sampled_from([None, "G", "dirichlet", "neumann"]),
+           levels=st.sampled_from([8, 16]))
+    @example(alpha=2.0, beta=0.5, grading=2.0, mode="G", levels=8)  # NoGap pair in G mode
+    # runs that solve: a Gap pair in G mode, a NoGap pair in Dirichlet mode,
+    # and a grading just above 1
+    @example(alpha=2.0, beta=2.0, grading=3.0, mode=None, levels=16)
+    @example(alpha=2.0, beta=0.5, grading=1.5, mode="dirichlet", levels=16)
+    @example(alpha=1.5, beta=1.5, grading=1.0000001, mode="G", levels=8)
+    @example(alpha=2.0, beta=2.0, grading=1e308, mode="G", levels=8)  # nodes collapse to 0
+    def test_gap(self, capsys, alpha, beta, grading, mode, levels):
+        flags = [_flag("alpha", [alpha]), _flag("beta", [beta]), _flag("grading", [grading]),
+                 f"--levels={levels}"] + ([f"--mode={mode}"] if mode else [])
+        code, _, err = run(capsys, "gap", *flags)
+        _assert_exit_contract(code, err)
+
+
+def _assert_library_contract(call):
+    """call() returns or raises a DpgapError; any other exception, and any
+    NumPy warning (an error here), fails."""
+    try:
+        call()
+    except DpgapError:
+        pass
+
+
+_extreme = st.sampled_from(EXTREMES)
+
+
+class TestLibraryContract:
+    """The public constructors and checks take the CLI's extreme values and
+    either return or raise a ``DpgapError`` subclass, which the CLI maps to
+    its exit code."""
+
+    @_contract
+    @given(p=_extreme, gamma=_extreme, scale=_extreme)
+    def test_integrands(self, p, gamma, scale):
+        _assert_library_contract(lambda: LogPower(p, gamma, scale))
+        _assert_library_contract(lambda: PurePower(p, scale))
+
+    @_contract
+    @given(n=st.sampled_from(EXTREMES + [8, 16, 1025, 2**62]), grading=_extreme)
+    def test_build_mesh(self, n, grading):
+        _assert_library_contract(lambda: build_mesh(n, grading))
+
+    @_contract
+    @given(x=_extreme, y=_extreme)
+    @example(x=math.inf, y=0.1)  # NaN barycentric coordinates
+    @example(x=-math.inf, y=0.1)
+    @example(x=1e308, y=0.1)  # the barycentric coordinates overflow
+    def test_locate(self, x, y):
+        mesh = build_mesh(8, 2.0)
+        _assert_library_contract(lambda: mesh.locate([[x, y]]))
+
+    @_contract
+    @given(values=st.lists(_extreme, min_size=1, max_size=3),
+           weights=st.lists(_extreme, min_size=1, max_size=3), p=_extreme, gamma=_extreme)
+    def test_luxemburg_norm(self, values, weights, p, gamma):
+        _assert_library_contract(
+            lambda: luxemburg_norm(values, weights, LogPower(p, gamma)))
+
+    @_contract
+    @given(pure=st.booleans(), p=_extreme, gamma=_extreme, r2=_extreme, delta=_extreme)
+    @example(pure=True, p=1.0000001, gamma=1e-320, r2=0.5, delta=0.5)  # (c p)^(1/(1-p)) overflows
+    def test_find_inner_radius(self, pure, p, gamma, r2, delta):
+        # a PurePower takes gamma as its scale
+        _assert_library_contract(lambda: find_inner_radius(
+            PurePower(p, gamma) if pure else LogPower(p, gamma), r2, delta))
+
+    @_contract
+    @given(k0=_extreme, d=_extreme, omega_scale=st.sampled_from([0.0, 1.0, 1e300]))
+    @example(k0=1.0, d=1e6, omega_scale=1.0)  # eps^-d overflows
+    @example(k0=1.0, d=1e308, omega_scale=1.0)
+    @example(k0=1.0, d=30.0, omega_scale=1.0)  # phi and psi overflow at t = 1e280
+    @example(k0=1e-320, d=2.0, omega_scale=1.0)  # omega / (k0 min phi/psi) overflows
+    @example(k0=1e-320, d=1e308, omega_scale=0.0)  # 0 / 0
+    def test_regularity_modulus_check(self, k0, d, omega_scale):
+        _assert_library_contract(lambda: regularity_modulus_check(
+            lambda e: omega_scale * e, LogPower(2.0, -1.0), LogPower(2.0, 1.0), k0, d))
 
 
 class TestConfig:

@@ -48,6 +48,22 @@ def _decimal_log_space(f, ln_t):
     return np.array(out).T
 
 
+def _decimal_second_deriv(f, t):
+    """Phi''(t) of the raw formula for each t, in 50-digit decimal arithmetic."""
+    p, gamma, scale = Decimal(f.p), Decimal(f.gamma), Decimal(f.scale)
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e = Decimal(1).exp()
+        for tv in t:
+            tv = Decimal(float(tv))
+            L = (e + tv).ln()
+            A = p / tv + gamma / ((e + tv) * L)
+            dA = -p / tv**2 - gamma * (L + 1) / ((e + tv) * L) ** 2
+            out.append(float(scale * tv**p * L**gamma * (A * A + dA)))
+    return np.array(out)
+
+
 def _assert_log_space_matches_reference(f, ln_t):
     ref_eval, ref_deriv = _decimal_log_space(f, ln_t)
     tol = 1e-14 * np.maximum(1.0, np.abs(ln_t))
@@ -204,6 +220,63 @@ class TestLogPower:
     def test_pure_power_log_deriv_slope(self):
         assert PurePower(2.5, 3.0).log_deriv_slope(np.zeros(4)).tolist() == [1.5] * 4
 
+    @pytest.mark.parametrize("f", [PurePower(2.5, 3.0), PurePower(1.5)], ids=["t2.5", "t1.5"])
+    def test_pure_power_log_space_matches_decimal_reference(self, f):
+        _assert_log_space_matches_reference(f, np.linspace(-1000.0, 1000.0, 401))
+
+    def test_pure_power_is_the_gamma_zero_log_power(self):
+        f = PurePower(2.5, 3.0)
+        assert isinstance(f, LogPower)
+        assert (f.gamma, f.knot) == (0.0, 0.0)
+        t = np.logspace(-12.0, 12.0, 241)
+        twin = LogPower(2.5, 0.0, 3.0)
+        for name in ("__call__", "deriv", "deriv_ratio", "second_deriv"):
+            assert getattr(f, name)(t).tobytes() == getattr(twin, name)(t).tobytes()
+        with pytest.raises(DomainError, match="^PurePower requires a finite p > 1$"):
+            PurePower(1.0)
+
+    def test_deriv_past_the_double_range(self):
+        # t^(p-1) overflows before L^(gamma-1) brings the product back into
+        # range; such entries are exp(log_deriv)
+        f = LogPower(3.0, -5.0)
+        assert float(f.deriv(1.35e154)) == pytest.approx(9.66552445e295, rel=1e-9)
+        t = np.logspace(-12.0, 299.0, 3001)
+        with np.errstate(over="ignore"):
+            from_log = np.exp(f.log_deriv(np.log(t)))
+        np.testing.assert_allclose(f.deriv(t), from_log, rtol=1e-12)
+
+    @pytest.mark.parametrize("f", [LogPower(3.0, -5.0), LogPower(2.0, 1.0), LogPower(1.5, -3.0),
+                                   PurePower(2.0), PurePower(1.5), PurePower(3.0, 2.0)],
+                             ids=["L3,-5", "L2,1", "L1.5,-3", "t2", "t1.5", "2t3"])
+    def test_second_deriv_past_the_double_range(self, f):
+        # above 1e150 (p/t)^2 leaves the normal range, and t^p overflows where
+        # (p/t)^2 underflows to 0; both read the log-space form
+        t = np.logspace(100.0, 300.0, 81)
+        np.testing.assert_allclose(f.second_deriv(t), _decimal_second_deriv(f, t), rtol=1e-12)
+        assert float(PurePower(2.0).second_deriv(1e200)) == 2.0
+
+    def test_second_deriv_direct_formula_kept_where_finite(self):
+        # the FEM Hessian reads these values: below 1e150 they are the direct
+        # formula, bit for bit
+        for p, gamma in ((2.0, 2.0), (2.0, -0.5), (3.0, 0.5), (1.5, 0.0)):
+            assert LogPower(p, gamma).knot == 0.0
+            t = np.logspace(-8.0, 149.0, 400)
+            L = np.log(np.e + t)
+            A = p / t + gamma / ((np.e + t) * L)
+            dA = -p / t**2 - gamma * (L + 1.0) / ((np.e + t) * L) ** 2
+            with np.errstate(over="ignore", invalid="ignore"):
+                direct = 1.0 * t**p * L**gamma * (A * A + dA)
+            kept = np.isfinite(direct)
+            assert kept.sum() > 250
+            got = LogPower(p, gamma).second_deriv(t)
+            assert got[kept].tobytes() == direct[kept].tobytes()
+            assert np.all(np.isfinite(got))
+
+    def test_second_deriv_no_nan_at_extreme_exponents(self):
+        # t^p underflows to 0 where log^gamma(e + t) overflows: 0 * inf was NaN
+        got = LogPower(1e6, 1e6).second_deriv(np.array([1e-3, 0.5, 0.9]))
+        assert got.tolist() == [0.0, 0.0, np.inf]
+
     def test_log_switch_wins_over_a_higher_knot(self):
         # LogPower(1.2, -5) has its knot near 3.0e14: between 1e8 and the knot
         # the value is exp(log_eval), not the quadratic substitute in t
@@ -279,6 +352,20 @@ class TestConjugate:
         assert star.scale == pytest.approx(2.0 / 3.0 / np.sqrt(6.0), rel=1e-15)
         for s in (0.5, 10.0, 1e4):
             assert float(star(s)) == pytest.approx(conjugate_numeric(f, s), rel=1e-10)
+
+    def test_only_pure_power_gets_the_exact_conjugate(self):
+        # a gamma = 0 LogPower stands for its growth class, a PurePower for itself
+        star = conjugate(PurePower(3.0, 2.0))
+        assert type(star) is PurePower
+        assert (star.p, star.gamma) == (1.5, 0.0)
+        star = conjugate(LogPower(3.0, 0.0, 2.0))
+        assert type(star) is LogPower
+        assert (star.p, star.gamma, star.scale) == (1.5, 0.0, 1.0)
+
+    def test_pure_power_conjugate_scale_overflow_raises(self):
+        # (c p)^(1/(1-p)) leaves the double range
+        with pytest.raises(DomainError, match="overflows"):
+            conjugate(PurePower(1.0000001, 1e-320))
 
     @pytest.mark.parametrize("f", [Quadratic(), lambda t: t * t, "t^2", None],
                              ids=["class", "lambda", "str", "None"])
