@@ -20,12 +20,11 @@ check per cell.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, PreconditionError, RangeError
+from .errors import NumericalError, PreconditionError, RangeError
 from .orlicz import LogPower, _check_integrand, conjugate
 
 CONVERGES = "Converges"
@@ -228,77 +227,3 @@ def phase_diagram(alphas, betas, p=2.0):
     return [(float(a), float(b), cell(a, b))
             for a in sorted(alphas) for b in sorted(betas)]
 
-
-@dataclass
-class RegularityVerdict:
-    regular: bool
-    witness: tuple | None = None  # (eps, t) where the inequality fails worst
-    growth_slope: float = 0.0
-    sup_ratio: float = 0.0
-
-    def __bool__(self):
-        return self.regular
-
-
-# cap on the bounded-factor allowance of the modulus comparison; the paper's
-# condition is a growth-class statement, so a fixed factor is immaterial
-MODULUS_BOUND_FACTOR = 256.0
-MODULUS_GROWTH_SLOPE_MAX = 0.25
-# ascending eps values at which the modulus is compared
-MODULUS_EPS_GRID = np.logspace(-8.0, np.log10(0.25), 40)
-
-
-def regularity_modulus_check(omega, phi, psi, k0, d):
-    """Does the weight modulus omega(eps) stay below k0 * min phi/psi?
-
-    phi and psi are ``LogPower``s.  The minimum runs over
-    1 <= t <= min(eps^{-d}, 1e280); for decreasing phi/psi it sits at the
-    right end.  Regular means the ratio
-    omega / (k0 * min) stays bounded as eps -> 0; a diverging ratio fails
-    with the worst (eps, t) as witness.
-    """
-    _check_integrand(phi, "regularity_modulus_check")
-    _check_integrand(psi, "regularity_modulus_check")
-    if not (0.0 < k0 < np.inf):
-        raise DomainError("finite k0 > 0 required")
-    if not (1.0 <= d < np.inf):
-        raise DomainError("finite dimension d >= 1 required")
-    eps_grid = MODULUS_EPS_GRID
-    om = np.asarray([float(omega(e)) for e in eps_grid])
-    # NaN fails both comparisons
-    if not np.all((om >= 0.0) & (om < np.inf)):
-        raise DomainError("omega must be finite and nonnegative")
-    if np.any(np.diff(om) < -1e-12 * np.max(om)):
-        raise PreconditionError("omega must be nondecreasing")
-
-    ratios = np.empty_like(eps_grid)
-    t_at_min = np.empty_like(eps_grid)
-    for i, e in enumerate(eps_grid):
-        # t up to eps^-d capped at 1e280, taken in log10 so that it cannot
-        # overflow, and phi/psi from log space, where neither overflows
-        ts = np.logspace(0.0, min(-d * math.log10(e), 280.0), 200)
-        ln_t = np.log(ts)
-        q = np.exp(phi.log_eval(ln_t) - psi.log_eval(ln_t))
-        j = int(np.argmin(q))
-        t_at_min[i] = ts[j]
-        # a ratio past the double range (k0 * q underflows) reads inf, and
-        # omega = 0 reads 0 whatever k0 * q is
-        with np.errstate(over="ignore", divide="ignore"):
-            ratios[i] = om[i] / (k0 * q[j]) if om[i] > 0.0 else 0.0
-
-    sup_ratio = float(np.max(ratios))
-
-    i_worst = int(np.argmax(ratios))
-    grows = _ratio_grows(eps_grid, ratios)
-    if grows or sup_ratio > MODULUS_BOUND_FACTOR:
-        return RegularityVerdict(False, (float(eps_grid[i_worst]), float(t_at_min[i_worst])),
-                                 growth_slope=grows, sup_ratio=sup_ratio)
-    return RegularityVerdict(True, None, growth_slope=grows, sup_ratio=sup_ratio)
-
-
-def _ratio_grows(eps_grid, ratios):
-    # from coarse eps down to 0
-    x = np.log(np.log(1.0 / eps_grid[::-1]))
-    y = np.log(np.clip(ratios[::-1], 1e-300, 1e300))
-    slope = float(np.polyfit(x, y, 1)[0])
-    return slope if slope > MODULUS_GROWTH_SLOPE_MAX else 0.0

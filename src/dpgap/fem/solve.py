@@ -164,13 +164,13 @@ def _backtrack(obj, x, f, d, g):
     return None
 
 
-def _newton(obj, x0, max_iterations=MAX_ITERATIONS):
+def _newton(obj, x0):
     x = np.asarray(x0, dtype=np.float64).copy()
     f = obj.value(x)
     iterations = 0
     grad_norm = np.inf
     rel = np.inf
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         g = obj.grad(x)
         grad_norm = float(np.max(np.abs(g))) if g.size else 0.0
         if grad_norm < GRAD_TOL and rel < REL_DECREASE_TOL:
@@ -189,8 +189,7 @@ def _newton(obj, x0, max_iterations=MAX_ITERATIONS):
     return x, f, iterations, False, grad_norm
 
 
-def minimize(space, objective, pair, mesh, boundary_data=0.0, x0=None,
-             max_iterations=MAX_ITERATIONS):
+def minimize(space, objective, pair, mesh, boundary_data=0.0, x0=None):
     """Damped Newton with backtracking on the convex objective.
 
     ``space`` in {conforming, enriched}; ``objective`` in {G, dirichlet}.
@@ -207,7 +206,7 @@ def minimize(space, objective, pair, mesh, boundary_data=0.0, x0=None,
     if x0 is None:
         n_int = len(mesh.interior)
         x0 = np.zeros(n_int + (1 if space == ENRICHED else 0))
-    x, f, iterations, converged, grad_norm = _newton(obj, x0, max_iterations)
+    x, f, iterations, converged, grad_norm = _newton(obj, x0)
     return MinimizeResult(obj.make_field(x), f, iterations, converged, grad_norm)
 
 
@@ -240,6 +239,10 @@ def gap_experiment(alpha, beta, levels, grading=2.0, mode=None, force_g=False):
     pairing over (-1,1)^2 are 4 times their quadrant values, and the report
     holds those full-domain values.
     """
+    levels = list(levels)
+    # NaN fails the comparison; int() of NaN or inf raises no DpgapError
+    if not all(abs(n) < np.inf for n in levels):
+        raise RangeError("mesh levels must be finite")
     levels = [int(n) for n in levels]
     if not levels:
         raise RangeError("at least one mesh level is required")
@@ -303,9 +306,11 @@ def cone_trace_diagnostic(u, mesh, radii):
 
     Returns (table, fit_exponent) where table rows are
     (r, mean over the top arc, mean over the bottom arc) and the exponent is
-    the fitted decay rate of |mean(r) - u(0)| against log(1/r).
+    the fitted decay rate of |mean(r) - u(0)| against log(1/r), 0.0 below 3 distinct radii.
     """
     radii = np.asarray(sorted(float(r) for r in radii))
+    if radii.size == 0:
+        raise RangeError("at least one trace radius is required")
     if np.any(radii < mesh.h_min):
         raise RangeError("trace radius below the smallest mesh ring")
     if np.any(radii >= 1.0):
@@ -324,7 +329,7 @@ def cone_trace_diagnostic(u, mesh, radii):
     table = np.array(rows)
     dev = 0.5 * (np.abs(table[:, 1] - u0) + np.abs(table[:, 2] - u0))
     good = dev > 1e-14
-    if good.sum() >= 3:
+    if np.unique(table[good, 0]).size >= 3:
         exponent = float(np.polyfit(np.log(np.log(1.0 / table[good, 0])),
                                     np.log(dev[good]), 1)[0])
     else:

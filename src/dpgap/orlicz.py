@@ -356,16 +356,16 @@ def _newton_in_log(f, ln_s, lo, hi, g_lo, g_hi):
 def conjugate_log_power(p, gamma):
     """Closed-form conjugate exponents: (p, gamma) -> (p', gamma/(1-p)).
 
-    Exact on the exponent parameters (rational arithmetic); the returned
-    descriptor is an equivalence-class representative, valid up to a
-    multiplicative growth constant.
+    Rational arithmetic on each parameter's nearest fraction with denominator
+    <= 10^12 where it rounds back to the parameter (1.1 is 11/10), else on its
+    binary value; the result is a growth-class representative.
     """
     if not (1.0 < p < math.inf):
         raise DomainError("conjugate_log_power requires a finite p > 1")
     if not math.isfinite(gamma):
         raise DomainError("conjugate_log_power requires a finite gamma")
-    fp = Fraction(p).limit_denominator(10**12)
-    fg = Fraction(gamma).limit_denominator(10**12)
+    fp, fg = (f if float(f := Fraction(x).limit_denominator(10**12)) == x else Fraction(x)
+              for x in (p, gamma))
     try:
         q, gq = float(fp / (fp - 1)), float(fg / (1 - fp))
     except OverflowError as exc:

@@ -6,7 +6,7 @@ import pytest
 from dpgap import classifier
 from dpgap.classifier import (CONVERGES, DIVERGES, GAP, NO_GAP,
                               classify, classify_alpha_beta, phase_diagram,
-                              regularity_modulus_check, tail_integral_verdict)
+                              tail_integral_verdict)
 from dpgap.errors import DomainError, NumericalError, PreconditionError
 from dpgap.orlicz import LogPower, PurePower, conjugate
 
@@ -239,53 +239,3 @@ class TestPhaseDiagram:
         assert len(built) <= 12 + 6
         assert len(tails) <= 12
 
-
-class TestRegularityModulus:
-    def test_bounded_modulus_is_regular(self):
-        phi = LogPower(2.0, -1.0)
-        psi = LogPower(2.0, 1.0)
-        # omega comparable to the phase-ratio decay: regular
-        omega = lambda e: 1.0 / np.log(1.0 / e) ** 2
-        v = regularity_modulus_check(omega, phi, psi, k0=1.0, d=2)
-        assert bool(v)
-        assert v.witness is None
-
-    def test_constant_modulus_fails(self):
-        phi = LogPower(2.0, -1.0)
-        psi = LogPower(2.0, 1.0)
-        omega = lambda e: 1.0
-        v = regularity_modulus_check(omega, phi, psi, k0=1.0, d=2)
-        assert not bool(v)
-        eps_w, t_w = v.witness
-        assert 0.0 < eps_w <= 0.25
-        assert t_w >= 1.0
-
-    @pytest.mark.parametrize("k0", [np.nan, -1.0, 0.0, np.inf], ids=str)
-    def test_bad_k0_rejected(self, k0):
-        with pytest.raises(DomainError, match="k0 > 0"):
-            regularity_modulus_check(lambda e: 1.0, LogPower(2.0, -1.0), LogPower(2.0, 1.0),
-                                     k0=k0, d=2)
-
-    @pytest.mark.parametrize("d", [np.nan, np.inf], ids=str)
-    def test_bad_dimension_rejected(self, d):
-        with pytest.raises(DomainError, match="d >= 1"):
-            regularity_modulus_check(lambda e: 1.0, LogPower(2.0, -1.0), LogPower(2.0, 1.0),
-                                     k0=1.0, d=d)
-
-    @pytest.mark.parametrize("omega", [
-        lambda e: np.nan,
-        lambda e: np.nan if e > 0.1 else 1.0 / np.log(1.0 / e) ** 2,
-        lambda e: np.inf,
-        lambda e: -1.0,
-    ], ids=["nan", "nan_above_0.1", "inf", "negative"])
-    def test_bad_modulus_rejected(self, omega):
-        with pytest.raises(DomainError, match="finite and nonnegative"):
-            regularity_modulus_check(omega, LogPower(2.0, -1.0), LogPower(2.0, 1.0),
-                                     k0=1.0, d=2)
-
-    def test_decreasing_modulus_rejected(self):
-        phi = LogPower(2.0, -1.0)
-        psi = LogPower(2.0, 1.0)
-        with pytest.raises(PreconditionError):
-            regularity_modulus_check(lambda e: -np.log(e), phi, psi,
-                                     k0=1.0, d=2)

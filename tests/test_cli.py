@@ -1,23 +1,24 @@
 """Command-line harness: dispatch, exit codes, artifacts, round trips, and
 the library errors behind the exit codes."""
 
+import argparse
 import csv
-import functools
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dpgap.classifier import regularity_modulus_check
-from dpgap.cli import main
+from dpgap.cli import _build_parser, main
 from dpgap.cutoffs import find_inner_radius
 from dpgap.errors import DpgapError
 from dpgap.fem import solve
+from dpgap.fem.fields import DofField
 from dpgap.fem.mesh import build_mesh
-from dpgap.geometry import MAX_FIELDS_RESOLUTION, MAX_FLUX_NQUAD
+from dpgap.geometry import MAX_FIELDS_RESOLUTION, MAX_FLUX_NQUAD, eval_u2
 from dpgap.orlicz import LogPower, PurePower, luxemburg_norm
 
 pytestmark = pytest.mark.usefixtures("capsys")
@@ -124,8 +125,7 @@ class TestGap:
         assert level["E1"] <= level["E2"] + 1e-10
 
     def test_non_convergence_exits_three(self, capsys, monkeypatch):
-        monkeypatch.setattr(solve, "minimize",
-                            functools.partial(solve.minimize, max_iterations=1))
+        monkeypatch.setattr(solve, "MAX_ITERATIONS", 1)
         code, out, err = run(capsys, "gap", "--alpha", "2", "--beta", "2",
                              "--levels", "16")
         assert out == ""
@@ -337,6 +337,7 @@ class TestExitCodeContract:
     @example(p=1.5, gamma=1e308, s=[1.5])  # gamma / (1 - p) overflows
     @example(p=1e6, gamma=1e308, s=[1e-320])  # ln f' overflows
     @example(p=1.0000001, gamma=1e6, s=[1e6])  # the closed form overflows
+    @example(p=1.0000000000000009, gamma=1.0, s=[10.0])  # p read as 1: division by 0
     def test_conjugate(self, capsys, p, gamma, s):
         code, _, err = run(capsys, "conjugate", _flag("p", [p]), _flag("gamma", [gamma]),
                            _flag("s", s))
@@ -442,15 +443,21 @@ class TestLibraryContract:
             PurePower(p, gamma) if pure else LogPower(p, gamma), r2, delta))
 
     @_contract
-    @given(k0=_extreme, d=_extreme, omega_scale=st.sampled_from([0.0, 1.0, 1e300]))
-    @example(k0=1.0, d=1e6, omega_scale=1.0)  # eps^-d overflows
-    @example(k0=1.0, d=1e308, omega_scale=1.0)
-    @example(k0=1.0, d=30.0, omega_scale=1.0)  # phi and psi overflow at t = 1e280
-    @example(k0=1e-320, d=2.0, omega_scale=1.0)  # omega / (k0 min phi/psi) overflows
-    @example(k0=1e-320, d=1e308, omega_scale=0.0)  # 0 / 0
-    def test_regularity_modulus_check(self, k0, d, omega_scale):
-        _assert_library_contract(lambda: regularity_modulus_check(
-            lambda e: omega_scale * e, LogPower(2.0, -1.0), LogPower(2.0, 1.0), k0, d))
+    @given(levels=st.lists(st.sampled_from(EXTREMES + [2**62]), max_size=3))
+    @example(levels=[math.nan])  # int() raised a bare ValueError
+    @example(levels=[math.inf])  # and an OverflowError
+    def test_gap_experiment(self, levels):
+        # no drawn level is a legal mesh resolution, so nothing is solved
+        _assert_library_contract(lambda: solve.gap_experiment(2.0, 2.0, levels))
+
+    @_contract
+    @given(radii=st.lists(st.sampled_from(EXTREMES + [0.25]), max_size=4))
+    @example(radii=[])  # the fit indexed an empty table
+    @example(radii=[0.5, 0.5, 0.5])  # a fit through one distinct radius warned
+    def test_cone_trace_diagnostic(self, radii):
+        mesh = build_mesh(8, 2.0)
+        u = DofField.interpolate(mesh, eval_u2)
+        _assert_library_contract(lambda: solve.cone_trace_diagnostic(u, mesh, radii))
 
 
 class TestConfig:
@@ -481,3 +488,30 @@ class TestConfig:
         # 17 significant digits round-trip doubles exactly
         assert isinstance(report["phi_tail"]["fitted_exponent"], float)
         assert json.loads(json.dumps(report)) == report
+
+
+def _readme_commands():
+    """{subcommand: its --flags} from README.md's command table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| command | purpose | main flags |", 1)[1]
+    commands = {}
+    for row in table.splitlines()[2:]:
+        if not row.startswith("| `"):
+            break
+        command, _, flags = row.strip("|").split(" | ")
+        commands[command.strip(" `")] = set(re.findall(r"--[a-z][a-z0-9-]*", flags))
+    return commands
+
+
+def _parser_commands():
+    """{subcommand: its --flags} from the CLI's parser, without --help."""
+    sub, = (a for a in _build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt for a in p._actions for opt in a.option_strings
+                   if opt.startswith("--") and opt != "--help"}
+            for name, p in sub.choices.items()}
+
+
+class TestReadme:
+    def test_command_table_matches_the_parser(self):
+        assert _readme_commands() == _parser_commands()

@@ -500,8 +500,8 @@ class TestNewtonDirection:
         np.testing.assert_array_equal(x, 0.0)
         assert (f, iterations, converged) == (0.0, 2, True)
         # the gradient step is taken in the same iteration as the failed one
-        x, _, iterations, _, _ = solve._newton(_RayObjective(), np.array([1.0, 2.0]),
-                                               max_iterations=1)
+        monkeypatch.setattr(solve, "MAX_ITERATIONS", 1)
+        x, _, iterations, _, _ = solve._newton(_RayObjective(), np.array([1.0, 2.0]))
         np.testing.assert_array_equal(x, 0.0)
         assert iterations == 1
 

@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpgap.errors import DomainError, UnboundedConjugateError
@@ -322,6 +322,7 @@ class TestLogPower:
 class TestConjugate:
     @given(st.floats(1.1, 6.0), st.floats(-5.0, 5.0))
     @settings(max_examples=100, deadline=None)
+    @example(5.0, 2.305445497723923e-12)  # gamma moved to a multiple of 1e-12
     def test_parameter_round_trip_exact(self, p, gamma):
         star = conjugate_log_power(p, gamma)
         back = conjugate_log_power(star.p, star.gamma)
