@@ -311,11 +311,11 @@ def cone_trace_diagnostic(u, mesh, radii):
     radii = np.asarray(sorted(float(r) for r in radii))
     if radii.size == 0:
         raise RangeError("at least one trace radius is required")
-    if np.any(radii < mesh.h_min):
-        raise RangeError("trace radius below the smallest mesh ring")
-    if np.any(radii >= 1.0):
-        raise RangeError("trace radius must be below 1: the log-log fit "
-                         "takes log(log(1/r)), which needs r < 1")
+    # written so that a NaN radius fails it
+    if not np.all((radii >= mesh.h_min) & (radii < 1.0)):
+        raise RangeError(f"trace radii must lie in [{mesh.h_min!r}, 1), from the "
+                         "smallest mesh ring: the log-log fit takes log(log(1/r)), "
+                         "which needs r < 1")
     ang_top = np.linspace(np.deg2rad(65.0), np.deg2rad(115.0), 41)
     ang_bot = ang_top + np.pi
     u0 = float(u.evaluate([0.0, 0.0]))

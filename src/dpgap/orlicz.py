@@ -9,17 +9,20 @@ anything built on top.
 
 The integrand is ``LogPower``, and ``PurePower`` (c t^p) is its gamma = 0
 member: log^0 = 1 and there is no knot.  This module is the only one that
-knows how the integrand behaves in log space (``log_eval``, ``log_deriv``,
-``log_deriv_slope``) and which closed-form conjugate stands for it
+knows how the integrand behaves in log space (``log_eval``; ``log_deriv``;
+and ``log_deriv_with_slope``, ln Phi' with its slope d ln Phi' / d ln t from
+one evaluation of the terms of ln Phi', which ``log_deriv`` shares and
+``log_deriv_slope`` reads) and which closed-form conjugate stands for it
 (``conjugate``: the exact one for a ``PurePower``).  Every quantity goes
 through one rule, ``_split_at_knot``: the substitute below the knot, in t
-for the value and its two derivatives and in ln t for the three log-space
-ones.  ``log_eval(ln_t, k)`` is ln(Phi(t) / t^k); the integrand and its two
+for the value and its two derivatives and in ln t for the log-space ones.
+``log_eval(ln_t, k)`` is ln(Phi(t) / t^k); the integrand and its two
 derivatives are taken from log space wherever their direct formulas leave
 the double range, and the integrand also above 1e8.  ``log_deriv_inverse``
-is the one inverse of Phi': a safeguarded Newton iteration in ln t on
-``log_deriv``, whose slope is ``log_deriv_slope``.  The psi-harmonic cutoffs
-and ``conjugate_numeric`` both go through it.
+is the one inverse of Phi': a safeguarded Newton iteration in ln t that
+evaluates ``log_deriv_with_slope`` once per iterate.  The psi-harmonic
+cutoffs and ``conjugate_numeric`` both go through it.  ``luxemburg_norm``
+finds the modular's threshold by false position in (ln gamma, ln M).
 """
 
 from __future__ import annotations
@@ -27,11 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainError, NormOverflowError, UnboundedConjugateError
+from .errors import DomainError, NormOverflowError, NumericalError, UnboundedConjugateError
 
 _T_MAX = 1.0e300
 # above this argument the integrand is evaluated in log space
@@ -122,15 +126,24 @@ def _knot_search(p, gamma, scale):
 
 def _split_at_knot(x, x_knot, raw, substitute):
     """raw(x) at and above the knot and substitute(x) below it, computed
-    quietly, as an array of x's shape.  x is t or ln t and x_knot the knot
-    in the same variable: t0 = 0 or ln t0 = -inf where there is none."""
+    quietly.  x is t or ln t and x_knot the knot in the same variable: t0 = 0
+    or ln t0 = -inf where there is none.  raw and substitute return an array
+    of x's shape, or a pair of them, which comes back as one array of shape
+    (2,) + x.shape."""
     x = np.asarray(x, dtype=np.float64)
     with np.errstate(all="ignore"):
         if x_knot == -math.inf or not (small := x < x_knot).any():
             return np.asarray(raw(x))
-        out = np.empty_like(x)
-        out[~small] = raw(x[~small])
-        out[small] = substitute(x[small])
+        above = np.asarray(raw(x[~small]))
+        below = np.asarray(substitute(x[small]))
+        out = np.empty(above.shape[:-1] + x.shape)
+        # row by row on flat views: one boolean index per row is NumPy's fast
+        # path, and out[..., small] is several times slower
+        rows = out.reshape(-1, x.size)
+        small = small.ravel()
+        for row, a, b in zip(rows, above.reshape(len(rows), -1), below.reshape(len(rows), -1)):
+            row[~small] = a
+            row[small] = b
     return out
 
 
@@ -170,8 +183,16 @@ class LogPower:
     def _ln_knot(self):
         return math.log(self.knot) if self.knot > 0.0 else -math.inf
 
+    @cached_property
+    def _conjugate_bracket_log_deriv(self):
+        # ln Phi' at the ends of conjugate_numeric's bracket
+        return self.log_deriv(np.log(_CONJ_BRACKET))
+
     def __call__(self, t):
-        t = _check_arg(t)
+        return self._value(_check_arg(t))
+
+    def _value(self, t):
+        # __call__ on a float64 array that _check_arg accepts
         p, gamma, scale = self.p, self.gamma, self.scale
         t0, a2, a1 = self._knot
         out = _split_at_knot(t, t0, lambda x: scale * x**p * np.log(np.e + x) ** gamma,
@@ -239,37 +260,49 @@ class LogPower:
             lambda x: math.log(self.scale) + (p - k) * x + gamma * np.log(np.logaddexp(1.0, x)),
             lambda x: (1.0 - k) * x + np.log(a1 + a2 * np.exp(x)))[()]
 
+    def _log_deriv_terms(self, x):
+        """ln Phi' at ln t = x on and above the knot, with the L = ln(e + t),
+        w = t / (e + t) and d = p L + gamma w it is made of."""
+        p, gamma = self.p, self.gamma
+        # Phi' = scale t^{p-1} L^{gamma-1} (p L + gamma t / (e + t))
+        L = np.logaddexp(1.0, x)
+        w = np.exp(x - L)  # the derivative of L in ln t
+        d = p * L + gamma * w
+        return (math.log(self.scale) + (p - 1.0) * x + (gamma - 1.0) * np.log(L)
+                + np.log(d)), L, w, d
+
+    def _log_deriv_substitute(self, x):
+        """ln Phi' at ln t = x below the knot, with q = 2 a2 t: Phi' = a1 + q."""
+        _, a2, a1 = self._knot
+        q = 2.0 * a2 * np.exp(x)
+        return np.log(a1 + q), q
+
     def log_deriv(self, ln_t):
         """ln Phi'(e^{ln_t}) in closed form."""
-        p, gamma = self.p, self.gamma
-        _, a2, a1 = self._knot
-
-        def raw(x):
-            # Phi' = scale t^{p-1} L^{gamma-1} (p L + gamma t / (e + t))
-            L = np.logaddexp(1.0, x)
-            return (math.log(self.scale) + (p - 1.0) * x + (gamma - 1.0) * np.log(L)
-                    + np.log(p * L + gamma * np.exp(x - L)))
-
-        return _split_at_knot(ln_t, self._ln_knot, raw,
-                              lambda x: np.log(a1 + 2.0 * a2 * np.exp(x)))[()]
+        return _split_at_knot(ln_t, self._ln_knot, lambda x: self._log_deriv_terms(x)[0],
+                              lambda x: self._log_deriv_substitute(x)[0])[()]
 
     def log_deriv_slope(self, ln_t):
         """d ln Phi' / d ln t in closed form, the Newton slope of ``log_deriv``."""
+        return self.log_deriv_with_slope(ln_t)[1][()]
+
+    def log_deriv_with_slope(self, ln_t):
+        """(ln Phi', d ln Phi' / d ln t) at ln_t, as an array of shape
+        (2,) + ln_t's shape, from one evaluation of the terms of ln Phi'."""
         p, gamma = self.p, self.gamma
-        _, a2, a1 = self._knot
+        a1 = self._knot[2]
 
         def raw(x):
-            L = np.logaddexp(1.0, x)
-            w = np.exp(x - L)  # t / (e + t), the derivative of L in ln t
-            return ((p - 1.0) + (gamma - 1.0) * w / L
-                    + w * (p + gamma * (1.0 - w)) / (p * L + gamma * w))
+            value, L, w, d = self._log_deriv_terms(x)
+            return value, (p - 1.0) + (gamma - 1.0) * w / L + w * (p + gamma * (1.0 - w)) / d
 
         def substitute(x):
-            # underflows to 0 far below the knot, where ln Phi' flattens to ln a1
-            q = 2.0 * a2 * np.exp(x)
-            return q / (a1 + q)
+            # the slope underflows to 0 far below the knot, where ln Phi'
+            # flattens to ln a1
+            value, q = self._log_deriv_substitute(x)
+            return value, q / (a1 + q)
 
-        return _split_at_knot(ln_t, self._ln_knot, raw, substitute)[()]
+        return _split_at_knot(ln_t, self._ln_knot, raw, substitute)
 
 
 @dataclass(frozen=True)
@@ -282,7 +315,7 @@ class PurePower(LogPower):
 
 def log_deriv_inverse(f, ln_s):
     """ln t with ln f'(t) = ln_s, elementwise, for an integrand with
-    ``log_deriv`` and ``log_deriv_slope``.
+    ``log_deriv`` and ``log_deriv_with_slope``.
 
     The bracket starts at [min(ln s, 4 ln s) - 100, max(ln s, 4 ln s) + 100]
     in ln t and doubles its span past an end that does not hold the root, at
@@ -323,34 +356,39 @@ _MIN_SLOPE = 1e-200
 def _newton_in_log(f, ln_s, lo, hi, g_lo, g_hi):
     """Safeguarded Newton on g(x) = ln f'(e^x) - ln s over brackets [lo, hi].
 
-    All arguments are 1-d arrays of one length; lo and hi are narrowed in
-    place.  g_lo and g_hi are g at the ends: where they change sign the first
-    iterate is the secant point, elsewhere the midpoint.  Each iterate narrows
-    the bracket, and the next one is its Newton step if that lies strictly
-    inside and its midpoint otherwise.  An entry stops once |g| is within 2
-    ulp of max(1, |ln s|), or when its next iterate would not move.
+    All arguments are 1-d arrays of one length, and none is written to.  g_lo
+    and g_hi are g at the ends: where they change sign the first iterate is
+    the secant point, elsewhere the midpoint.  Each iterate takes ln f' and
+    its slope from one ``log_deriv_with_slope`` call and narrows its bracket;
+    the next iterate is its Newton step if that lies strictly inside and the
+    bracket's midpoint otherwise.  An entry stops once |g| is within 2 ulp of
+    max(1, |ln s|), or when its next iterate would not move; from then on the
+    iteration runs on the entries still going.
     """
     straddle = (g_lo < 0.0) & (g_hi > 0.0)
     frac = np.divide(g_lo, g_lo - g_hi, out=np.full_like(lo, 0.5), where=straddle)
     x = lo + frac * (hi - lo)
     tol = 2.0 * np.spacing(np.maximum(1.0, np.abs(ln_s)))
+    out = np.empty_like(x)
     active = np.arange(x.size)
     for _ in range(_NEWTON_MAX_STEPS):
         if active.size == 0:
             break
-        xa = x[active]
-        g = f.log_deriv(xa) - ln_s[active]
+        value, slope = f.log_deriv_with_slope(x)
+        g = value - ln_s
         above = g > 0.0
-        lo_a = np.where(above, lo[active], xa)
-        hi_a = np.where(above, xa, hi[active])
-        x_next = xa - g / np.maximum(f.log_deriv_slope(xa), _MIN_SLOPE)
-        x_next = np.where((lo_a < x_next) & (x_next < hi_a), x_next, 0.5 * (lo_a + hi_a))
-        going = (np.abs(g) > tol[active]) & (x_next != xa)
-        x[active] = np.where(going, x_next, xa)
-        lo[active] = lo_a
-        hi[active] = hi_a
-        active = active[going]
-    return x
+        lo = np.where(above, lo, x)
+        hi = np.where(above, x, hi)
+        x_next = x - g / np.maximum(slope, _MIN_SLOPE)
+        x_next = np.where((lo < x_next) & (x_next < hi), x_next, 0.5 * (lo + hi))
+        going = (np.abs(g) > tol) & (x_next != x)
+        if not going.all():
+            out[active[~going]] = x[~going]
+            active, x_next, lo, hi, ln_s, tol = (
+                v[going] for v in (active, x_next, lo, hi, ln_s, tol))
+        x = x_next
+    out[active] = x
+    return out
 
 
 def conjugate_log_power(p, gamma):
@@ -411,7 +449,7 @@ def conjugate_numeric(f, s):
     pos = flat > 0.0
     # g_lo, g_hi: ln f' - ln s at the ends of the bracket
     ln_s = np.log(flat, out=np.full_like(flat, -math.inf), where=pos)
-    g_lo, g_hi = (v - ln_s for v in f.log_deriv(np.log(_CONJ_BRACKET)))
+    g_lo, g_hi = (v - ln_s for v in f._conjugate_bracket_log_deriv)
     if np.any(g_hi < 0.0):
         raise UnboundedConjugateError(
             f"f' never reaches {flat[g_hi < 0.0][0]} on [{lo}, {hi}]")
@@ -420,7 +458,7 @@ def conjugate_numeric(f, s):
     t_star = np.exp(_newton_in_log(f, ln_s[inner], np.full(n, math.log(lo)),
                                    np.full(n, math.log(hi)), g_lo[inner], g_hi[inner]))
     out = np.zeros_like(flat)
-    out[inner] = flat[inner] * t_star - f(t_star)
+    out[inner] = flat[inner] * t_star - f._value(t_star)
     # elsewhere the supremum is attained at (numerical) zero
     edge = pos & ~inner
     if np.any(edge):
@@ -428,36 +466,78 @@ def conjugate_numeric(f, s):
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
+# a probe this close to a bracket end in ln gamma moves this far inside, so
+# the bracket closes from both sides to its 1e-10 relative width
+_NORM_TOL_STEP = 0.4e-10
+
+
 def luxemburg_norm(values, weights, f):
-    """inf{gamma > 0 : sum_i w_i f(|v_i| / gamma) <= 1} by bisection."""
+    """inf{gamma > 0 : sum_i w_i f(|v_i| / gamma) <= 1}, to 1e-10 relative.
+
+    The bracket starts at max |v_i| and moves by factors of 4 until the
+    modular M crosses 1 inside it.  Illinois false position on
+    (ln gamma, ln M), where ln M is nearly linear, then closes it; a probe
+    within ``_NORM_TOL_STEP`` of an end is moved that far inside.  Returns hi
+    with M(hi) <= 1 < M(lo) and hi - lo <= 1e-10 hi; a subnormal norm stops
+    where no double lies between lo and hi any more.
+    """
     values = np.abs(np.asarray(values, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != values.shape:
         raise DomainError("values and quadrature weights must have the same shape")
     if not np.all((weights > 0.0) & (weights < math.inf)):
         raise DomainError("quadrature weights must be finite and positive")
+    if not np.all(values < math.inf):
+        raise DomainError("field values must be finite")
     if not np.any(values > 0.0):
         return 0.0
 
     def modular(g):
         with np.errstate(over="ignore"):
-            return np.sum(weights * np.asarray(f(values / g)))
+            return float(np.sum(weights * np.asarray(f(values / g))))
 
-    lo = hi = 1.0
-    while not (modular(hi) <= 1.0):
+    lo = hi = float(np.max(values))
+    m_lo = m_hi = modular(hi)
+    while not m_hi <= 1.0:
+        lo, m_lo = hi, m_hi
         hi *= 4.0
-        if hi > 1.0e12:
-            raise NormOverflowError("modular exceeds 1 for every gamma up to 1e12")
-    while modular(lo) <= 1.0 and lo > 1.0e-14:
+        if hi == math.inf:
+            raise NormOverflowError("modular exceeds 1 for every gamma up to the "
+                                    "largest double")
+        m_hi = modular(hi)
+    while m_lo <= 1.0:
+        hi, m_hi = lo, m_lo
         lo /= 4.0
+        if lo == 0.0:
+            raise NumericalError("Luxemburg norm below the smallest positive double")
+        m_lo = modular(lo)
+
+    def ln(m):
+        return math.log(m) if m > 0.0 else -math.inf
+
+    x_lo, x_hi, y_lo, y_hi = math.log(lo), math.log(hi), ln(m_lo), ln(m_hi)
+    moved = None  # the end the last probe replaced
     for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if modular(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
         if hi - lo <= 1e-10 * hi:
             break
+        if x_hi - x_lo <= 2.0 * _NORM_TOL_STEP or not math.isfinite(y_lo - y_hi):
+            x = 0.5 * (x_lo + x_hi)
+        else:
+            x = x_lo + y_lo / (y_lo - y_hi) * (x_hi - x_lo)
+            x = min(max(x, x_lo + _NORM_TOL_STEP), x_hi - _NORM_TOL_STEP)
+        g = math.exp(x)
+        if not lo < g < hi:
+            break
+        m = modular(g)
+        # Illinois: an end kept twice in a row has its ln M halved
+        if m <= 1.0:
+            if moved == "hi":
+                y_lo *= 0.5
+            hi, x_hi, y_hi, moved = g, x, ln(m), "hi"
+        else:
+            if moved == "lo":
+                y_hi *= 0.5
+            lo, x_lo, y_lo, moved = g, x, ln(m), "lo"
     return hi
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from dpgap.cli import _build_parser, main
 from dpgap.cutoffs import find_inner_radius
-from dpgap.errors import DpgapError
+from dpgap.errors import DpgapError, RangeError
 from dpgap.fem import solve
 from dpgap.fem.fields import DofField
 from dpgap.fem.mesh import build_mesh
@@ -458,6 +458,19 @@ class TestLibraryContract:
         mesh = build_mesh(8, 2.0)
         u = DofField.interpolate(mesh, eval_u2)
         _assert_library_contract(lambda: solve.cone_trace_diagnostic(u, mesh, radii))
+
+    @_contract
+    @given(radius=_extreme)
+    @example(radius=math.nan)  # failed both range tests and raised MeshError in locate
+    def test_cone_trace_radius_range(self, radius):
+        mesh = build_mesh(8, 2.0)
+        u = DofField.interpolate(mesh, eval_u2)
+        if mesh.h_min <= radius < 1.0:
+            table, _ = solve.cone_trace_diagnostic(u, mesh, [radius])
+            assert table[0, 0] == radius
+        else:
+            with pytest.raises(RangeError):
+                solve.cone_trace_diagnostic(u, mesh, [radius])
 
 
 class TestConfig:

@@ -99,17 +99,54 @@ class TestLogDerivInverse:
 
     @pytest.mark.parametrize("psi", PSIS[1:], ids=["L0", "L0.5", "L1", "L-2"])
     def test_few_newton_steps(self, psi, monkeypatch):
+        # the bracket search calls log_deriv, each Newton iterate
+        # log_deriv_with_slope
         calls = []
-        log_deriv = LogPower.log_deriv
+        for name in ("log_deriv", "log_deriv_with_slope"):
+            def counted(psi, ln_t, method=getattr(LogPower, name)):
+                calls.append(1)
+                return method(psi, ln_t)
 
-        def counted(psi, ln_t):
-            calls.append(1)
-            return log_deriv(psi, ln_t)
-
-        monkeypatch.setattr(LogPower, "log_deriv", counted)
+            monkeypatch.setattr(LogPower, name, counted)
         log_deriv_inverse(psi, self.LN_S)
         # the bracket holds every root at once: 2 evaluations, then Newton
         assert len(calls) - 2 <= 12
+
+    @pytest.mark.parametrize("psi", [PSIS[3], KNOTTED[2]], ids=["L1", "L1.5,-3"])
+    def test_one_evaluation_per_newton_iterate(self, psi, monkeypatch):
+        # each iterate evaluates ln psi' and its slope once, on the entries
+        # still going: the k-th call holds every entry that takes more than
+        # k iterates when it runs alone
+        ln_s = self.LN_S
+        lo, hi = _bracket_reference(psi, ln_s)
+        g_lo, g_hi = psi.log_deriv(lo) - ln_s, psi.log_deriv(hi) - ln_s
+        evaluate = LogPower.log_deriv_with_slope
+        sizes = []
+
+        def counted(psi, ln_t):
+            sizes.append(np.size(ln_t))
+            return evaluate(psi, ln_t)
+
+        def refused(psi, ln_t):
+            raise AssertionError("Newton evaluated ln psi' or its slope on its own")
+
+        monkeypatch.setattr(LogPower, "log_deriv_with_slope", counted)
+        monkeypatch.setattr(LogPower, "log_deriv", refused)
+        monkeypatch.setattr(LogPower, "log_deriv_slope", refused)
+        alone = []
+        for i in range(ln_s.size):
+            sizes.clear()
+            one = orlicz._newton_in_log(psi, *(v[i:i + 1] for v in (ln_s, lo, hi, g_lo, g_hi)))
+            alone.append((len(sizes), one[0]))
+        sizes.clear()
+        before = [v.copy() for v in (ln_s, lo, hi, g_lo, g_hi)]
+        got = orlicz._newton_in_log(psi, ln_s, lo, hi, g_lo, g_hi)
+        steps = np.array([n for n, _ in alone])
+        assert sizes == [int(np.count_nonzero(steps > k)) for k in range(steps.max())]
+        assert got.tobytes() == np.array([x for _, x in alone]).tobytes()
+        # and it writes to none of its arguments
+        for a, b in zip(before, (ln_s, lo, hi, g_lo, g_hi)):
+            assert a.tobytes() == b.tobytes()
 
     def test_bracket_evaluates_only_missed_ends(self, monkeypatch):
         # ln s below ln psi'(0+) has no root: only those entries keep

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpgap.errors import DomainError, UnboundedConjugateError
+from dpgap.geometry import sample_fields_grid
 from dpgap.orlicz import (LogPower, PurePower, conjugate, conjugate_log_power,
                           conjugate_numeric, double_phase_log, luxemburg_norm)
 
@@ -216,6 +217,23 @@ class TestLogPower:
         h = 1e-5
         fd = (f.log_deriv(ln_t + h) - f.log_deriv(ln_t - h)) / (2.0 * h)
         np.testing.assert_allclose(f.log_deriv_slope(ln_t), fd, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("f", [LogPower(2.0, 1.0), LogPower(3.0, 0.5), PurePower(2.5, 3.0),
+                                   LogPower(2.0, -4.0)] + [LogPower(p, g) for p, g in KNOTTED],
+                             ids=["L2,1", "L3,0.5", "t2.5", "L2,-4", "L2,-3", "L2,-5",
+                                  "L1.5,-3", "L1.2,-5"])
+    def test_log_deriv_and_slope_match_the_two_output_evaluation(self, f):
+        # bit for bit on both sides of any knot, and a scalar takes the same
+        # path as an array
+        ln_t = np.linspace(-700.0, 700.0, 4097)
+        value, slope = f.log_deriv_with_slope(ln_t)
+        assert f.log_deriv(ln_t).tobytes() == value.tobytes()
+        assert f.log_deriv_slope(ln_t).tobytes() == slope.tobytes()
+        for i in range(0, ln_t.size, 32):
+            x = float(ln_t[i])
+            assert np.float64(f.log_deriv(x)).tobytes() == value[i].tobytes()
+            assert np.float64(f.log_deriv_slope(x)).tobytes() == slope[i].tobytes()
+            assert f.log_deriv_with_slope(x).tobytes() == np.array([value[i], slope[i]]).tobytes()
 
     def test_pure_power_log_deriv_slope(self):
         assert PurePower(2.5, 3.0).log_deriv_slope(np.zeros(4)).tolist() == [1.5] * 4
@@ -438,6 +456,16 @@ class TestConjugate:
         assert got.ravel().tolist() == scalar
         assert got.ravel()[0] == 0.0
 
+    @pytest.mark.parametrize("f", [LogPower(2.0, 1.0), LogPower(1.5, -3.0), LogPower(2.0, -4.0),
+                                   PurePower(2.5, 3.0)],
+                             ids=["L2,1", "L1.5,-3", "L2,-4", "t2.5"])
+    def test_scalar_is_the_array_entry_bit_for_bit(self, f):
+        # one code path for scalar and array s, the endpoint branch included
+        s = np.concatenate([[0.0, 1e-300], np.logspace(-12.0, 1.0, 4095)])
+        got = conjugate_numeric(f, s)
+        for i in range(0, s.size, 16):
+            assert np.float64(conjugate_numeric(f, float(s[i]))).tobytes() == got[i].tobytes()
+
     def test_endpoint_branch(self):
         # f'(1e-12) >= s: the supremum sits at t = 1e-12 and is clipped at 0
         f = LogPower(2.0, -5.0)  # f'(0+) = a1 > 0, so small s stay at the endpoint
@@ -480,6 +508,53 @@ class TestLuxemburg:
         f = PurePower(2.0)
         assert luxemburg_norm(3.0 * v, w, f) == pytest.approx(
             3.0 * luxemburg_norm(v, w, f), rel=1e-7)
+
+    @given(v=st.floats(1e-300, 1e300))
+    @settings(deadline=None)
+    @example(v=1e-15)  # these read 3.55e-15: the bracket was clamped at 1e-14
+    @example(v=1e-20)
+    @example(v=1e-100)
+    @example(v=1e13)  # and above 1e12 the norm raised NormOverflowError
+    @example(v=1e300)
+    def test_tiny_and_large_fields(self, v):
+        norm = luxemburg_norm(np.full(4, v), np.full(4, 0.25), PurePower(2.0))
+        assert norm == pytest.approx(v, rel=1e-10)
+
+    @given(c=st.floats(1e-300, 1e13))
+    @settings(deadline=None)
+    @example(c=1e-300)
+    @example(c=1e13)
+    def test_homogeneity_across_scales(self, c):
+        v = np.random.default_rng(3).uniform(0.0, 2.0, 500)
+        w = np.full(500, 1.0 / 500)
+        f = PurePower(2.0)
+        assert luxemburg_norm(c * v, w, f) == pytest.approx(c * luxemburg_norm(v, w, f),
+                                                            rel=1e-9)
+
+    def test_few_modular_evaluations(self, monkeypatch):
+        # Illinois false position on (ln gamma, ln M) from a bracket of ratio
+        # 4; bisection to 1e-10 took about 38 evaluations
+        table = sample_fields_grid(128)
+        w = np.full(len(table), 4.0 / len(table))
+        calls = []
+        call = LogPower.__call__
+
+        def counted(f, t):
+            calls.append(1)
+            return call(f, t)
+
+        for col in (3, 4, 5):
+            for gamma in (0.0, 1.0, -1.0):
+                f = LogPower(2.0, gamma)
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(LogPower, "__call__", counted)
+                    norm = luxemburg_norm(table[:, col], w, f)
+                assert len(calls) <= 12
+                # the norm is the threshold: M(norm) <= 1 < M(norm (1 - 1e-10))
+                v = np.abs(table[:, col])
+                assert np.sum(w * f(v / norm)) <= 1.0
+                assert np.sum(w * f(v / (norm * (1.0 - 1e-10)))) > 1.0
 
     def test_zero_field(self):
         assert luxemburg_norm(np.zeros(10), np.full(10, 0.1), PurePower(2.0)) == 0.0
