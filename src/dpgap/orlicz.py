@@ -11,8 +11,8 @@ The integrand is ``LogPower``, and ``PurePower`` (c t^p) is its gamma = 0
 member: log^0 = 1 and there is no knot.  This module is the only one that
 knows how the integrand behaves in log space (``log_eval``; ``log_deriv``;
 and ``log_deriv_with_slope``, ln Phi' with its slope d ln Phi' / d ln t from
-one evaluation of the terms of ln Phi', which ``log_deriv`` shares and
-``log_deriv_slope`` reads) and which closed-form conjugate stands for it
+one evaluation of the terms of ln Phi', which ``log_deriv`` shares) and
+which closed-form conjugate stands for it
 (``conjugate``: the exact one for a ``PurePower``).  Every quantity goes
 through one rule, ``_split_at_knot``: the substitute below the knot, in t
 for the value and its two derivatives and in ln t for the log-space ones.
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -183,16 +182,8 @@ class LogPower:
     def _ln_knot(self):
         return math.log(self.knot) if self.knot > 0.0 else -math.inf
 
-    @cached_property
-    def _conjugate_bracket_log_deriv(self):
-        # ln Phi' at the ends of conjugate_numeric's bracket
-        return self.log_deriv(np.log(_CONJ_BRACKET))
-
     def __call__(self, t):
-        return self._value(_check_arg(t))
-
-    def _value(self, t):
-        # __call__ on a float64 array that _check_arg accepts
+        t = _check_arg(t)
         p, gamma, scale = self.p, self.gamma, self.scale
         t0, a2, a1 = self._knot
         out = _split_at_knot(t, t0, lambda x: scale * x**p * np.log(np.e + x) ** gamma,
@@ -281,10 +272,6 @@ class LogPower:
         """ln Phi'(e^{ln_t}) in closed form."""
         return _split_at_knot(ln_t, self._ln_knot, lambda x: self._log_deriv_terms(x)[0],
                               lambda x: self._log_deriv_substitute(x)[0])[()]
-
-    def log_deriv_slope(self, ln_t):
-        """d ln Phi' / d ln t in closed form, the Newton slope of ``log_deriv``."""
-        return self.log_deriv_with_slope(ln_t)[1][()]
 
     def log_deriv_with_slope(self, ln_t):
         """(ln Phi', d ln Phi' / d ln t) at ln_t, as an array of shape
@@ -449,7 +436,7 @@ def conjugate_numeric(f, s):
     pos = flat > 0.0
     # g_lo, g_hi: ln f' - ln s at the ends of the bracket
     ln_s = np.log(flat, out=np.full_like(flat, -math.inf), where=pos)
-    g_lo, g_hi = (v - ln_s for v in f._conjugate_bracket_log_deriv)
+    g_lo, g_hi = (v - ln_s for v in f.log_deriv(np.log(_CONJ_BRACKET)))
     if np.any(g_hi < 0.0):
         raise UnboundedConjugateError(
             f"f' never reaches {flat[g_hi < 0.0][0]} on [{lo}, {hi}]")
@@ -458,7 +445,7 @@ def conjugate_numeric(f, s):
     t_star = np.exp(_newton_in_log(f, ln_s[inner], np.full(n, math.log(lo)),
                                    np.full(n, math.log(hi)), g_lo[inner], g_hi[inner]))
     out = np.zeros_like(flat)
-    out[inner] = flat[inner] * t_star - f._value(t_star)
+    out[inner] = flat[inner] * t_star - f(t_star)
     # elsewhere the supremum is attained at (numerical) zero
     edge = pos & ~inner
     if np.any(edge):
@@ -479,8 +466,13 @@ def luxemburg_norm(values, weights, f):
     (ln gamma, ln M), where ln M is nearly linear, then closes it; a probe
     within ``_NORM_TOL_STEP`` of an end is moved that far inside.  Returns hi
     with M(hi) <= 1 < M(lo) and hi - lo <= 1e-10 hi; a subnormal norm stops
-    where no double lies between lo and hi any more.
+    where no double lies between lo and hi any more.  Raises
+    ``NormOverflowError`` for a norm past the largest double, and
+    ``NumericalError`` for one below max |v_i| / 1e300, and where rounding in
+    log^gamma(e + t) could put the exact threshold more than another 1e-10
+    away (checked from |gamma| about 2.3e5 on).
     """
+    _check_integrand(f, "luxemburg_norm")
     values = np.abs(np.asarray(values, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != values.shape:
@@ -496,7 +488,7 @@ def luxemburg_norm(values, weights, f):
         with np.errstate(over="ignore"):
             return float(np.sum(weights * np.asarray(f(values / g))))
 
-    lo = hi = float(np.max(values))
+    lo = hi = v_max = float(np.max(values))
     m_lo = m_hi = modular(hi)
     while not m_hi <= 1.0:
         lo, m_lo = hi, m_hi
@@ -508,8 +500,10 @@ def luxemburg_norm(values, weights, f):
     while m_lo <= 1.0:
         hi, m_hi = lo, m_lo
         lo /= 4.0
-        if lo == 0.0:
-            raise NumericalError("Luxemburg norm below the smallest positive double")
+        # the integrand takes no argument above 1e300 (this also stops lo at 0)
+        if not lo > v_max / _T_MAX:
+            raise NumericalError("Luxemburg norm below max |v| / 1e300, past the "
+                                 "integrand's argument range")
         m_lo = modular(lo)
 
     def ln(m):
@@ -538,6 +532,17 @@ def luxemburg_norm(values, weights, f):
             if moved == "lo":
                 y_hi *= 0.5
             lo, x_lo, y_lo, moved = g, x, ln(m), "lo"
+    # ln(e + t) carries a relative rounding error of up to 2^-52, so every
+    # term of M, and M, one of up to a factor e^err with err = |gamma| 2^-51.
+    # The exact modular still crosses 1 within 1e-10 of [lo, hi] where
+    # M <= e^-err at hi (1 + 1e-10) and M > e^err at lo (1 - 1e-10); past
+    # err = 709, e^err overflows and no M shows that
+    err = abs(f.gamma) * 2.0**-51
+    if err > 1e-10 and not (err < 709.0
+                            and modular(hi * (1.0 + 1e-10)) <= math.exp(-err)
+                            and modular(lo * (1.0 - 1e-10)) > math.exp(err)):
+        raise NumericalError("rounding in log^gamma(e + t) can move the Luxemburg "
+                             "norm by more than 1e-10 relative")
     return hi
 
 

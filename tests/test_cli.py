@@ -186,6 +186,14 @@ class TestSmallCommands:
         assert out == ""
         assert err.startswith("DOMAIN: ")
 
+    def test_norm_unresolved_gamma_exit_three(self, capsys):
+        # e + t rounds to e where the norm search ends, so the modular reads
+        # t^p: the norm is refused, not printed as 7.5e14
+        code, out, err = run(capsys, "norm", "--p", "2", "--gamma", "1e308", "--res", "16")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("NUMERICAL: rounding")
+
     def test_conjugate_round_trip(self, capsys):
         code, out, _ = run(capsys, "conjugate", "--p", "2", "--gamma", "2")
         assert code == 0

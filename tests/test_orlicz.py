@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpgap.errors import DomainError, UnboundedConjugateError
+from dpgap.errors import DomainError, NumericalError, UnboundedConjugateError
 from dpgap.geometry import sample_fields_grid
 from dpgap.orlicz import (LogPower, PurePower, conjugate, conjugate_log_power,
                           conjugate_numeric, double_phase_log, luxemburg_norm)
@@ -216,7 +216,7 @@ class TestLogPower:
         ln_t = np.linspace(-30.0, 700.0, 367) + 0.123
         h = 1e-5
         fd = (f.log_deriv(ln_t + h) - f.log_deriv(ln_t - h)) / (2.0 * h)
-        np.testing.assert_allclose(f.log_deriv_slope(ln_t), fd, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(f.log_deriv_with_slope(ln_t)[1], fd, rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("f", [LogPower(2.0, 1.0), LogPower(3.0, 0.5), PurePower(2.5, 3.0),
                                    LogPower(2.0, -4.0)] + [LogPower(p, g) for p, g in KNOTTED],
@@ -228,15 +228,13 @@ class TestLogPower:
         ln_t = np.linspace(-700.0, 700.0, 4097)
         value, slope = f.log_deriv_with_slope(ln_t)
         assert f.log_deriv(ln_t).tobytes() == value.tobytes()
-        assert f.log_deriv_slope(ln_t).tobytes() == slope.tobytes()
         for i in range(0, ln_t.size, 32):
             x = float(ln_t[i])
             assert np.float64(f.log_deriv(x)).tobytes() == value[i].tobytes()
-            assert np.float64(f.log_deriv_slope(x)).tobytes() == slope[i].tobytes()
             assert f.log_deriv_with_slope(x).tobytes() == np.array([value[i], slope[i]]).tobytes()
 
     def test_pure_power_log_deriv_slope(self):
-        assert PurePower(2.5, 3.0).log_deriv_slope(np.zeros(4)).tolist() == [1.5] * 4
+        assert PurePower(2.5, 3.0).log_deriv_with_slope(np.zeros(4))[1].tolist() == [1.5] * 4
 
     @pytest.mark.parametrize("f", [PurePower(2.5, 3.0), PurePower(1.5)], ids=["t2.5", "t1.5"])
     def test_pure_power_log_space_matches_decimal_reference(self, f):
@@ -393,6 +391,8 @@ class TestConjugate:
             conjugate(f)
         with pytest.raises(DomainError, match="LogPower or a PurePower"):
             conjugate_numeric(f, 1.0)
+        with pytest.raises(DomainError, match="LogPower or a PurePower"):
+            luxemburg_norm([1.0], [1.0], f)
 
     @pytest.mark.parametrize("p,gamma", CONJ_CASES)
     def test_numeric_within_bracket(self, p, gamma):
@@ -555,6 +555,50 @@ class TestLuxemburg:
                 v = np.abs(table[:, col])
                 assert np.sum(w * f(v / norm)) <= 1.0
                 assert np.sum(w * f(v / (norm * (1.0 - 1e-10)))) > 1.0
+
+    @staticmethod
+    def _single_point_norm_reference(p, gamma):
+        # 1 / t with t^p log^gamma(e + t) = 1: bisection on ln t in 40 digits
+        with localcontext() as ctx:
+            ctx.prec = 40
+            e = Decimal(1).exp()
+            lo, hi = Decimal(-60), Decimal(10)
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                if p * mid + gamma * (e + mid.exp()).ln().ln() > 0:
+                    hi = mid
+                else:
+                    lo = mid
+            return float((-lo).exp())
+
+    @pytest.mark.parametrize("gamma", [1e4, 1e5, 1e6, 1e8, 1e10, 1e12, 1e14, 1e308])
+    def test_huge_gamma_to_tolerance_or_refused(self, gamma):
+        # log^gamma(e + t) carries a rounding error of up to |gamma| 2^-51;
+        # for gamma = 1e12 the norm read 8.0637315958e9, 4.3e-6 off, and for
+        # gamma = 1e308 the modular read t^2, as e + t rounds to e
+        f = LogPower(2.0, gamma)
+        try:
+            norm = luxemburg_norm([1.0], [1.0], f)
+        except NumericalError as exc:
+            assert "rounding" in str(exc)
+            assert gamma >= 1e8
+            return
+        assert gamma <= 1e6
+        ref = self._single_point_norm_reference(Decimal(2), Decimal(gamma))
+        assert norm == pytest.approx(ref, rel=2e-10)
+
+    def test_steep_modular_with_huge_gamma(self):
+        # for p = 1e308 the modular jumps from 0 to inf where |v| / gamma
+        # crosses 1, and rounding in log^gamma(e + t) cannot move that
+        f = LogPower(1e308, 1e6)
+        assert luxemburg_norm([0.5, 0.25], [0.5, 0.5], f) == pytest.approx(0.5, rel=1e-10)
+
+    def test_norm_below_argument_range_refused(self):
+        # the norm is about 1e-320, so |v| / gamma would pass the integrand's
+        # 1e300 cap: a NumericalError, not a DomainError about an argument the
+        # caller never passed
+        with pytest.raises(NumericalError, match="argument range"):
+            luxemburg_norm([1.0], [1e-320], PurePower(1.0000001))
 
     def test_zero_field(self):
         assert luxemburg_norm(np.zeros(10), np.full(10, 0.1), PurePower(2.0)) == 0.0
