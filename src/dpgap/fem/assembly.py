@@ -18,10 +18,11 @@ Gradient and Hessian return their nodal part and their s part separately:
 (nodal gradient, d/ds) and (nodal block K, node-s border, s-s entry), with
 None for the s part of a conforming field. How the s dof is laid out next to
 the nodal ones is left to ``solve``.
-``enrichment_rule`` also holds the b2 pairing, which keeps the full rule
-(mesh.qpts/qw/qel): b2 is nonzero where the enrichment gradient vanishes.
-That record is built on first enriched use and cached on the mesh, next to
-the full rule it reads (see MeshSpace).
+``enrichment_rule`` also holds the b2 pairing, integrated at the full rule:
+b2 is nonzero where the enrichment gradient vanishes. That record is built on
+first enriched use, one block of elements of the full rule at a time, and
+cached on the mesh; the mesh's own full rule (mesh.qpts/qw/qel) is never
+built for it (see MeshSpace).
 Summation orders are fixed (element order, then quadrature order) so repeated
 runs are bit-identical.
 """
@@ -36,19 +37,14 @@ import scipy.sparse as sp
 from ..errors import EnergyOverflowError
 from ..geometry import eval_b2
 from .fields import EnrichedField, enrichment_gradient
+from .mesh import _full_rule_block
 
 _GRAD_FLOOR = 1e-12
 
 
-def _split_pair(pair):
-    """Accept a DoublePhase or a single phase-independent integrand."""
-    if hasattr(pair, "phi") and hasattr(pair, "psi"):
-        return pair.phi, pair.psi
-    return pair, None
-
-
 def _integrand(pair, t, a, order):
-    """Phi(t), Phi'(t)/t or Phi''(t) for order 0, 1 or 2, Phi = phi + a psi.
+    """Phi(t), Phi'(t)/t or Phi''(t) for order 0, 1 or 2, Phi = phi + a psi of
+    a DoublePhase pair.
 
     Phi'/t takes its small-t analytic limit below the gradient floor.
     """
@@ -59,11 +55,7 @@ def _integrand(pair, t, a, order):
             return np.asarray(f.deriv_ratio(t, floor=_GRAD_FLOOR))
         return np.asarray(f.second_deriv(t))
 
-    phi, psi = _split_pair(pair)
-    vals = term(phi)
-    if psi is not None:
-        vals = vals + a * term(psi)
-    return vals
+    return term(pair.phi) + a * term(pair.psi)
 
 
 def _points(u):
@@ -150,53 +142,72 @@ def _pointwise_hessian(g, t, k1, k2):
 
 EnrichmentRule = namedtuple("EnrichmentRule", "qw qel ge starts L L_s")
 
+# elements per block of the full rule that enrichment_rule holds at once
+_CHUNK_ELEMENTS = 1024
 
-def _b2_pairing(mesh, ge, starts):
-    """(L, L_s) of int b2 . grad u at the full rule, given grad E (ge) and the
-    first point of each element (starts) there.
 
-    The G objective uses only L_s: int b2 . grad u = 0 for every continuous
-    piecewise-linear u with zero boundary values (b2 is the perpendicular
-    gradient of a bounded W^{1,1} stream function, hence distributionally
-    divergence free, and such u are Lipschitz), so L . values is quadrature
-    error on a conforming field and is left out there.
+def _b2_pairing(qpts, qw, ge, starts):
+    """Per-element sums (Nb, 2) of qw b2 and (Nb,) of qw b2 . grad E over a
+    block of the full rule, given grad E (ge) at its points qpts and the first
+    point of each of its Nb elements (starts).
+
+    The G objective uses only their total L_s: int b2 . grad u = 0 for every
+    continuous piecewise-linear u with zero boundary values (b2 is the
+    perpendicular gradient of a bounded W^{1,1} stream function, hence
+    distributionally divergence free, and such u are Lipschitz), so L . values
+    is quadrature error on a conforming field and is left out there.
     """
-    b = eval_b2(mesh.qpts[:, 0], mesh.qpts[:, 1]).T  # (Nq, 2)
-    L_s = float(np.sum(mesh.qw * np.einsum("qk,qk->q", b, ge)))
-    return mesh.grad.T @ _per_element(mesh.qw[:, None] * b, starts).ravel(), L_s
+    b = eval_b2(qpts[:, 0], qpts[:, 1]).T  # (Nq, 2)
+    return (_per_element(qw[:, None] * b, starts),
+            _per_element(qw * np.einsum("qk,qk->q", b, ge), starts))
+
+
+def _split_block(mesh, lo, hi):
+    """(qw, qel, ge, per-element counts, b2 sums, b2 . grad E sums) of the
+    split rule on elements [lo, hi), from their block of the full rule."""
+    qpts, qw, qel = _full_rule_block(mesh, lo, hi)
+    # every element owns points in both rules, so reduceat over starts is exact
+    counts = np.bincount(qel - lo, minlength=hi - lo)
+    starts = np.cumsum(counts) - counts
+    ge = enrichment_gradient(qpts)
+    b_sums, bge_sums = _b2_pairing(qpts, qw, ge, starts)
+    active = np.logical_or.reduceat(np.any(ge != 0.0, axis=1), starts)
+    keep = active[qel - lo]
+    keep[starts] = True
+    qel = qel[keep]
+    lone = ~active[qel - lo]
+    ge = ge[keep]
+    ge[lone] = 0.0
+    return (np.where(lone, mesh.area[qel], qw[keep]), qel, ge,
+            np.where(active, counts, 1), b_sums, bge_sums)
 
 
 def enrichment_rule(mesh):
     """(qw, qel, ge, starts, L, L_s): the mesh's split rule and b2 pairing.
 
     Built on first use and cached on the mesh, read-only. grad E and b2 are
-    evaluated once, at the full rule (mesh.qpts/qw/qel), and neither full-rule
-    array is kept. The split: an element where grad E is exactly 0 at every
-    full-rule point keeps a single point with weight area and ge = 0 (an
-    enriched field's gradient, and so its integrand, is constant there);
-    every other element keeps all its full-rule points. qel stays sorted, and
-    starts[e] is the first point of element e. L and L_s give
-    int b2 . grad u = L . values + L_s s.
+    evaluated once at each point of the full rule, which is built
+    ``_CHUNK_ELEMENTS`` elements at a time and never held whole (the mesh's
+    own qpts/qw/qel stay unbuilt). The split: an element where grad E is
+    exactly 0 at every full-rule point keeps a single point with weight area
+    and ge = 0 (an enriched field's gradient, and so its integrand, is
+    constant there); every other element keeps all its full-rule points. qel
+    stays sorted, and starts[e] is the first point of element e. L and L_s
+    give int b2 . grad u = L . values + L_s s; L_s sums per-element sums, so
+    neither depends on the chunk size.
     """
     rule = getattr(mesh, "_enrichment_rule", None)
     if rule is not None:
         return rule
-    qel = mesh.qel
-    # every element owns points in both rules, so reduceat over starts is exact
-    counts = np.bincount(qel, minlength=mesh.n_elements)
-    starts = np.cumsum(counts) - counts
-    ge = enrichment_gradient(mesh.qpts)
-    L, L_s = _b2_pairing(mesh, ge, starts)
-    active = np.logical_or.reduceat(np.any(ge != 0.0, axis=1), starts)
-    keep = active[qel]
-    keep[starts] = True
-    qel_split = qel[keep]
-    lone = ~active[qel_split]
-    qw = np.where(lone, mesh.area[qel_split], mesh.qw[keep])
-    ge_split = ge[keep]
-    ge_split[lone] = 0.0
-    n_split = np.where(active, counts, 1)
-    rule = EnrichmentRule(qw, qel_split, ge_split, np.cumsum(n_split) - n_split, L, L_s)
+    ne = mesh.n_elements
+    parts = [[] for _ in range(6)]
+    for lo in range(0, ne, _CHUNK_ELEMENTS):
+        for field_parts, part in zip(parts, _split_block(mesh, lo, min(lo + _CHUNK_ELEMENTS, ne))):
+            field_parts.append(part)
+    # join one field at a time and drop its parts, so none is held twice
+    qw, qel, ge, n_split, b_sums, bge_sums = (np.concatenate(parts.pop(0)) for _ in range(6))
+    L = mesh.grad.T @ b_sums.ravel()
+    rule = EnrichmentRule(qw, qel, ge, np.cumsum(n_split) - n_split, L, float(np.sum(bge_sums)))
     for arr in rule[:-1]:
         arr.setflags(write=False)
     object.__setattr__(mesh, "_enrichment_rule", rule)

@@ -11,9 +11,11 @@ grid, so its elements, quadrature points and weights are exactly those of the
 full mesh in x1, x2 >= 0. Its Dirichlet boundary is x1 = 1, x2 = 0 and
 x2 = 1; the edge x1 = 0 is left free (a natural boundary).
 
-``build_mesh`` builds the geometry and its gradient G; the full quadrature
-rule, which only enriched assembly reads, is built on the first read of qpts,
-qw or qel.
+``build_mesh`` builds the geometry and its gradient G. The full quadrature
+rule is built by ``_full_rule_block`` for a range of elements: enriched
+assembly reads it one block at a time (``assembly.enrichment_rule``), and the
+lazy qpts, qw and qel build it for every element at once on their first read,
+which only tests and checks do.
 """
 
 from __future__ import annotations
@@ -39,15 +41,17 @@ _QWEIGHTS = np.array([_QW1, _QW1, _QW1, _QW2, _QW2, _QW2])
 
 ORIGIN_SUBDIV_LEVELS = 3
 # checked before anything is allocated: the full mesh at n = 1024 has 16.8M
-# triangles, and a quadrant gap level at n = 512 already peaks at 1.2 GiB
+# triangles, and a quadrant gap level at n = 512 already peaks near 1 GiB
 MAX_MESH_RESOLUTION = 1024
 
 
 @dataclass(frozen=True)
 class MeshSpace:
     """Mesh geometry. Two records are cached on it on first use, read-only,
-    with object.__setattr__: the full rule (qpts, qw, qel) as _full_rule and
-    the record of assembly.enrichment_rule as _enrichment_rule."""
+    with object.__setattr__: the record of assembly.enrichment_rule as
+    _enrichment_rule, and the whole full rule (qpts, qw, qel) as _full_rule.
+    The solver builds only the first; it reads the full rule in blocks and
+    never builds the second."""
 
     n: int
     grading: float
@@ -62,8 +66,8 @@ class MeshSpace:
     boundary_mask: np.ndarray = field(repr=False)
     origin_vertex: int = 0
 
-    # the full quadrature rule; enriched assembly integrates with its split,
-    # the b2 pairing with the rule itself (both in assembly.enrichment_rule)
+    # the full quadrature rule over every element, for tests and checks;
+    # assembly.enrichment_rule builds the same rule in element blocks
     qpts = property(lambda self: self._rule()[0])  # (Nq, 2)
     qw = property(lambda self: self._rule()[1])    # (Nq,)
     qel = property(lambda self: self._rule()[2])   # (Nq,) owning element, sorted
@@ -71,7 +75,9 @@ class MeshSpace:
     def _rule(self):
         rule = getattr(self, "_full_rule", None)
         if rule is None:
-            rule = _build_full_rule(self)
+            rule = _full_rule_block(self, 0, self.n_elements)
+            for arr in rule:
+                arr.setflags(write=False)
             object.__setattr__(self, "_full_rule", rule)
         return rule
 
@@ -164,13 +170,11 @@ def _subdivide(tris, levels):
     return sub
 
 
-def _build_full_rule(mesh):
-    """(qpts, qw, qel), read-only: the 6-point rule on each element's uniform
-    subdivision, deep enough to keep sub-triangle diameters below about a
-    quarter of the centroid radius (enrichment gradients scale like 1/r);
-    origin-touching elements get the full depth. Each element's 6 * 4^depth
-    points fill one contiguous block, so qel is sorted."""
-    p = mesh.nodes[mesh.tris]  # (Ne, 3, 2)
+def _rule_depth(p):
+    """Subdivision depth of each element (N, 3, 2) -> (N,): deep enough to keep
+    sub-triangle diameters below about a quarter of the centroid radius
+    (enrichment gradients scale like 1/r); origin-touching elements get the
+    full depth. It reads only the element's own vertices."""
     touches_origin = np.any(np.all(p == 0.0, axis=2), axis=1)
     edge = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
     diam = np.max(np.linalg.norm(edge, axis=2), axis=0)
@@ -179,18 +183,27 @@ def _build_full_rule(mesh):
         depth = np.ceil(np.log2(np.maximum(diam / (0.25 * r_c), 1e-9)))
     depth = np.clip(depth, 0, ORIGIN_SUBDIV_LEVELS).astype(np.int64)
     depth[touches_origin] = ORIGIN_SUBDIV_LEVELS
+    return depth
+
+
+def _full_rule_block(mesh, lo, hi):
+    """(qpts, qw, qel) of the full rule on elements [lo, hi): the 6-point rule
+    on each element's uniform subdivision to its ``_rule_depth``. Each
+    element's 6 * 4^depth points fill one contiguous block, so qel is sorted,
+    and every element's points do not depend on lo and hi."""
+    p = mesh.nodes[mesh.tris[lo:hi]]  # (hi - lo, 3, 2)
+    depth = _rule_depth(p)
     counts = len(_QWEIGHTS) * 4 ** depth
-    qel = np.repeat(np.arange(mesh.n_elements), counts)
+    qel = np.repeat(np.arange(lo, hi), counts)
     first = np.cumsum(counts) - counts
     qpts, qw = np.empty((len(qel), 2)), np.empty(len(qel))
+    area = mesh.area[lo:hi]
     for lvl in range(ORIGIN_SUBDIV_LEVELS + 1):
         els = np.flatnonzero(depth == lvl)
         block = (first[els, None] + np.arange(len(_QWEIGHTS) * 4 ** lvl)).ravel()
         sub = _subdivide(p[els], lvl).reshape(-1, 3, 2)
         qpts[block] = np.einsum("qj,sjk->sqk", _QBARY, sub).reshape(-1, 2)
-        qw[block] = np.tile((mesh.area[els] / 4.0 ** lvl)[:, None] * _QWEIGHTS, 4 ** lvl).ravel()
-    for arr in (qpts, qw, qel):
-        arr.setflags(write=False)
+        qw[block] = np.tile((area[els] / 4.0 ** lvl)[:, None] * _QWEIGHTS, 4 ** lvl).ravel()
     return qpts, qw, qel
 
 
@@ -198,7 +211,7 @@ def build_mesh(n, grading=1.0, quadrant=False):
     """Criss-cross mesh with 16 n^2 phase-conforming triangles on (-1,1)^2,
     or with 4 n^2 on the quadrant [0,1]^2 when ``quadrant`` is set.
 
-    Only the geometry: the quadrature rule is built on its first read.
+    Only the geometry: the full quadrature rule is built where it is read.
     """
     # NaN fails the comparison, where int() would raise a bare ValueError
     if not (8 <= n <= MAX_MESH_RESOLUTION):

@@ -1,5 +1,7 @@
 """Assembly, enrichment and minimization on the checkerboard mesh."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,12 +12,11 @@ from dpgap.fem import (DofField, EnrichedField, build_mesh, cone_trace_diagnosti
                        functional_G, gap_experiment, minimize, modular_energy,
                        separating_functional)
 from dpgap.fem import assembly, solve
-from dpgap.fem import mesh as mesh_module
 from dpgap.fem.assembly import enrichment_rule, modular_gradient, modular_hessian
 from dpgap.fem.fields import enrichment_gradient, enrichment_value
 from dpgap.fem.solve import CONFORMING, ENRICHED, OBJECTIVE_DIRICHLET, OBJECTIVE_G
-from dpgap.geometry import eval_u2
-from dpgap.orlicz import LogPower, PurePower, double_phase_log
+from dpgap.geometry import eval_b2, eval_u2
+from dpgap.orlicz import DoublePhase, LogPower, PurePower, double_phase_log
 
 
 @pytest.fixture(scope="module")
@@ -49,16 +50,17 @@ def _bordered(K, border, h_ss):
 
 class TestModularEnergy:
     def test_quadratic_dirichlet_energy(self, mesh):
-        # u = x1: integrand |grad u|^2 = 1 over area 4
+        # u = x1 under t^2 + a t^2: integrand 1 over area 4, plus 1 on the
+        # vertical cones (a = 1), area 2
         u = DofField(mesh, mesh.nodes[:, 0].copy())
-        assert modular_energy(u, PurePower(2.0)) == pytest.approx(4.0)
+        pair = DoublePhase(PurePower(2.0), PurePower(2.0))
+        assert modular_energy(u, pair) == pytest.approx(6.0)
 
     def test_double_phase_weighting(self, mesh):
         # phi + a psi with |grad u| = 1: phi(1) everywhere, psi(1) on half
         u = DofField(mesh, mesh.nodes[:, 1].copy())
         phi = LogPower(2.0, -2.0)
         psi = LogPower(2.0, 2.0)
-        from dpgap.orlicz import DoublePhase
         val = modular_energy(u, DoublePhase(phi, psi))
         assert val == pytest.approx(4.0 * float(phi(1.0)) + 2.0 * float(psi(1.0)))
 
@@ -216,6 +218,29 @@ def _full_rule_assembly(u, pair, mesh):
     return energy, nodal, ds, H
 
 
+def _one_shot_rule(mesh):
+    """The enrichment record built from the whole full rule mesh.qpts/qw/qel
+    at once: the reference for the chunked build."""
+    qel = mesh.qel
+    counts = np.bincount(qel, minlength=mesh.n_elements)
+    starts = np.cumsum(counts) - counts
+    ge = enrichment_gradient(mesh.qpts)
+    b = eval_b2(mesh.qpts[:, 0], mesh.qpts[:, 1]).T
+    L_s = float(np.sum(mesh.qw * np.einsum("qk,qk->q", b, ge)))
+    L = mesh.grad.T @ np.add.reduceat(mesh.qw[:, None] * b, starts, axis=0).ravel()
+    active = np.logical_or.reduceat(np.any(ge != 0.0, axis=1), starts)
+    keep = active[qel]
+    keep[starts] = True
+    qel_split = qel[keep]
+    lone = ~active[qel_split]
+    qw = np.where(lone, mesh.area[qel_split], mesh.qw[keep])
+    ge_split = ge[keep]
+    ge_split[lone] = 0.0
+    n_split = np.where(active, counts, 1)
+    return assembly.EnrichmentRule(qw, qel_split, ge_split, np.cumsum(n_split) - n_split,
+                                   L, L_s)
+
+
 class TestSplitRule:
     def test_rule(self, mesh16):
         qw, qel, ge, starts, _, _ = enrichment_rule(mesh16)
@@ -275,15 +300,9 @@ class TestSplitRule:
         minimize(ENRICHED, OBJECTIVE_G, pair, fresh)
         assert calls and all(m is fresh for m in calls)
 
-    def test_full_rule_built_once_per_mesh_on_enriched_use(self, monkeypatch):
-        calls = []
-        original = mesh_module._build_full_rule
-
-        def counting(mesh):
-            calls.append(mesh)
-            return original(mesh)
-
-        monkeypatch.setattr(mesh_module, "_build_full_rule", counting)
+    def test_full_rule_never_built_by_the_solver(self):
+        # enriched use evaluates the full rule chunk by chunk inside
+        # enrichment_rule; the mesh's own qpts/qw/qel stay unbuilt
         pair = double_phase_log(2.0, 2.0)
         full, quad = build_mesh(8, grading=2.0), build_mesh(8, grading=2.0, quadrant=True)
         for m in (full, quad):
@@ -296,11 +315,37 @@ class TestSplitRule:
             if m is full:  # the cone trace reads arcs on both sides of the origin
                 for u in (base, EnrichedField(base, 0.7)):
                     cone_trace_diagnostic(u, m, radii=[0.05, 0.1, 0.2])
-        assert calls == []
-        for m in (full, quad):
             res = minimize(ENRICHED, OBJECTIVE_G, pair, m)
             separating_functional(res.field)
-        assert calls == [full, quad]
+            assert "_enrichment_rule" in vars(m)
+            assert "_full_rule" not in vars(m)
+
+    @pytest.mark.parametrize("quadrant", [False, True])
+    @pytest.mark.parametrize("grading", [1.0, 2.0])
+    @pytest.mark.parametrize("chunk", [97, assembly._CHUNK_ELEMENTS])
+    def test_chunked_record_matches_one_shot(self, monkeypatch, quadrant, grading, chunk):
+        # 97 elements per chunk splits a mesh of 1024 or 4096 elements into
+        # 11 or 43 chunks, the last one partial; every array but L_s is
+        # element-local and so bit-identical, and L_s sums in another order
+        monkeypatch.setattr(assembly, "_CHUNK_ELEMENTS", chunk)
+        mesh = build_mesh(16, grading=grading, quadrant=quadrant)
+        got = enrichment_rule(mesh)
+        ref = _one_shot_rule(mesh)
+        for name in ("qw", "qel", "ge", "starts", "L"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
+        assert got.L_s == pytest.approx(ref.L_s, rel=1e-14, abs=0.0)
+
+    def test_peak_memory_below_full_rule(self):
+        # the record is built without ever holding the whole full rule
+        mesh = build_mesh(64, grading=2.0, quadrant=True)
+        tracemalloc.start()
+        try:
+            enrichment_rule(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        full_rule = mesh.qpts.nbytes + mesh.qw.nbytes + mesh.qel.nbytes
+        assert peak < full_rule
 
 
 class TestLinearTerm:
@@ -332,33 +377,43 @@ class TestLinearTerm:
     def test_b2_evaluated_once_per_mesh(self, monkeypatch, alpha, beta):
         # G mode pairs s with b2 in the objective and again in the
         # separating functional; Dirichlet mode only in the latter. Both read
-        # the mesh's enrichment rule, which evaluates b2 and grad E once, at
-        # the full rule
-        b2_calls, grad_calls = [], []
+        # the mesh's enrichment rule, which evaluates b2 and grad E at every
+        # full-rule point exactly once, over however many calls
+        meshes, b2_points, grad_points = [], [], []
+        original_build = solve.build_mesh
         original_b2 = assembly.eval_b2
         original_grad = assembly.enrichment_gradient
 
-        def counting_b2(x1, x2):
-            b2_calls.append(len(x1))
+        def recording_build(*args, **kwargs):
+            meshes.append(original_build(*args, **kwargs))
+            return meshes[-1]
+
+        def recording_b2(x1, x2):
+            b2_points.append(np.column_stack([x1, x2]))
             return original_b2(x1, x2)
 
-        def counting_grad(points):
-            grad_calls.append(len(points))
+        def recording_grad(points):
+            grad_points.append(np.array(points))
             return original_grad(points)
 
-        monkeypatch.setattr(assembly, "eval_b2", counting_b2)
-        monkeypatch.setattr(assembly, "enrichment_gradient", counting_grad)
+        monkeypatch.setattr(solve, "build_mesh", recording_build)
+        monkeypatch.setattr(assembly, "eval_b2", recording_b2)
+        monkeypatch.setattr(assembly, "enrichment_gradient", recording_grad)
         gap_experiment(alpha, beta, [8, 16])
-        assert len(b2_calls) == 2
-        assert grad_calls == b2_calls
+        assert len(meshes) == 2
+        full_rules = np.vstack([m.qpts for m in meshes])
+        np.testing.assert_array_equal(np.vstack(b2_points), full_rules)
+        np.testing.assert_array_equal(np.vstack(grad_points), full_rules)
 
 
 class TestMinimize:
     def test_dirichlet_linear_data_reproduced(self, mesh):
-        # boundary trace of an affine function: the minimizer is that function
+        # boundary trace of an affine function: the minimizer of a
+        # phase-independent integrand is that function. psi at scale 1e-300
+        # adds below the rounding of every term, so Phi is t^2 in each phase
         bdata = mesh.nodes[mesh.boundary_mask, 0]
-        res = minimize(CONFORMING, OBJECTIVE_DIRICHLET, PurePower(2.0), mesh,
-                       boundary_data=bdata)
+        pair = DoublePhase(PurePower(2.0), PurePower(2.0, 1e-300))
+        res = minimize(CONFORMING, OBJECTIVE_DIRICHLET, pair, mesh, boundary_data=bdata)
         assert res.converged
         np.testing.assert_allclose(res.field.values, mesh.nodes[:, 0], atol=1e-8)
         assert res.value == pytest.approx(4.0, rel=1e-10)
