@@ -179,12 +179,12 @@ def _single_phase(alpha, beta):
     return -beta >= alpha
 
 
-def classify_alpha_beta(alpha, beta, p=2.0, scale=1.0):
+def classify_alpha_beta(alpha, beta, p=2.0):
     """Closed-form family Phi_{p,alpha,beta}: phi = t^p log^-beta, psi = t^p log^alpha."""
     if _single_phase(alpha, beta):
         raise PreconditionError("alpha + beta <= 0: single-phase regime, "
                                 "phi/psi does not tend to 0")
-    return classify(LogPower(p, -beta, scale), LogPower(p, alpha, scale))
+    return classify(LogPower(p, -beta), LogPower(p, alpha))
 
 
 def phase_diagram(alphas, betas, p=2.0):

@@ -94,10 +94,7 @@ class RadialCutoff:
         """Columns (r, eta, eta_prime, ln_r); extreme entries saturate to 0/inf."""
         with np.errstate(over="ignore"):
             r = np.exp(self.ln_r)
-            if self.kind == LOGLOG:
-                ep = np.exp(self.ln_eta_prime_at_log(self.ln_r))
-            else:
-                ep = np.exp(self.ln_eta_prime_table)
+            ep = np.exp(self.ln_eta_prime_table)
         return np.column_stack([r, self.eta_table, ep, self.ln_r])
 
 
@@ -238,9 +235,10 @@ def build_loglog_cutoff(eps):
     ln_r = -np.exp(w)[::-1]
     eta = _loglog_eta_from_log(ln_r, eps)
     r1 = float(np.exp(ln_r1))  # may underflow to 0; ln_r1 is the reference
-    return RadialCutoff(kind=LOGLOG, r1=r1, r2=float(eps),
-                        ln_r1=ln_r1, ln_r2=ln_r2, eps=float(eps),
-                        ln_r=ln_r, eta_table=eta)
+    cut = RadialCutoff(kind=LOGLOG, r1=r1, r2=float(eps),
+                       ln_r1=ln_r1, ln_r2=ln_r2, eps=float(eps),
+                       ln_r=ln_r, eta_table=eta)
+    return replace(cut, ln_eta_prime_table=cut.ln_eta_prime_at_log(ln_r))
 
 
 def cutoff_energy(cutoff, integrand):

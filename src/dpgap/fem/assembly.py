@@ -19,10 +19,8 @@ Gradient and Hessian return their nodal part and their s part separately:
 None for the s part of a conforming field. How the s dof is laid out next to
 the nodal ones is left to ``solve``.
 ``enrichment_rule`` also holds the b2 pairing, integrated at the full rule:
-b2 is nonzero where the enrichment gradient vanishes. That record is built on
-first enriched use, one block of elements of the full rule at a time, and
-cached on the mesh; the mesh's own full rule (mesh.qpts/qw/qel) is never
-built for it (see MeshSpace).
+b2 is nonzero where the enrichment gradient vanishes. That record is the only
+thing assembly writes to a mesh.
 Summation orders are fixed (element order, then quadrature order) so repeated
 runs are bit-identical.
 """
@@ -185,15 +183,14 @@ def _split_block(mesh, lo, hi):
 def enrichment_rule(mesh):
     """(qw, qel, ge, starts, L, L_s): the mesh's split rule and b2 pairing.
 
-    Built on first use and cached on the mesh, read-only. grad E and b2 are
-    evaluated once at each point of the full rule, which is built
-    ``_CHUNK_ELEMENTS`` elements at a time and never held whole (the mesh's
-    own qpts/qw/qel stay unbuilt). The split: an element where grad E is
-    exactly 0 at every full-rule point keeps a single point with weight area
-    and ge = 0 (an enriched field's gradient, and so its integrand, is
-    constant there); every other element keeps all its full-rule points. qel
-    stays sorted, and starts[e] is the first point of element e. L and L_s
-    give int b2 . grad u = L . values + L_s s; L_s sums per-element sums, so
+    Built once per mesh and stored on it, read-only. grad E and b2 are
+    evaluated once at each point of the full rule, taken ``_CHUNK_ELEMENTS``
+    elements at a time. The split: an element where grad E is exactly 0 at
+    every full-rule point keeps a single point with weight area and ge = 0
+    (an enriched field's gradient, and so its integrand, is constant there);
+    every other element keeps all its full-rule points. qel stays sorted,
+    and starts[e] is the first point of element e. L and L_s give
+    int b2 . grad u = L . values + L_s s; L_s sums per-element sums, so
     neither depends on the chunk size.
     """
     rule = getattr(mesh, "_enrichment_rule", None)
@@ -220,8 +217,3 @@ def separating_functional(u):
     if isinstance(u, EnrichedField):
         return float(rule.L @ u.base.values) + float(u.s) * rule.L_s
     return float(rule.L @ u.values)
-
-
-def functional_G(u, pair):
-    """G(u) = modular energy + int b2 . grad u."""
-    return modular_energy(u, pair) + separating_functional(u)

@@ -62,10 +62,6 @@ class DofField:
             raise DomainError("nodal vector length does not match the mesh")
 
     @classmethod
-    def zeros(cls, mesh):
-        return cls(mesh, np.zeros(mesh.n_vertices))
-
-    @classmethod
     def interpolate(cls, mesh, func):
         """Nodal interpolant of func(x1, x2)."""
         return cls(mesh, np.asarray(func(mesh.nodes[:, 0], mesh.nodes[:, 1]),

@@ -11,16 +11,16 @@ grid, so its elements, quadrature points and weights are exactly those of the
 full mesh in x1, x2 >= 0. Its Dirichlet boundary is x1 = 1, x2 = 0 and
 x2 = 1; the edge x1 = 0 is left free (a natural boundary).
 
-``build_mesh`` builds the geometry and its gradient G. The full quadrature
-rule is built by ``_full_rule_block`` for a range of elements: enriched
-assembly reads it one block at a time (``assembly.enrichment_rule``), and the
-lazy qpts, qw and qel build it for every element at once on their first read,
-which only tests and checks do.
+``build_mesh`` builds the geometry and its gradient G. ``_full_rule_block``
+gives the full quadrature rule of a range of elements; enriched assembly reads
+it a block at a time (``assembly.enrichment_rule``), and qpts, qw and qel hold
+it over every element for tests and the benchmark's checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,11 +47,8 @@ MAX_MESH_RESOLUTION = 1024
 
 @dataclass(frozen=True)
 class MeshSpace:
-    """Mesh geometry. Two records are cached on it on first use, read-only,
-    with object.__setattr__: the record of assembly.enrichment_rule as
-    _enrichment_rule, and the whole full rule (qpts, qw, qel) as _full_rule.
-    The solver builds only the first; it reads the full rule in blocks and
-    never builds the second."""
+    """Mesh geometry. The record of assembly.enrichment_rule is the only
+    thing the solver writes to it."""
 
     n: int
     grading: float
@@ -64,21 +61,17 @@ class MeshSpace:
     # d/dx2 of element e's three basis functions, in tris order, read-only
     grad: sp.csr_matrix = field(repr=False)
     boundary_mask: np.ndarray = field(repr=False)
-    origin_vertex: int = 0
 
-    # the full quadrature rule over every element, for tests and checks;
-    # assembly.enrichment_rule builds the same rule in element blocks
-    qpts = property(lambda self: self._rule()[0])  # (Nq, 2)
-    qw = property(lambda self: self._rule()[1])    # (Nq,)
-    qel = property(lambda self: self._rule()[2])   # (Nq,) owning element, sorted
+    # the full quadrature rule over every element, for tests and checks
+    qpts = property(lambda self: self._full_rule[0])  # (Nq, 2)
+    qw = property(lambda self: self._full_rule[1])    # (Nq,)
+    qel = property(lambda self: self._full_rule[2])   # (Nq,) owning element, sorted
 
-    def _rule(self):
-        rule = getattr(self, "_full_rule", None)
-        if rule is None:
-            rule = _full_rule_block(self, 0, self.n_elements)
-            for arr in rule:
-                arr.setflags(write=False)
-            object.__setattr__(self, "_full_rule", rule)
+    @cached_property
+    def _full_rule(self):
+        rule = _full_rule_block(self, 0, self.n_elements)
+        for arr in rule:
+            arr.setflags(write=False)
         return rule
 
     @property
@@ -220,9 +213,8 @@ def build_mesh(n, grading=1.0, quadrant=False):
     if not (1.0 <= grading < np.inf):
         raise MeshError("finite grading exponent >= 1 required")
     xs = _graded_axis(n, float(grading))
-    # grid index of the line through 0
-    zero = 0 if quadrant else n
-    xs = xs[n - zero:]
+    if quadrant:
+        xs = xs[n:]
     m = len(xs) - 1
     ng = m + 1
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
@@ -276,11 +268,9 @@ def build_mesh(n, grading=1.0, quadrant=False):
     if not quadrant:
         boundary_mask[:ng * ng] |= gx_idx == 0
 
-    origin_vertex = int(zero * ng + zero)
-
     if abs(float(np.sum(area)) - (1.0 if quadrant else 4.0)) > 1e-10:
         raise MeshError("element areas do not partition the domain")
 
     return MeshSpace(n=n, grading=float(grading), xs=xs, nodes=nodes,
                      tris=tris, area=area, phase=phase, grad=grad,
-                     boundary_mask=boundary_mask, origin_vertex=origin_vertex)
+                     boundary_mask=boundary_mask)

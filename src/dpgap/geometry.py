@@ -163,8 +163,9 @@ def boundary_flux_segments(n_quad):
 
 def disjoint_support_audit(n_samples, seed):
     """max over uniform random points of |grad u2| * |b2|; contract: 0."""
-    if n_samples < 1:
-        raise RangeError("n_samples >= 1 required")
+    # NaN fails the comparison, where int() would raise a bare ValueError
+    if not 1 <= n_samples < np.inf:
+        raise RangeError("finite n_samples >= 1 required")
     rng = np.random.default_rng(seed)
     worst = 0.0
     remaining = int(n_samples)
@@ -186,9 +187,10 @@ MAX_FIELDS_RESOLUTION = 2048
 def sample_fields_grid(resolution):
     """Rows (x1, x2, a, u2, |grad_u2|, |b2|) on a uniform n x n cell-center
     grid, 1 <= n <= MAX_FIELDS_RESOLUTION."""
-    n = int(resolution)
-    if not 1 <= n <= MAX_FIELDS_RESOLUTION:
+    # NaN fails the comparison, where int() would raise a bare ValueError
+    if not 1 <= resolution <= MAX_FIELDS_RESOLUTION:
         raise RangeError(f"resolution must lie in [1, {MAX_FIELDS_RESOLUTION}]")
+    n = int(resolution)
     xs = (np.arange(n) + 0.5) / n * 2.0 - 1.0
     X1, X2 = np.meshgrid(xs, xs, indexing="ij")
     x1 = X1.ravel()

@@ -134,15 +134,9 @@ def _split_at_knot(x, x_knot, raw, substitute):
         if x_knot == -math.inf or not (small := x < x_knot).any():
             return np.asarray(raw(x))
         above = np.asarray(raw(x[~small]))
-        below = np.asarray(substitute(x[small]))
         out = np.empty(above.shape[:-1] + x.shape)
-        # row by row on flat views: one boolean index per row is NumPy's fast
-        # path, and out[..., small] is several times slower
-        rows = out.reshape(-1, x.size)
-        small = small.ravel()
-        for row, a, b in zip(rows, above.reshape(len(rows), -1), below.reshape(len(rows), -1)):
-            row[~small] = a
-            row[small] = b
+        out[..., ~small] = above
+        out[..., small] = substitute(x[small])
     return out
 
 
@@ -206,7 +200,7 @@ class LogPower:
         # (0 * inf is NaN), the derivative is exp(log_deriv)
         return _fill_from_log(out, t, ~np.isfinite(out), self.log_deriv)
 
-    def deriv_ratio(self, t, floor=1e-12):
+    def deriv_ratio(self, t, floor):
         """Phi'(t)/t with the argument floored to avoid 0/0 in assembly."""
         t = np.maximum(np.asarray(t, dtype=np.float64), floor)
         return self.deriv(t) / t
@@ -554,6 +548,6 @@ class DoublePhase:
     psi: object
 
 
-def double_phase_log(alpha, beta, p=2.0, scale=1.0):
-    """The borderline checkerboard pair: phi = t^p log^{-beta}, psi = t^p log^{alpha}."""
-    return DoublePhase(phi=LogPower(p, -beta, scale), psi=LogPower(p, alpha, scale))
+def double_phase_log(alpha, beta):
+    """The borderline checkerboard pair: phi = t^2 log^{-beta}, psi = t^2 log^{alpha}."""
+    return DoublePhase(phi=LogPower(2.0, -beta), psi=LogPower(2.0, alpha))

@@ -111,8 +111,8 @@ class TestClassify:
 
     def test_scale_invariance(self):
         for s in (0.1, 1.0, 7.0):
-            assert classify_alpha_beta(2.0, 2.0, scale=s).verdict == GAP
-            assert classify_alpha_beta(2.0, 0.5, scale=s).verdict == NO_GAP
+            assert classify(LogPower(2.0, -2.0, s), LogPower(2.0, 2.0, s)).verdict == GAP
+            assert classify(LogPower(2.0, -0.5, s), LogPower(2.0, 2.0, s)).verdict == NO_GAP
 
     def test_dominance_precondition(self):
         with pytest.raises(PreconditionError):

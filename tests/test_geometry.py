@@ -166,8 +166,16 @@ class TestFluxAndAudit:
         assert geometry.disjoint_support_audit(100_000, seed=0) == 0.0
 
     def test_audit_needs_a_sample(self):
-        with pytest.raises(RangeError):
-            geometry.disjoint_support_audit(0, seed=0)
+        # NaN would reach int() as a bare ValueError, inf as an OverflowError
+        for n_samples in (0, np.nan, np.inf):
+            with pytest.raises(RangeError):
+                geometry.disjoint_support_audit(n_samples, seed=0)
+
+    @pytest.mark.parametrize("res", [0, geometry.MAX_FIELDS_RESOLUTION + 1, np.nan, np.inf],
+                             ids=str)
+    def test_fields_grid_bounded(self, res):
+        with pytest.raises(RangeError, match="resolution must lie in"):
+            geometry.sample_fields_grid(res)
 
     def test_fields_grid_shape(self):
         table = geometry.sample_fields_grid(16)

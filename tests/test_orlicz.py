@@ -246,8 +246,9 @@ class TestLogPower:
         assert (f.gamma, f.knot) == (0.0, 0.0)
         t = np.logspace(-12.0, 12.0, 241)
         twin = LogPower(2.5, 0.0, 3.0)
-        for name in ("__call__", "deriv", "deriv_ratio", "second_deriv"):
+        for name in ("__call__", "deriv", "second_deriv"):
             assert getattr(f, name)(t).tobytes() == getattr(twin, name)(t).tobytes()
+        assert f.deriv_ratio(t, floor=1e-12).tobytes() == twin.deriv_ratio(t, floor=1e-12).tobytes()
         with pytest.raises(DomainError, match="^PurePower requires a finite p > 1$"):
             PurePower(1.0)
 
@@ -632,7 +633,7 @@ class TestLuxemburg:
 
 class TestDoublePhase:
     def test_parameter_map(self):
-        dp = double_phase_log(1.5, 0.75, p=2.0)
+        dp = double_phase_log(1.5, 0.75)
         assert dp.phi.gamma == -0.75
         assert dp.psi.gamma == 1.5
         assert dp.phi.p == dp.psi.p == 2.0
