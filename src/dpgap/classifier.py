@@ -4,7 +4,7 @@ The gap criterion for the checkerboard pair (phi, psi) is: both
 ``int_0 phi(1/r) r dr`` and ``int_0 psi*(1/r) r dr`` finite.  After the
 substitution t = 1/r these become ``int_2^inf f(t) t^-3 dt``, finite iff
 p < 2, or p = 2 and gamma < -1, for f = t^p log^gamma(e + t) (a ``LogPower``,
-of which the pure power c t^p is the gamma = 0 member).  The verdict is this
+of which the pure power t^p is the gamma = 0 member).  The verdict is this
 closed form, so the borderline cells are decided exactly; dyadic block sums
 with a fitted decay exponent are only reported.  psi* is
 ``orlicz.conjugate(psi)``, in closed form.

@@ -32,7 +32,7 @@ from .classifier import DIVERGES, tail_integral_verdict
 from .errors import (DomainError, EnergyOverflowError,
                      NoRemovableSingularityError, NormalizationError,
                      RangeError)
-from .orlicz import DoublePhase, conjugate, log_deriv_inverse
+from .orlicz import DoublePhase, _check_integrand, conjugate, log_deriv_inverse
 
 LOGLOG = "LogLog"
 PSI_HARMONIC = "PsiHarmonic"
@@ -116,6 +116,7 @@ def _normalization_integral(psi, ln_c, u_grid):
 
 def solve_normalization_constant(psi, r1, r2):
     """The unique c > 0 with int_{r1}^{r2} (psi')^{-1}(c/rho) drho = 1."""
+    _check_integrand(psi, "solve_normalization_constant")
     u_grid = np.linspace(*_log_radii(r1, r2), N_NODES)
 
     def gap(ln_c):
@@ -255,6 +256,7 @@ def cutoff_energy(cutoff, integrand):
 
 
 def _scalar_energy(cutoff, f):
+    _check_integrand(f, "cutoff_energy")
     # a huge exponent overflows log_eval itself (to inf, or to NaN from
     # inf - inf); the finiteness check below rejects both
     with np.errstate(over="ignore", invalid="ignore"):

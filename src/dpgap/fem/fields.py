@@ -17,20 +17,12 @@ from ..errors import DomainError
 from ..geometry import eval_grad_u2, eval_u2, theta, theta_prime
 
 
-def enrichment_window(r):
-    """eta(r): 1 on r <= 1/4, 0 on r >= 1/2 (reversed smoothstep)."""
-    return 1.0 - theta(r)
-
-
-def enrichment_window_prime(r):
-    return -theta_prime(r)
-
-
 def enrichment_value(points):
-    """E = eta(r) u2 at points of shape (..., 2); shape (...)."""
+    """E = eta(r) u2 at points of shape (..., 2); shape (...).  eta = 1 - theta
+    is the reversed smoothstep."""
     pts = np.asarray(points, dtype=np.float64)
     x1, x2 = pts[..., 0], pts[..., 1]
-    return enrichment_window(np.hypot(x1, x2)) * eval_u2(x1, x2)
+    return (1.0 - theta(np.hypot(x1, x2))) * eval_u2(x1, x2)
 
 
 def enrichment_gradient(points):
@@ -40,8 +32,8 @@ def enrichment_gradient(points):
     r = np.hypot(x1, x2)
     u2 = eval_u2(x1, x2)
     gu = eval_grad_u2(x1, x2)
-    eta = enrichment_window(r)
-    etap = enrichment_window_prime(r)
+    eta = 1.0 - theta(r)
+    etap = -theta_prime(r)
     out = np.zeros((len(r), 2))
     pos = r > 0.0
     out[pos, 0] = etap[pos] * (x1[pos] / r[pos]) * u2[pos] + eta[pos] * gu[0][pos]

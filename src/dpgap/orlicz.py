@@ -1,21 +1,20 @@
 """N-function algebra: log-power integrands, conjugates, Luxemburg norms.
 
-The working family is ``t^p * log^gamma(e + t)`` (no 1/p prefactor; every
-downstream verdict is invariant under positive scalar factors, which is
-tested).  For ``gamma < 1 - p`` the raw formula is not convex near the
-origin and is replaced below a knot ``t0`` by a quadratic substitute
-matching value and slope at the knot; only large-t behaviour matters for
-anything built on top.
+The working family is ``t^p * log^gamma(e + t)``, with no 1/p prefactor or
+other factor: every verdict built on it depends on (p, gamma) alone.  For
+``gamma < 1 - p`` the raw formula is not convex near the origin and is
+replaced below a knot ``t0`` by a quadratic substitute matching value and
+slope at the knot; only large-t behaviour matters for anything built on top.
 
-The integrand is ``LogPower``, and ``PurePower`` (c t^p) is its gamma = 0
+The integrand is ``LogPower``, and ``PurePower`` (t^p) is its gamma = 0
 member: log^0 = 1 and there is no knot.  This module is the only one that
 knows how the integrand behaves in log space (``log_eval``; ``log_deriv``;
 and ``log_deriv_with_slope``, ln Phi' with its slope d ln Phi' / d ln t from
 one evaluation of the terms of ln Phi', which ``log_deriv`` shares) and
-which closed-form conjugate stands for it
-(``conjugate``: the exact one for a ``PurePower``).  Every quantity goes
-through one rule, ``_split_at_knot``: the substitute below the knot, in t
-for the value and its two derivatives and in ln t for the log-space ones.
+which closed-form conjugate stands for its growth class (``conjugate``).
+Every quantity goes through one rule, ``_split_at_knot``: the substitute
+below the knot, in t for the value and its two derivatives and in ln t for
+the log-space ones.
 ``log_eval(ln_t, k)`` is ln(Phi(t) / t^k); the integrand and its two
 derivatives are taken from log space wherever their direct formulas leave
 the double range, and the integrand also above 1e8.  ``log_deriv_inverse``
@@ -59,11 +58,11 @@ def _check_arg(t):
     return t
 
 
-def _logpower_second_deriv(t, p, gamma, scale):
+def _logpower_second_deriv(t, p, gamma):
     L = np.log(np.e + t)
     A = p / t + gamma / ((np.e + t) * L)
     dA = -p / t**2 - gamma * (L + 1.0) / ((np.e + t) * L) ** 2
-    return scale * t**p * L**gamma * (A * A + dA)
+    return t**p * L**gamma * (A * A + dA)
 
 
 def _slope_ratio(t, p, gamma):
@@ -71,7 +70,7 @@ def _slope_ratio(t, p, gamma):
     return p + gamma * t / ((np.e + t) * np.log(np.e + t))
 
 
-def _knot_search(p, gamma, scale):
+def _knot_search(p, gamma):
     """Convexification knot and quadratic substitute coefficients.
 
     Returns (t0, a2, a1); t0 = 0 when the raw formula is already convex.
@@ -85,7 +84,7 @@ def _knot_search(p, gamma, scale):
         # Phi'' overflowing to inf or NaN (huge p, or t past 1e154) fails the
         # sign tests
         with np.errstate(all="ignore"):
-            neg = np.where(_logpower_second_deriv(grid, p, gamma, scale) < 0.0)[0]
+            neg = np.where(_logpower_second_deriv(grid, p, gamma) < 0.0)[0]
             if neg.size == 0:
                 return 0.0, 0.0, 0.0
             i = neg[-1]
@@ -93,12 +92,12 @@ def _knot_search(p, gamma, scale):
             # for p near 1 with very negative gamma the sign change sits beyond
             # the grid; extend the bracket until the second derivative turns
             # positive
-            while _logpower_second_deriv(hi, p, gamma, scale) < 0.0:
+            while _logpower_second_deriv(hi, p, gamma) < 0.0:
                 hi *= 10.0
                 if hi > 1e280:  # pragma: no cover
                     raise DomainError("convexification knot search failed")
         t0 = brentq(
-            lambda t: _logpower_second_deriv(t, p, gamma, scale),
+            lambda t: _logpower_second_deriv(t, p, gamma),
             grid[i], hi, xtol=1e-14, rtol=1e-13,
         )
         # push the knot right until the substitute coefficients are nonnegative
@@ -112,7 +111,7 @@ def _knot_search(p, gamma, scale):
                 lambda t: _slope_ratio(t, p, gamma) - _KNOT_MIN_RATIO,
                 hi / 2.0, hi, xtol=1e-14, rtol=1e-13,
             )
-        val = scale * t0**p * math.log(math.e + t0) ** gamma
+        val = t0**p * math.log(math.e + t0) ** gamma
         r = _slope_ratio(t0, p, gamma)
         a2 = (r - 1.0) * val / t0**2
         a1 = (2.0 - r) * val / t0
@@ -151,11 +150,10 @@ def _fill_from_log(out, t, where, log_value):
 @dataclass(frozen=True)
 class LogPower:
     """Integrand t^p log^gamma(e+t), convexified near 0 when needed: below
-    the knot t0 it is a2 t^2 + a1 t (a2 and a1 contain ``scale``)."""
+    the knot t0 it is a2 t^2 + a1 t."""
 
     p: float
     gamma: float = 0.0
-    scale: float = 1.0
     _knot: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -164,9 +162,7 @@ class LogPower:
             raise DomainError(f"{name} requires a finite p > 1")
         if not math.isfinite(self.gamma):
             raise DomainError(f"{name} requires a finite gamma")
-        if not (0.0 < self.scale < math.inf):
-            raise DomainError(f"{name} requires a finite scale > 0")
-        object.__setattr__(self, "_knot", _knot_search(self.p, self.gamma, self.scale))
+        object.__setattr__(self, "_knot", _knot_search(self.p, self.gamma))
 
     @property
     def knot(self):
@@ -178,9 +174,9 @@ class LogPower:
 
     def __call__(self, t):
         t = _check_arg(t)
-        p, gamma, scale = self.p, self.gamma, self.scale
+        p, gamma = self.p, self.gamma
         t0, a2, a1 = self._knot
-        out = _split_at_knot(t, t0, lambda x: scale * x**p * np.log(np.e + x) ** gamma,
+        out = _split_at_knot(t, t0, lambda x: x**p * np.log(np.e + x) ** gamma,
                              lambda x: a2 * x * x + a1 * x)
         # above 1e8, on either side of the knot, and where the direct formula
         # leaves the double range (0 * inf is NaN) the value is exp(log_eval)
@@ -188,12 +184,12 @@ class LogPower:
 
     def deriv(self, t):
         t = _check_arg(t)
-        p, gamma, scale = self.p, self.gamma, self.scale
+        p, gamma = self.p, self.gamma
         t0, a2, a1 = self._knot
 
         def raw(x):
             L = np.log(np.e + x)
-            return scale * x ** (p - 1.0) * L ** (gamma - 1.0) * (p * L + gamma * x / (np.e + x))
+            return x ** (p - 1.0) * L ** (gamma - 1.0) * (p * L + gamma * x / (np.e + x))
 
         out = _split_at_knot(t, t0, raw, lambda x: 2.0 * a2 * x + a1)
         # where t^(p-1) overflows, or underflows while L^(gamma-1) overflows
@@ -214,7 +210,7 @@ class LogPower:
 
         def raw(x):
             x = np.asarray(np.maximum(x, 1e-8))
-            out = np.asarray(_logpower_second_deriv(x, p, gamma, self.scale))
+            out = np.asarray(_logpower_second_deriv(x, p, gamma))
             # above 1e150, where A^2 leaves the normal range, and where the
             # formula is not finite (t^p overflows, or 0 * inf), Phi'' is
             # (Phi / t^2)(r^2 + t^2 A') with r = t A, both factors O(1)
@@ -242,19 +238,18 @@ class LogPower:
         _, a2, a1 = self._knot
         return _split_at_knot(
             ln_t, self._ln_knot,
-            lambda x: math.log(self.scale) + (p - k) * x + gamma * np.log(np.logaddexp(1.0, x)),
+            lambda x: (p - k) * x + gamma * np.log(np.logaddexp(1.0, x)),
             lambda x: (1.0 - k) * x + np.log(a1 + a2 * np.exp(x)))[()]
 
     def _log_deriv_terms(self, x):
         """ln Phi' at ln t = x on and above the knot, with the L = ln(e + t),
         w = t / (e + t) and d = p L + gamma w it is made of."""
         p, gamma = self.p, self.gamma
-        # Phi' = scale t^{p-1} L^{gamma-1} (p L + gamma t / (e + t))
+        # Phi' = t^{p-1} L^{gamma-1} (p L + gamma t / (e + t))
         L = np.logaddexp(1.0, x)
         w = np.exp(x - L)  # the derivative of L in ln t
         d = p * L + gamma * w
-        return (math.log(self.scale) + (p - 1.0) * x + (gamma - 1.0) * np.log(L)
-                + np.log(d)), L, w, d
+        return (p - 1.0) * x + (gamma - 1.0) * np.log(L) + np.log(d), L, w, d
 
     def _log_deriv_substitute(self, x):
         """ln Phi' at ln t = x below the knot, with q = 2 a2 t: Phi' = a1 + q."""
@@ -288,8 +283,8 @@ class LogPower:
 
 @dataclass(frozen=True)
 class PurePower(LogPower):
-    """c * t^p, the gamma = 0 ``LogPower``; ``conjugate`` gives it its exact
-    conjugate, the analytic workhorse for closed-form cross-checks."""
+    """t^p, the gamma = 0 ``LogPower``: the analytic workhorse for
+    closed-form cross-checks."""
 
     gamma: float = field(default=0.0, init=False)
 
@@ -399,17 +394,10 @@ def _check_integrand(f, caller):
 
 
 def conjugate(f):
-    """The conjugate that stands for f*: the exact conjugate for a PurePower
-    and the closed-form growth-class representative for any other LogPower."""
+    """The conjugate that stands for f*: the closed-form growth-class
+    representative ``conjugate_log_power(f.p, f.gamma)``."""
     _check_integrand(f, "conjugate")
-    if not isinstance(f, PurePower):
-        return conjugate_log_power(f.p, f.gamma)
-    q = f.p / (f.p - 1.0)
-    try:
-        cq = (f.p - 1.0) / f.p * (f.scale * f.p) ** (1.0 / (1.0 - f.p))
-    except OverflowError as exc:
-        raise DomainError("conjugate scale (c p)^(1/(1-p)) overflows") from exc
-    return PurePower(q, cq)
+    return conjugate_log_power(f.p, f.gamma)
 
 
 def conjugate_numeric(f, s):

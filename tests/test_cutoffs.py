@@ -7,8 +7,8 @@ from dpgap import cutoffs, orlicz
 from dpgap.cutoffs import (build_loglog_cutoff, build_psi_harmonic_cutoff,
                            cutoff_energy, euler_lagrange_residual,
                            find_inner_radius, solve_normalization_constant)
-from dpgap.errors import (NoRemovableSingularityError, NormalizationError,
-                          RangeError)
+from dpgap.errors import (DomainError, NoRemovableSingularityError,
+                          NormalizationError, RangeError)
 from dpgap.orlicz import DoublePhase, LogPower, PurePower, log_deriv_inverse
 
 
@@ -21,12 +21,6 @@ class TestNormalization:
             r1 = r2 * rng.uniform(1e-6, 0.5)
             c = solve_normalization_constant(PurePower(2.0), r1, r2)
             assert c == pytest.approx(2.0 / np.log(r2 / r1), rel=1e-8)
-
-    def test_scale_halves_constant(self):
-        # psi = 2 t^2 doubles psi', so c doubles as well
-        c1 = solve_normalization_constant(PurePower(2.0), 0.01, 0.5)
-        c2 = solve_normalization_constant(PurePower(2.0, scale=2.0), 0.01, 0.5)
-        assert c2 == pytest.approx(2.0 * c1, rel=1e-8)
 
     def test_bad_radii_rejected(self):
         with pytest.raises(RangeError):
@@ -314,6 +308,19 @@ class TestEnergy:
         vals = f(eta_prime) * np.exp(-2.0 * u) * u
         assert cutoff_energy(build_loglog_cutoff(eps), f) == pytest.approx(
             2.0 * np.pi * np.trapezoid(vals, x), rel=1e-12)
+
+    @pytest.mark.parametrize("f", [lambda t: t * t, "t^2", None], ids=["lambda", "str", "None"])
+    def test_other_integrand_raises(self, f):
+        # the refusal conjugate gives, not an AttributeError from inside
+        cut = build_psi_harmonic_cutoff(PurePower(2.0), 1e-2, 0.5)
+        for call in (lambda: solve_normalization_constant(f, 0.01, 0.5),
+                     lambda: build_psi_harmonic_cutoff(f, 0.01, 0.5),
+                     lambda: find_inner_radius(f, 0.5, 0.25),
+                     lambda: cutoff_energy(cut, f),
+                     lambda: cutoff_energy(cut, DoublePhase(PurePower(2.0), f)),
+                     lambda: cutoff_energy(build_loglog_cutoff(1e-2), f)):
+            with pytest.raises(DomainError, match="LogPower or a PurePower"):
+                call()
 
     def test_quadratic_oracle(self):
         cut = build_psi_harmonic_cutoff(PurePower(2.0), 1e-2, 0.5)

@@ -405,13 +405,25 @@ class TestLinearTerm:
         np.testing.assert_array_equal(np.vstack(grad_points), full_rules)
 
 
+class _ZeroPsi:
+    """psi = 0, so Phi = phi in each phase."""
+
+    def __call__(self, t):
+        return np.zeros_like(np.asarray(t, dtype=np.float64))
+
+    def deriv_ratio(self, t, floor):
+        return self(t)
+
+    def second_deriv(self, t):
+        return self(t)
+
+
 class TestMinimize:
     def test_dirichlet_linear_data_reproduced(self, mesh):
         # boundary trace of an affine function: the minimizer of a
-        # phase-independent integrand is that function. psi at scale 1e-300
-        # adds below the rounding of every term, so Phi is t^2 in each phase
+        # phase-independent integrand is that function
         bdata = mesh.nodes[mesh.boundary_mask, 0]
-        pair = DoublePhase(PurePower(2.0), PurePower(2.0, 1e-300))
+        pair = DoublePhase(PurePower(2.0), _ZeroPsi())
         res = minimize(CONFORMING, OBJECTIVE_DIRICHLET, pair, mesh, boundary_data=bdata)
         assert res.converged
         np.testing.assert_allclose(res.field.values, mesh.nodes[:, 0], atol=1e-8)
