@@ -257,6 +257,8 @@ def cutoff_energy(cutoff, integrand):
 
 def _scalar_energy(cutoff, f):
     _check_integrand(f, "cutoff_energy")
+    if not isinstance(cutoff, RadialCutoff):
+        raise DomainError(f"cutoff_energy takes a RadialCutoff, not {type(cutoff).__name__}")
     # a huge exponent overflows log_eval itself (to inf, or to NaN from
     # inf - inf); the finiteness check below rejects both
     with np.errstate(over="ignore", invalid="ignore"):
@@ -286,7 +288,7 @@ def _scalar_energy(cutoff, f):
 
 def euler_lagrange_residual(cutoff):
     """Scale-free max-norm of d/d(ln r) of r psi'(eta'(r)) over interior nodes."""
-    if cutoff.kind != PSI_HARMONIC:
+    if not isinstance(cutoff, RadialCutoff) or cutoff.kind != PSI_HARMONIC:
         raise DomainError("Euler-Lagrange residual applies to psi-harmonic cutoffs")
     ln_flux = cutoff.ln_r + cutoff.psi.log_deriv(cutoff.ln_eta_prime_table)
     dflux = np.gradient(np.exp(ln_flux - np.log(cutoff.c)), cutoff.ln_r)

@@ -3,26 +3,23 @@
 Nodal terms go through one operator, the mesh's discrete gradient G: element
 gradients are G u, a per-element (Ne, 2) vector m (the gradient, the node-s
 border, the b2 pairing) reaches the nodes as G^T m, and the nodal Hessian
-block is K = G^T D G, D block-diagonal in the per-element 2x2 Hessian sums.
+block is K = (D G)^T G, with D block-diagonal in the per-element 2x2 Hessian
+sums and D G formed on G's own pattern.
 
 Energy, gradient and Hessian share one path over integration points. For a
-conforming field the points are the elements themselves: its gradient is
-constant per element, so each element is one point weighted by its area. For
-an enriched field the points are the split rule of ``enrichment_rule``: the
-full quadrature points where the analytic enrichment gradient is nonzero
-somewhere in the element, and one point weighted by the area in every other
-element, where the integrand is constant. Per-point terms are summed into
-their owning elements over contiguous segments, since the points are sorted
-by element. The only branch is the work that the jump amplitude s adds.
-Gradient and Hessian return their nodal part and their s part separately:
-(nodal gradient, d/ds) and (nodal block K, node-s border, s-s entry), with
-None for the s part of a conforming field. How the s dof is laid out next to
-the nodal ones is left to ``solve``.
-``enrichment_rule`` also holds the b2 pairing, integrated at the full rule:
-b2 is nonzero where the enrichment gradient vanishes. That record is the only
-thing assembly writes to a mesh.
-Summation orders are fixed (element order, then quadrature order) so repeated
-runs are bit-identical.
+conforming field the points are the elements, weighted by area, as its
+gradient is constant per element. For an enriched field they are the split
+rule of ``enrichment_rule``: the full quadrature points of every element
+where the analytic enrichment gradient is nonzero somewhere, one point
+weighted by the area in every other element. Points are sorted by element, so
+per-point terms are summed into their elements over contiguous segments. The
+only branch is the work that the jump amplitude s adds: gradient and Hessian
+return (nodal gradient, d/ds) and (nodal block K, node-s border, s-s entry),
+None for the s part of a conforming field; ``solve`` lays out the s dof.
+``enrichment_rule`` also holds the b2 pairing, integrated at the full rule
+(b2 is nonzero where the enrichment gradient vanishes); that record is the
+only thing assembly writes to a mesh. Summation orders are fixed (element
+order, then quadrature order) so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -102,40 +99,41 @@ def modular_gradient(u, pair):
 def modular_hessian(u, pair):
     """(nodal block K, node-s border or None, s-s entry or None) of the Hessian.
 
-    K is the sparse (Nv, Nv) Hessian over the nodal dofs. An enriched field
-    adds the (Nv,) cross terms between the nodes and s and the float s-s
-    entry; a conforming field returns None for both.
+    K is the sparse (Nv, Nv) Hessian (D G)^T G over the nodal dofs. An
+    enriched field adds the (Nv,) cross terms between the nodes and s and the
+    float s-s entry; a conforming field returns None for both.
     """
     G = u.mesh.grad
+    m, border, h_ss = _element_hessian(u, pair)
+    # rows 2e and 2e+1 of G hold element e's vertices, and so does row 2e+b of D G:
+    # M[0,b] G[2e] + M[1,b] G[2e+1], M = [[m0, m1], [m1, m2]]. Vertices go in reverse
+    # and exact zeros are dropped, as in SciPy's G^T D, so K sums and stores alike.
+    Ge = G.data.reshape(-1, 2, 1, 3)[..., ::-1]
+    DG = sp.csr_matrix(((m[:, [0, 1], None] * Ge[:, 0] + m[:, [1, 2], None] * Ge[:, 1]).ravel(),
+                        G.indices.reshape(-1, 3)[:, ::-1].ravel(), G.indptr.copy()), shape=G.shape)
+    del m  # before the product, which sets the peak
+    DG.eliminate_zeros()
+    return DG.T @ G, border, h_ss
+
+
+def _element_hessian(u, pair):
+    """(element sums (Ne, 3) of w (H00, H01, H11), border or None, s-s entry or None)."""
     g, t, w, a, starts, ge = _points(u)
-    H = _pointwise_hessian(g, t, _integrand(pair, t, a, 2), _integrand(pair, t, a, 1))
-    # node-node block, weighted and summed per element in 2x2 form first
-    M = _per_element(H * w[:, None, None], starts)
-    D = sp.bsr_matrix((M, np.arange(len(M)), np.arange(len(M) + 1)))  # (2 Ne, 2 Ne)
-    K = G.T @ D @ G
+    h00, h01, h11 = _pointwise_hessian(g, t, _integrand(pair, t, a, 2), _integrand(pair, t, a, 1))
+    del g, t, a  # before the element sums and the border
+    m = _per_element(np.column_stack([h00, h01, h11]) * w[:, None], starts)
     if ge is None:
-        return K, None, None
-    Hge = np.einsum("qkl,ql->qk", H, ge)
-    border = G.T @ _per_element(w[:, None] * Hge, starts).ravel()
-    h_ss = float(np.sum(w * np.einsum("qk,qk->q", ge, Hge)))
-    return K, border, h_ss
+        return m, None, None
+    Hge = np.column_stack([h00 * ge[:, 0] + h01 * ge[:, 1], h01 * ge[:, 0] + h11 * ge[:, 1]])
+    border = u.mesh.grad.T @ _per_element(w[:, None] * Hge, starts).ravel()
+    return m, border, float(np.sum(w * np.einsum("qk,qk->q", ge, Hge)))
 
 
 def _pointwise_hessian(g, t, k1, k2):
-    """kappa2 I + (kappa1 - kappa2) ghat ghat^T, with ghat = 0 below the floor."""
-    n = len(t)
-    H = np.zeros((n, 2, 2))
-    H[:, 0, 0] = k2
-    H[:, 1, 1] = k2
-    big = t > _GRAD_FLOOR
-    ghat = np.zeros_like(g)
-    ghat[big] = g[big] / t[big, None]
-    d = (k1 - k2)
-    H[:, 0, 0] += d * ghat[:, 0] ** 2
-    H[:, 0, 1] += d * ghat[:, 0] * ghat[:, 1]
-    H[:, 1, 0] = H[:, 0, 1]
-    H[:, 1, 1] += d * ghat[:, 1] ** 2
-    return H
+    """(H00, H01, H11) of kappa2 I + (kappa1 - kappa2) ghat ghat^T; ghat = 0 below the floor."""
+    ghat = np.divide(g, t[:, None], out=np.zeros_like(g), where=(t > _GRAD_FLOOR)[:, None])
+    d = k1 - k2  # H01 = 0.0 + ... is never -0.0
+    return k2 + d * ghat[:, 0] ** 2, 0.0 + d * ghat[:, 0] * ghat[:, 1], k2 + d * ghat[:, 1] ** 2
 
 
 EnrichmentRule = namedtuple("EnrichmentRule", "qw qel ge starts L L_s")

@@ -322,6 +322,16 @@ class TestEnergy:
             with pytest.raises(DomainError, match="LogPower or a PurePower"):
                 call()
 
+    @pytest.mark.parametrize("cutoff", [None, "x", PurePower(2.0)], ids=["None", "str", "integrand"])
+    def test_other_cutoff_raises(self, cutoff):
+        # a DomainError like the integrand's, not an AttributeError on .kind
+        for call in (lambda: cutoff_energy(cutoff, PurePower(2.0)),
+                     lambda: cutoff_energy(cutoff, DoublePhase(PurePower(2.0), LogPower(2.0, 1.0)))):
+            with pytest.raises(DomainError, match="takes a RadialCutoff"):
+                call()
+        with pytest.raises(DomainError, match="psi-harmonic cutoffs"):
+            euler_lagrange_residual(cutoff)
+
     def test_quadratic_oracle(self):
         cut = build_psi_harmonic_cutoff(PurePower(2.0), 1e-2, 0.5)
         assert cutoff_energy(cut, PurePower(2.0)) == pytest.approx(

@@ -135,15 +135,16 @@ class TestGradient:
 
     @pytest.mark.parametrize("space", [CONFORMING, ENRICHED])
     def test_stiffness_matches_element_matrices(self, mesh, space):
-        """K = G^T D G against element matrices B M B^T summed by COO."""
+        """K = (D G)^T G against element matrices B M B^T summed by COO."""
         rng = np.random.default_rng(4)
         u = _random_interior_field(mesh, rng, amp=0.3)
         if space == ENRICHED:
             u = EnrichedField(u, 0.2)
         pair = double_phase_log(2.0, 2.0)
         g, t, w, a, starts, _ = assembly._points(u)
-        H = assembly._pointwise_hessian(g, t, assembly._integrand(pair, t, a, 2),
-                                        assembly._integrand(pair, t, a, 1))
+        h00, h01, h11 = assembly._pointwise_hessian(g, t, assembly._integrand(pair, t, a, 2),
+                                                    assembly._integrand(pair, t, a, 1))
+        H = np.stack([h00, h01, h01, h11], axis=1).reshape(-1, 2, 2)
         M = assembly._per_element(H * w[:, None, None], starts)
         B = _grad_basis(mesh)
         Ke = np.einsum("ejk,ekl,eml->ejm", B, M, B)
@@ -155,6 +156,104 @@ class TestGradient:
         assert K.shape == (nv, nv)
         np.testing.assert_allclose(K.toarray(), ref, rtol=0.0,
                                    atol=1e-14 * np.max(np.abs(ref)))
+
+
+def _tensor_hessian(u, pair):
+    """(K, border, h_ss) by G^T D G with D a BSR matrix of per-element 2x2
+    blocks, from a (points, 2, 2) tensor H: the formula that modular_hessian
+    replaces, kept as the reference for its bits."""
+    G = u.mesh.grad
+    g, t, w, a, starts, ge = assembly._points(u)
+    k1, k2 = assembly._integrand(pair, t, a, 2), assembly._integrand(pair, t, a, 1)
+    H = np.zeros((len(t), 2, 2))
+    H[:, 0, 0] = k2
+    H[:, 1, 1] = k2
+    big = t > assembly._GRAD_FLOOR
+    ghat = np.zeros_like(g)
+    ghat[big] = g[big] / t[big, None]
+    d = k1 - k2
+    H[:, 0, 0] += d * ghat[:, 0] ** 2
+    H[:, 0, 1] += d * ghat[:, 0] * ghat[:, 1]
+    H[:, 1, 0] = H[:, 0, 1]
+    H[:, 1, 1] += d * ghat[:, 1] ** 2
+    M = assembly._per_element(H * w[:, None, None], starts)
+    D = sp.bsr_matrix((M, np.arange(len(M)), np.arange(len(M) + 1)))
+    K = G.T @ D @ G
+    if ge is None:
+        return K, None, None
+    Hge = np.einsum("qkl,ql->qk", H, ge)
+    border = G.T @ assembly._per_element(w[:, None] * Hge, starts).ravel()
+    return K, border, float(np.sum(w * np.einsum("qk,qk->q", ge, Hge)))
+
+
+class TestHessianBits:
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("pair_args", [(2.0, 2.0), (2.0, 0.5)])
+    @pytest.mark.parametrize("space", [CONFORMING, ENRICHED])
+    def test_equals_tensor_formula(self, n, pair_args, space):
+        # every bit of K (its storage order too), the border and h_ss
+        mesh = build_mesh(n, grading=2.0, quadrant=True)
+        pair = double_phase_log(*pair_args)
+        rng = np.random.default_rng(n)
+        u2 = np.where(mesh.boundary_mask, 0.0, eval_u2(mesh.nodes[:, 0], mesh.nodes[:, 1]))
+        for u in (_random_interior_field(mesh, rng, amp=0.3), DofField(mesh, u2),
+                  DofField(mesh, np.zeros(mesh.n_vertices))):
+            if space == ENRICHED:
+                u = EnrichedField(u, 0.2)
+            K, border, h_ss = modular_hessian(u, pair)
+            K_ref, border_ref, h_ss_ref = _tensor_hessian(u, pair)
+            assert K.format == K_ref.format
+            for got, ref in ((K.indptr, K_ref.indptr), (K.indices, K_ref.indices),
+                             (K.data, K_ref.data)):
+                np.testing.assert_array_equal(got, ref)
+                assert got.tobytes() == ref.tobytes()
+            if space == CONFORMING:
+                assert border is None and h_ss is None
+            else:
+                assert border.tobytes() == border_ref.tobytes()
+                assert np.float64(h_ss).tobytes() == np.float64(h_ss_ref).tobytes()
+
+    def test_pointwise_components(self):
+        # kappa2 I + (kappa1 - kappa2) ghat ghat^T, ghat = 0 at and below the floor
+        rng = np.random.default_rng(5)
+        g = np.vstack([rng.standard_normal((50, 2)), [[0.0, 0.0], [1e-13, -1e-13],
+                                                      [-7e-13, 0.0], [0.0, -2.0], [3.0, 0.0]]])
+        t = np.linalg.norm(g, axis=1)
+        k1, k2 = rng.uniform(0.5, 2.0, len(t)), rng.uniform(0.5, 2.0, len(t))
+        h00, h01, h11 = assembly._pointwise_hessian(g, t, k1, k2)
+        big = t > assembly._GRAD_FLOOR
+        ghat = np.where(big[:, None], g / np.maximum(t, 1e-300)[:, None], 0.0)
+        ref = (k2[:, None, None] * np.eye(2)
+               + (k1 - k2)[:, None, None] * np.einsum("qi,qj->qij", ghat, ghat))
+        for got, (i, j) in ((h00, (0, 0)), (h01, (0, 1)), (h11, (1, 1))):
+            np.testing.assert_allclose(got, ref[:, i, j], rtol=1e-15, atol=1e-15)
+        small = ~big
+        assert small.sum() == 3
+        np.testing.assert_array_equal(h00[small], k2[small])
+        np.testing.assert_array_equal(h11[small], k2[small])
+        # ghat0 ghat1 is -0.0 at g = (0, -2), or below the floor: H01 is +0.0
+        zero = h01 == 0.0
+        assert zero.sum() == 5 and not np.any(np.signbit(h01[zero]))
+
+    @pytest.mark.parametrize("space, bound", [(CONFORMING, 5.5), (ENRICHED, 7.0)])
+    def test_peak_memory_per_matrix(self, space, bound):
+        # tracemalloc peak of one Hessian over the bytes of the K it returns,
+        # on the n = 64 quadrant: the (points, 2, 2) tensor, its weighted copy,
+        # the BSR D and G^T D read 6.7 (conforming) and 8.5 (enriched); D G on
+        # G's own pattern reads 4.5 and 4.8
+        mesh = build_mesh(64, grading=2.0, quadrant=True)
+        enrichment_rule(mesh)
+        u = _random_interior_field(mesh, np.random.default_rng(0), amp=0.3)
+        if space == ENRICHED:
+            u = EnrichedField(u, 0.2)
+        pair = double_phase_log(2.0, 2.0)
+        tracemalloc.start()
+        try:
+            K = modular_hessian(u, pair)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes) < bound
 
 
 class TestEnrichment:
