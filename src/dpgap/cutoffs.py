@@ -18,7 +18,9 @@ is that of ``orlicz.conjugate``.  Energies take a ``LogPower`` or a
 Inner radii and slopes routinely leave double-precision range (r1 = e^{-1/eps}
 for the log-log family, eta' ~ c/r near a borderline inner radius), so all
 tables, inversions and quadratures live in log coordinates; profiles expose
-``eta_at_log`` alongside the plain callables.
+``eta_at_log`` alongside the plain callables.  A profile's ln eta' exists
+only as ``ln_eta_prime_table`` on its nodes ``ln_r``, filled by the builder:
+the psi-harmonic one from the inverse above, the log-log one in closed form.
 """
 
 from __future__ import annotations
@@ -73,21 +75,10 @@ class RadialCutoff:
     def eta(self, r):
         r = np.asarray(r, dtype=np.float64)
         out = np.zeros_like(r)
-        pos = r > 0.0
+        # NaN goes on to eta_at_log, which returns NaN for it
+        pos = ~(r <= 0.0)
         with np.errstate(divide="ignore"):
             out[pos] = self.eta_at_log(np.log(r[pos]))
-        return out[()]
-
-    def ln_eta_prime_at_log(self, ln_r):
-        """ln eta'(r) on the ramp; -inf outside (r1, r2)."""
-        ln_r = np.asarray(ln_r, dtype=np.float64)
-        out = np.full_like(ln_r, -np.inf)
-        inside = (ln_r > self.ln_r1) & (ln_r < self.ln_r2)
-        if self.kind == LOGLOG:
-            d = _loglog_denominator(self.eps)
-            out[inside] = -ln_r[inside] - np.log(-ln_r[inside]) - np.log(d)
-        else:
-            out[inside] = log_deriv_inverse(self.psi, np.log(self.c) - ln_r[inside])
         return out[()]
 
     def profile_table(self):
@@ -224,6 +215,14 @@ def _loglog_eta_from_log(ln_r, eps):
     return out
 
 
+def _loglog_ln_eta_prime_from_log(ln_r, eps):
+    # ln eta'(r) = ln(1/r) - ln ln(1/r) - ln d on the ramp, -inf off it
+    out = np.full_like(ln_r, -np.inf)
+    inside = (ln_r > -1.0 / eps) & (ln_r < np.log(eps))
+    out[inside] = -ln_r[inside] - np.log(-ln_r[inside]) - np.log(_loglog_denominator(eps))
+    return out
+
+
 def build_loglog_cutoff(eps):
     """Three-branch profile: 0 below e^{-1/eps}, log-log ramp, 1 above eps."""
     # below about 5.6e-309, ln r1 = -1/eps overflows
@@ -234,12 +233,11 @@ def build_loglog_cutoff(eps):
     # nodes equispaced in w = ln ln(1/r), where the ramp is linear
     w = np.linspace(np.log(-ln_r2), np.log(-ln_r1), N_NODES)
     ln_r = -np.exp(w)[::-1]
-    eta = _loglog_eta_from_log(ln_r, eps)
     r1 = float(np.exp(ln_r1))  # may underflow to 0; ln_r1 is the reference
-    cut = RadialCutoff(kind=LOGLOG, r1=r1, r2=float(eps),
-                       ln_r1=ln_r1, ln_r2=ln_r2, eps=float(eps),
-                       ln_r=ln_r, eta_table=eta)
-    return replace(cut, ln_eta_prime_table=cut.ln_eta_prime_at_log(ln_r))
+    return RadialCutoff(kind=LOGLOG, r1=r1, r2=float(eps),
+                        ln_r1=ln_r1, ln_r2=ln_r2, eps=float(eps),
+                        ln_r=ln_r, eta_table=_loglog_eta_from_log(ln_r, eps),
+                        ln_eta_prime_table=_loglog_ln_eta_prime_from_log(ln_r, eps))
 
 
 def cutoff_energy(cutoff, integrand):
@@ -290,6 +288,6 @@ def euler_lagrange_residual(cutoff):
     """Scale-free max-norm of d/d(ln r) of r psi'(eta'(r)) over interior nodes."""
     if not isinstance(cutoff, RadialCutoff) or cutoff.kind != PSI_HARMONIC:
         raise DomainError("Euler-Lagrange residual applies to psi-harmonic cutoffs")
-    ln_flux = cutoff.ln_r + cutoff.psi.log_deriv(cutoff.ln_eta_prime_table)
+    ln_flux = cutoff.ln_r + cutoff.psi.log_deriv_with_slope(cutoff.ln_eta_prime_table)[0]
     dflux = np.gradient(np.exp(ln_flux - np.log(cutoff.c)), cutoff.ln_r)
     return float(np.max(np.abs(dflux[1:-1])))

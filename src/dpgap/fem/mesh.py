@@ -209,6 +209,8 @@ def build_mesh(n, grading=1.0, quadrant=False):
     # NaN fails the comparison, where int() would raise a bare ValueError
     if not (8 <= n <= MAX_MESH_RESOLUTION):
         raise MeshError(f"resolution n >= 8 and at most {MAX_MESH_RESOLUTION} required")
+    if n != int(n):
+        raise MeshError(f"resolution n must be a whole number, not {n}")
     n = int(n)
     if not (1.0 <= grading < np.inf):
         raise MeshError("finite grading exponent >= 1 required")

@@ -243,6 +243,8 @@ def gap_experiment(alpha, beta, levels, grading=2.0, mode=None, force_g=False):
     # NaN fails the comparison; int() of NaN or inf raises no DpgapError
     if not all(abs(n) < np.inf for n in levels):
         raise RangeError("mesh levels must be finite")
+    if any(n != int(n) for n in levels):
+        raise RangeError("mesh levels must be whole numbers")
     levels = [int(n) for n in levels]
     if not levels:
         raise RangeError("at least one mesh level is required")

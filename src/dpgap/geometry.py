@@ -120,6 +120,8 @@ def _simpson_rule(n_quad):
     # NaN fails the comparison, where int() would raise a bare ValueError
     if not 64 <= n_quad <= MAX_FLUX_NQUAD:
         raise RangeError(f"n_quad must lie in [64, {MAX_FLUX_NQUAD}]")
+    if n_quad != int(n_quad):
+        raise RangeError(f"n_quad must be a whole number, not {n_quad}")
     n = int(n_quad)
     if n % 2:
         n += 1
@@ -166,6 +168,8 @@ def disjoint_support_audit(n_samples, seed):
     # NaN fails the comparison, where int() would raise a bare ValueError
     if not 1 <= n_samples < np.inf:
         raise RangeError("finite n_samples >= 1 required")
+    if n_samples != int(n_samples):
+        raise RangeError(f"n_samples must be a whole number, not {n_samples}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     remaining = int(n_samples)
@@ -190,6 +194,8 @@ def sample_fields_grid(resolution):
     # NaN fails the comparison, where int() would raise a bare ValueError
     if not 1 <= resolution <= MAX_FIELDS_RESOLUTION:
         raise RangeError(f"resolution must lie in [1, {MAX_FIELDS_RESOLUTION}]")
+    if resolution != int(resolution):
+        raise RangeError(f"resolution must be a whole number, not {resolution}")
     n = int(resolution)
     xs = (np.arange(n) + 0.5) / n * 2.0 - 1.0
     X1, X2 = np.meshgrid(xs, xs, indexing="ij")

@@ -8,10 +8,10 @@ slope at the knot; only large-t behaviour matters for anything built on top.
 
 The integrand is ``LogPower``, and ``PurePower`` (t^p) is its gamma = 0
 member: log^0 = 1 and there is no knot.  This module is the only one that
-knows how the integrand behaves in log space (``log_eval``; ``log_deriv``;
-and ``log_deriv_with_slope``, ln Phi' with its slope d ln Phi' / d ln t from
-one evaluation of the terms of ln Phi', which ``log_deriv`` shares) and
-which closed-form conjugate stands for its growth class (``conjugate``).
+knows how the integrand behaves in log space (``log_eval``, and
+``log_deriv_with_slope``, the one evaluator of ln Phi', which returns it
+with its slope d ln Phi' / d ln t) and which closed-form conjugate stands
+for its growth class (``conjugate``).
 Every quantity goes through one rule, ``_split_at_knot``: the substitute
 below the knot, in t for the value and its two derivatives and in ln t for
 the log-space ones.
@@ -132,6 +132,8 @@ def _split_at_knot(x, x_knot, raw, substitute):
     with np.errstate(all="ignore"):
         if x_knot == -math.inf or not (small := x < x_knot).any():
             return np.asarray(raw(x))
+        if small.all():
+            return np.asarray(substitute(x))
         above = np.asarray(raw(x[~small]))
         out = np.empty(above.shape[:-1] + x.shape)
         out[..., ~small] = above
@@ -193,8 +195,9 @@ class LogPower:
 
         out = _split_at_knot(t, t0, raw, lambda x: 2.0 * a2 * x + a1)
         # where t^(p-1) overflows, or underflows while L^(gamma-1) overflows
-        # (0 * inf is NaN), the derivative is exp(log_deriv)
-        return _fill_from_log(out, t, ~np.isfinite(out), self.log_deriv)
+        # (0 * inf is NaN), the derivative is exp(ln Phi')
+        return _fill_from_log(out, t, ~np.isfinite(out),
+                              lambda x: self.log_deriv_with_slope(x)[0])
 
     def deriv_ratio(self, t, floor):
         """Phi'(t)/t with the argument floored to avoid 0/0 in assembly."""
@@ -241,42 +244,26 @@ class LogPower:
             lambda x: (p - k) * x + gamma * np.log(np.logaddexp(1.0, x)),
             lambda x: (1.0 - k) * x + np.log(a1 + a2 * np.exp(x)))[()]
 
-    def _log_deriv_terms(self, x):
-        """ln Phi' at ln t = x on and above the knot, with the L = ln(e + t),
-        w = t / (e + t) and d = p L + gamma w it is made of."""
-        p, gamma = self.p, self.gamma
-        # Phi' = t^{p-1} L^{gamma-1} (p L + gamma t / (e + t))
-        L = np.logaddexp(1.0, x)
-        w = np.exp(x - L)  # the derivative of L in ln t
-        d = p * L + gamma * w
-        return (p - 1.0) * x + (gamma - 1.0) * np.log(L) + np.log(d), L, w, d
-
-    def _log_deriv_substitute(self, x):
-        """ln Phi' at ln t = x below the knot, with q = 2 a2 t: Phi' = a1 + q."""
-        _, a2, a1 = self._knot
-        q = 2.0 * a2 * np.exp(x)
-        return np.log(a1 + q), q
-
-    def log_deriv(self, ln_t):
-        """ln Phi'(e^{ln_t}) in closed form."""
-        return _split_at_knot(ln_t, self._ln_knot, lambda x: self._log_deriv_terms(x)[0],
-                              lambda x: self._log_deriv_substitute(x)[0])[()]
-
     def log_deriv_with_slope(self, ln_t):
         """(ln Phi', d ln Phi' / d ln t) at ln_t, as an array of shape
-        (2,) + ln_t's shape, from one evaluation of the terms of ln Phi'."""
+        (2,) + ln_t's shape; a caller that needs only ln Phi' reads [0]."""
         p, gamma = self.p, self.gamma
-        a1 = self._knot[2]
+        _, a2, a1 = self._knot
 
         def raw(x):
-            value, L, w, d = self._log_deriv_terms(x)
-            return value, (p - 1.0) + (gamma - 1.0) * w / L + w * (p + gamma * (1.0 - w)) / d
+            # Phi' = t^{p-1} L^{gamma-1} d with L = ln(e + t), d = p L + gamma w
+            # and w = t / (e + t), the derivative of L in ln t
+            L = np.logaddexp(1.0, x)
+            w = np.exp(x - L)
+            d = p * L + gamma * w
+            return ((p - 1.0) * x + (gamma - 1.0) * np.log(L) + np.log(d),
+                    (p - 1.0) + (gamma - 1.0) * w / L + w * (p + gamma * (1.0 - w)) / d)
 
         def substitute(x):
-            # the slope underflows to 0 far below the knot, where ln Phi'
-            # flattens to ln a1
-            value, q = self._log_deriv_substitute(x)
-            return value, q / (a1 + q)
+            # Phi' = a1 + q with q = 2 a2 t; the slope underflows to 0 far
+            # below the knot, where ln Phi' flattens to ln a1
+            q = 2.0 * a2 * np.exp(x)
+            return np.log(a1 + q), q / (a1 + q)
 
         return _split_at_knot(ln_t, self._ln_knot, raw, substitute)
 
@@ -291,20 +278,20 @@ class PurePower(LogPower):
 
 def log_deriv_inverse(f, ln_s):
     """ln t with ln f'(t) = ln_s, elementwise, for an integrand with
-    ``log_deriv`` and ``log_deriv_with_slope``.
+    ``log_deriv_with_slope``.
 
     The bracket starts at [min(ln s, 4 ln s) - 100, max(ln s, 4 ln s) + 100]
     in ln t and doubles its span past an end that does not hold the root, at
     most 12 times; where no root exists (ln s below ln f'(0+) of a knotted f)
     the result is the far end of that bracket.  Each doubling evaluates
-    ``log_deriv`` only at the ends it moved.
+    ln f' only at the ends it moved.
     """
     ln_s = np.asarray(ln_s, dtype=np.float64)
     flat = ln_s.ravel()
     lo = np.minimum(flat, 4.0 * flat) - 100.0
     hi = np.maximum(flat, 4.0 * flat) + 100.0
-    g_lo = f.log_deriv(lo) - flat
-    g_hi = f.log_deriv(hi) - flat
+    g_lo = f.log_deriv_with_slope(lo)[0] - flat
+    g_hi = f.log_deriv_with_slope(hi)[0] - flat
     for doubling in range(12):
         bad_lo = np.flatnonzero(g_lo > 0.0)
         bad_hi = np.flatnonzero(g_hi < 0.0)
@@ -316,8 +303,9 @@ def log_deriv_inverse(f, ln_s):
         # after the last doubling the moved ends keep their old g, so those
         # entries start from the bracket's midpoint
         if doubling < 11:
-            g_lo[bad_lo] = f.log_deriv(lo[bad_lo]) - flat[bad_lo]
-            g_hi[bad_hi] = f.log_deriv(hi[bad_hi]) - flat[bad_hi]
+            for end, g, bad in ((lo, g_lo, bad_lo), (hi, g_hi, bad_hi)):
+                if bad.size:
+                    g[bad] = f.log_deriv_with_slope(end[bad])[0] - flat[bad]
     return _newton_in_log(f, flat, lo, hi, g_lo, g_hi).reshape(ln_s.shape)[()]
 
 
@@ -335,8 +323,9 @@ def _newton_in_log(f, ln_s, lo, hi, g_lo, g_hi):
     All arguments are 1-d arrays of one length, and none is written to.  g_lo
     and g_hi are g at the ends: where they change sign the first iterate is
     the secant point, elsewhere the midpoint.  Each iterate takes ln f' and
-    its slope from one ``log_deriv_with_slope`` call and narrows its bracket;
-    the next iterate is its Newton step if that lies strictly inside and the
+    its slope from one call of ``log_deriv_with_slope``, whose value the
+    callers also read for g at the ends, and narrows its bracket; the next
+    iterate is its Newton step if that lies strictly inside and the
     bracket's midpoint otherwise.  An entry stops once |g| is within 2 ulp of
     max(1, |ln s|), or when its next iterate would not move; from then on the
     iteration runs on the entries still going.
@@ -418,7 +407,7 @@ def conjugate_numeric(f, s):
     pos = flat > 0.0
     # g_lo, g_hi: ln f' - ln s at the ends of the bracket
     ln_s = np.log(flat, out=np.full_like(flat, -math.inf), where=pos)
-    g_lo, g_hi = (v - ln_s for v in f.log_deriv(np.log(_CONJ_BRACKET)))
+    g_lo, g_hi = (v - ln_s for v in f.log_deriv_with_slope(np.log(_CONJ_BRACKET))[0])
     if np.any(g_hi < 0.0):
         raise UnboundedConjugateError(
             f"f' never reaches {flat[g_hi < 0.0][0]} on [{lo}, {hi}]")

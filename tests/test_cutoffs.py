@@ -48,8 +48,8 @@ def _bracket_reference(psi, ln_s):
     lo = np.minimum(ln_s, 4.0 * ln_s) - 100.0
     hi = np.maximum(ln_s, 4.0 * ln_s) + 100.0
     for _ in range(12):
-        bad_lo = psi.log_deriv(lo) > ln_s
-        bad_hi = psi.log_deriv(hi) < ln_s
+        bad_lo = psi.log_deriv_with_slope(lo)[0] > ln_s
+        bad_hi = psi.log_deriv_with_slope(hi)[0] < ln_s
         if not (np.any(bad_lo) or np.any(bad_hi)):
             break
         span = hi - lo
@@ -64,7 +64,7 @@ def _inverse_reference(psi, ln_s):
     lo, hi = _bracket_reference(psi, ln_s)
     for _ in range(110):
         mid = 0.5 * (lo + hi)
-        below = psi.log_deriv(mid) < ln_s
+        below = psi.log_deriv_with_slope(mid)[0] < ln_s
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
@@ -87,24 +87,33 @@ class TestLogDerivInverse:
         got = log_deriv_inverse(psi, self.LN_S)
         ref = _inverse_reference(psi, self.LN_S)
         ulp = np.spacing(np.maximum(1.0, np.abs(self.LN_S)))
-        excess = np.abs(psi.log_deriv(got) - self.LN_S) - np.abs(psi.log_deriv(ref) - self.LN_S)
+        excess = (np.abs(psi.log_deriv_with_slope(got)[0] - self.LN_S)
+                  - np.abs(psi.log_deriv_with_slope(ref)[0] - self.LN_S))
         assert np.all(excess <= 2.0 * ulp)
         assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
 
     @pytest.mark.parametrize("psi", PSIS[1:], ids=["L0", "L0.5", "L1", "L-2"])
     def test_few_newton_steps(self, psi, monkeypatch):
-        # the bracket search calls log_deriv, each Newton iterate
-        # log_deriv_with_slope
-        calls = []
-        for name in ("log_deriv", "log_deriv_with_slope"):
-            def counted(psi, ln_t, method=getattr(LogPower, name)):
-                calls.append(1)
-                return method(psi, ln_t)
+        # the bracket search and each Newton iterate call log_deriv_with_slope;
+        # the calls made once _newton_in_log has started are the iterates'
+        calls = {"bracket": 0, "newton": 0}
+        phase = ["bracket"]
+        evaluate, newton = LogPower.log_deriv_with_slope, orlicz._newton_in_log
 
-            monkeypatch.setattr(LogPower, name, counted)
+        def counted(psi, ln_t):
+            calls[phase[0]] += 1
+            return evaluate(psi, ln_t)
+
+        def newton_phase(*args):
+            phase[0] = "newton"
+            return newton(*args)
+
+        monkeypatch.setattr(LogPower, "log_deriv_with_slope", counted)
+        monkeypatch.setattr(orlicz, "_newton_in_log", newton_phase)
         log_deriv_inverse(psi, self.LN_S)
         # the bracket holds every root at once: 2 evaluations, then Newton
-        assert len(calls) - 2 <= 12
+        assert calls["bracket"] == 2
+        assert calls["newton"] <= 12
 
     @pytest.mark.parametrize("psi", [PSIS[3], KNOTTED[2]], ids=["L1", "L1.5,-3"])
     def test_one_evaluation_per_newton_iterate(self, psi, monkeypatch):
@@ -113,7 +122,8 @@ class TestLogDerivInverse:
         # k iterates when it runs alone
         ln_s = self.LN_S
         lo, hi = _bracket_reference(psi, ln_s)
-        g_lo, g_hi = psi.log_deriv(lo) - ln_s, psi.log_deriv(hi) - ln_s
+        g_lo = psi.log_deriv_with_slope(lo)[0] - ln_s
+        g_hi = psi.log_deriv_with_slope(hi)[0] - ln_s
         evaluate = LogPower.log_deriv_with_slope
         sizes = []
 
@@ -121,11 +131,7 @@ class TestLogDerivInverse:
             sizes.append(np.size(ln_t))
             return evaluate(psi, ln_t)
 
-        def refused(psi, ln_t):
-            raise AssertionError("Newton evaluated ln psi' on its own")
-
         monkeypatch.setattr(LogPower, "log_deriv_with_slope", counted)
-        monkeypatch.setattr(LogPower, "log_deriv", refused)
         alone = []
         for i in range(ln_s.size):
             sizes.clear()
@@ -146,15 +152,15 @@ class TestLogDerivInverse:
         # doubling (11 evaluations of their low end after the first 2 calls),
         # and every entry ends with the bracket of the all-entry search
         psi = LogPower(1.5, -3.0)
-        rootless = int(np.count_nonzero(self.LN_S < psi.log_deriv(-1e4)))
+        rootless = int(np.count_nonzero(self.LN_S < psi.log_deriv_with_slope(-1e4)[0]))
         assert 0 < rootless < self.LN_S.size
         lo_ref, hi_ref = _bracket_reference(psi, self.LN_S)
         points = []
-        log_deriv = LogPower.log_deriv
+        evaluate = LogPower.log_deriv_with_slope
 
         def counted(psi, ln_t):
             points.append(np.size(ln_t))
-            return log_deriv(psi, ln_t)
+            return evaluate(psi, ln_t)
 
         brackets = []
 
@@ -163,7 +169,7 @@ class TestLogDerivInverse:
             return lo
 
         monkeypatch.setattr(orlicz, "_newton_in_log", bracket_only)
-        monkeypatch.setattr(LogPower, "log_deriv", counted)
+        monkeypatch.setattr(LogPower, "log_deriv_with_slope", counted)
         log_deriv_inverse(psi, self.LN_S)
         assert sum(points) == 2 * self.LN_S.size + 11 * rootless
         [(lo, hi)] = brackets
@@ -264,11 +270,15 @@ class TestLogLog:
             assert float(cut.eta_at_log(-u)) == pytest.approx(expected, rel=1e-12)
 
     def test_slope_invariant(self):
-        # r eta'(r) ln(1/r) is constant on the ramp
+        # r eta'(r) ln(1/r) is constant at the table's nodes inside the ramp,
+        # and ln eta' is -inf at those outside it
         eps = 1e-2
         cut = build_loglog_cutoff(eps)
-        u = np.linspace(np.log(1.0 / eps) + 1.0, 1.0 / eps - 1.0, 50)
-        vals = np.exp(cut.ln_eta_prime_at_log(-u) - u) * u
+        inside = (cut.ln_r > cut.ln_r1) & (cut.ln_r < cut.ln_r2)
+        assert np.count_nonzero(inside) >= cutoffs.N_NODES - 2
+        assert np.all(cut.ln_eta_prime_table[~inside] == -np.inf)
+        u = -cut.ln_r[inside]
+        vals = np.exp(cut.ln_eta_prime_table[inside] - u) * u
         d = np.log(1.0 / eps) - np.log(np.log(1.0 / eps))
         np.testing.assert_allclose(vals, 1.0 / d, rtol=1e-12)
 
@@ -280,6 +290,17 @@ class TestLogLog:
             products.append(cutoff_energy(cut, phi) * np.log(1.0 / eps))
         assert max(products) < 10.0
         assert min(products) > 0.0
+
+
+@pytest.mark.parametrize("build", [lambda: build_loglog_cutoff(1e-2),
+                                   lambda: build_psi_harmonic_cutoff(PurePower(2.0), 1e-3, 0.5)],
+                         ids=["loglog", "psi"])
+def test_eta_propagates_nan(build):
+    # a NaN radius gives NaN, as eta_at_log does, not the 0 of r <= 0
+    cut = build()
+    assert np.isnan(cut.eta(np.nan)) and np.isnan(cut.eta_at_log(np.nan))
+    got = cut.eta(np.array([np.nan, 0.0, -1.0, 1.0]))
+    assert np.isnan(got[0]) and got[1:].tolist() == [0.0, 0.0, 1.0]
 
 
 class TestEnergy:

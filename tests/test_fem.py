@@ -692,6 +692,12 @@ class TestGapExperiment:
         with pytest.raises(RangeError):
             gap_experiment(2.0, 2.0, [16, 8])
 
+    def test_levels_must_be_whole(self):
+        # int() made [8, 8.9] two n = 8 levels, and solved both
+        with pytest.raises(RangeError, match="whole numbers"):
+            gap_experiment(2.0, 0.5, [8, 8.9])
+        assert gap_experiment(2.0, 2.0, [np.float64(8.0)]).to_dict()["levels"][0]["n"] == 8
+
     def test_report_round_trip(self):
         report = gap_experiment(2.0, 2.0, [8])
         d = report.to_dict()

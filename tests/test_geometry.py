@@ -162,12 +162,29 @@ class TestFluxAndAudit:
             with pytest.raises(RangeError, match="n_quad must lie in"):
                 flux(n_quad)
 
+    # int() truncated these to 100 Simpson subintervals and a 2 x 2 grid
+    @pytest.mark.parametrize("call", [lambda: geometry.boundary_flux(100.5),
+                                      lambda: geometry.boundary_flux_segments(100.5),
+                                      lambda: geometry.sample_fields_grid(2.5)],
+                             ids=["flux", "segments", "grid"])
+    def test_fractional_size_rejected(self, call):
+        with pytest.raises(RangeError, match="whole number"):
+            call()
+
+    def test_integral_size_of_any_type(self):
+        assert geometry.boundary_flux(100.0) == geometry.boundary_flux(np.int64(100))
+        assert geometry.disjoint_support_audit(np.float64(1000.0), seed=0) == 0.0
+        grid = geometry.sample_fields_grid(2)
+        for res in (2.0, np.int64(2)):
+            assert geometry.sample_fields_grid(res).tobytes() == grid.tobytes()
+
     def test_disjoint_supports_audit(self):
         assert geometry.disjoint_support_audit(100_000, seed=0) == 0.0
 
     def test_audit_needs_a_sample(self):
-        # NaN would reach int() as a bare ValueError, inf as an OverflowError
-        for n_samples in (0, np.nan, np.inf):
+        # NaN would reach int() as a bare ValueError, inf as an OverflowError,
+        # and int() drew 1 sample for 1.5
+        for n_samples in (0, np.nan, np.inf, 1.5):
             with pytest.raises(RangeError):
                 geometry.disjoint_support_audit(n_samples, seed=0)
 
@@ -217,7 +234,6 @@ class TestShapeConvention:
             cases += [
                 ("value", lambda x1, x2, r, c=cut: c.eta(r)),
                 ("value", lambda x1, x2, r, c=cut: c.eta_at_log(np.log(r))),
-                ("value", lambda x1, x2, r, c=cut: c.ln_eta_prime_at_log(np.log(r))),
             ]
         # LogPower(1.5, -3) has its knot near t = 765 (ln t = 6.64), which
         # ln t = -1.3 ln r straddles
@@ -225,8 +241,8 @@ class TestShapeConvention:
             cases += [
                 ("value", lambda x1, x2, r, f=f: f.log_eval(np.log(r))),
                 ("value", lambda x1, x2, r, f=f: f.log_eval(-1.3 * np.log(r), 2.0)),
-                ("value", lambda x1, x2, r, f=f: f.log_deriv(np.log(r))),
-                ("value", lambda x1, x2, r, f=f: f.log_deriv(-1.3 * np.log(r))),
+                ("first", lambda x1, x2, r, f=f: f.log_deriv_with_slope(np.log(r))),
+                ("first", lambda x1, x2, r, f=f: f.log_deriv_with_slope(-1.3 * np.log(r))),
             ]
         return cases
 

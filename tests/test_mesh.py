@@ -53,6 +53,16 @@ class TestConstruction:
         with pytest.raises(MeshError, match="resolution n >= 8"):
             build_mesh(n)
 
+    # int() truncated these to a coarser mesh (16.5 built n = 16)
+    @pytest.mark.parametrize("n", [16.5, 8.000001, np.float64(1023.5)], ids=str)
+    def test_rejects_fractional_resolution(self, n):
+        with pytest.raises(MeshError, match="whole number"):
+            build_mesh(n)
+
+    @pytest.mark.parametrize("n", [16.0, np.int64(16), np.float64(16.0)], ids=repr)
+    def test_integral_resolution_of_any_type(self, n):
+        assert build_mesh(n).n == 16
+
 
 class TestPhase:
     def test_elements_are_single_phase(self, mesh8):

@@ -70,7 +70,7 @@ def _assert_log_space_matches_reference(f, ln_t):
     tol = 1e-14 * np.maximum(1.0, np.abs(ln_t))
     assert np.all(np.abs(f.log_eval(ln_t) - ref_eval) <= tol)
     assert np.all(np.abs(f.log_eval(ln_t, 2.0) - (ref_eval - 2.0 * ln_t)) <= tol)
-    assert np.all(np.abs(f.log_deriv(ln_t) - ref_deriv) <= tol)
+    assert np.all(np.abs(f.log_deriv_with_slope(ln_t)[0] - ref_deriv) <= tol)
 
 
 class TestLogPower:
@@ -179,10 +179,10 @@ class TestLogPower:
         assert np.all(np.diff(np.asarray(f(t))) > 0.0)
 
     def test_log_deriv_where_deriv_under_or_overflows(self):
-        # for p = 3, deriv is 0 at t = e^-500 and inf at e^500; log_deriv
-        # stays finite there
+        # for p = 3, deriv is 0 at t = e^-500 and inf at e^500; ln f' from
+        # log_deriv_with_slope stays finite there
         f = LogPower(3.0, 0.0)
-        got = f.log_deriv([-500.0, 500.0])
+        got = f.log_deriv_with_slope([-500.0, 500.0])[0]
         assert got[0] == pytest.approx(np.log(3.0) - 1000.0, rel=1e-15)
         assert got[1] == pytest.approx(np.log(3.0) + 1000.0, rel=1e-12)
         # across the whole range it matches a 50-digit reference
@@ -195,10 +195,11 @@ class TestLogPower:
         f = LogPower(2.5, 0.0)
         ln_t = np.linspace(-520.0, -460.0, 60001)
         assert np.any(np.abs(ln_t + 496.0) < 1e-3)
-        np.testing.assert_allclose(np.diff(f.log_deriv(ln_t)), 1.5 * np.diff(ln_t),
-                                   rtol=0.0, atol=1e-11)
-        assert f.log_deriv([-496.0])[0] == np.log(2.5) + 1.5 * -496.0
-        assert LogPower(3.0, 0.0).log_deriv([-372.0])[0] == np.log(3.0) + 2.0 * -372.0
+        np.testing.assert_allclose(np.diff(f.log_deriv_with_slope(ln_t)[0]),
+                                   1.5 * np.diff(ln_t), rtol=0.0, atol=1e-11)
+        assert f.log_deriv_with_slope([-496.0])[0, 0] == np.log(2.5) + 1.5 * -496.0
+        assert (LogPower(3.0, 0.0).log_deriv_with_slope([-372.0])[0, 0]
+                == np.log(3.0) + 2.0 * -372.0)
 
     @pytest.mark.parametrize("p,gamma", [(2.0, 1.0), (2.0, -2.0), (3.0, 0.5)] + KNOTTED)
     def test_log_deriv_slope_matches_finite_difference(self, p, gamma):
@@ -207,7 +208,8 @@ class TestLogPower:
         f = LogPower(p, gamma)
         ln_t = np.linspace(-30.0, 700.0, 367) + 0.123
         h = 1e-5
-        fd = (f.log_deriv(ln_t + h) - f.log_deriv(ln_t - h)) / (2.0 * h)
+        fd = (f.log_deriv_with_slope(ln_t + h)[0]
+              - f.log_deriv_with_slope(ln_t - h)[0]) / (2.0 * h)
         np.testing.assert_allclose(f.log_deriv_with_slope(ln_t)[1], fd, rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("f", [LogPower(2.0, 1.0), LogPower(3.0, 0.5), PurePower(2.5),
@@ -215,15 +217,14 @@ class TestLogPower:
                              ids=["L2,1", "L3,0.5", "t2.5", "L2,-4", "L2,-3", "L2,-5",
                                   "L1.5,-3", "L1.2,-5"])
     def test_log_deriv_and_slope_match_the_two_output_evaluation(self, f):
-        # bit for bit on both sides of any knot, and a scalar takes the same
-        # path as an array
+        # a scalar's (ln f', slope) is its entry of the batch evaluation, bit
+        # for bit on both sides of any knot
         ln_t = np.linspace(-700.0, 700.0, 4097)
-        value, slope = f.log_deriv_with_slope(ln_t)
-        assert f.log_deriv(ln_t).tobytes() == value.tobytes()
+        batch = f.log_deriv_with_slope(ln_t)
+        assert batch.shape == (2, ln_t.size)
         for i in range(0, ln_t.size, 32):
-            x = float(ln_t[i])
-            assert np.float64(f.log_deriv(x)).tobytes() == value[i].tobytes()
-            assert f.log_deriv_with_slope(x).tobytes() == np.array([value[i], slope[i]]).tobytes()
+            got = f.log_deriv_with_slope(float(ln_t[i]))
+            assert got.shape == (2,) and got.tobytes() == batch[:, i].tobytes()
 
     def test_pure_power_log_deriv_slope(self):
         assert PurePower(2.5).log_deriv_with_slope(np.zeros(4))[1].tolist() == [1.5] * 4
@@ -246,12 +247,12 @@ class TestLogPower:
 
     def test_deriv_past_the_double_range(self):
         # t^(p-1) overflows before L^(gamma-1) brings the product back into
-        # range; such entries are exp(log_deriv)
+        # range; such entries are exp(ln f')
         f = LogPower(3.0, -5.0)
         assert float(f.deriv(1.35e154)) == pytest.approx(9.66552445e295, rel=1e-9)
         t = np.logspace(-12.0, 299.0, 3001)
         with np.errstate(over="ignore"):
-            from_log = np.exp(f.log_deriv(np.log(t)))
+            from_log = np.exp(f.log_deriv_with_slope(np.log(t))[0])
         np.testing.assert_allclose(f.deriv(t), from_log, rtol=1e-12)
 
     @pytest.mark.parametrize("f", [LogPower(3.0, -5.0), LogPower(2.0, 1.0), LogPower(1.5, -3.0),
