@@ -4,18 +4,17 @@ The gap criterion for the checkerboard pair (phi, psi) is: both
 ``int_0 phi(1/r) r dr`` and ``int_0 psi*(1/r) r dr`` finite.  After the
 substitution t = 1/r these become ``int_2^inf f(t) t^-3 dt``, finite iff
 p < 2, or p = 2 and gamma < -1, for f = t^p log^gamma(e + t) (a ``LogPower``,
-of which the pure power t^p is the gamma = 0 member).  The verdict is this
-closed form, so the borderline cells are decided exactly; dyadic block sums
-with a fitted decay exponent are only reported.  psi* is
-``orlicz.conjugate(psi)``, in closed form.
+of which the pure power t^p is the gamma = 0 member).  ``tail_status`` is
+this closed form, so the borderline cells are decided exactly; the dyadic
+block sums and fitted decay exponent of ``tail_integral_verdict`` are only
+reported.  psi* is ``orlicz.conjugate(psi)``, in closed form.
 
 A verdict has three parts, shared by ``classify`` and ``phase_diagram``: the
-pair check on phi and psi values at a fixed 60-point grid, one
-``tail_integral_verdict`` each for phi and psi*, and the status-to-verdict
-rule.  For the family phi = t^p log^-beta, psi = t^p log^alpha the phi tail
-depends on beta alone and the psi* tail on alpha alone, so a phase diagram
-costs one integrand and one tail test per distinct axis value plus one pair
-check per cell.
+pair check on phi and psi values at a fixed 60-point grid, one tail status
+each for phi and psi*, and the status-to-verdict rule.  For the family
+phi = t^p log^-beta, psi = t^p log^alpha the phi tail depends on beta alone
+and the psi* tail on alpha alone, so a phase diagram costs one integrand and
+one closed-form status per distinct axis value plus one pair check per cell.
 """
 
 from __future__ import annotations
@@ -76,16 +75,6 @@ class RegimeReport:
         }
 
 
-def _check_superlinear(f):
-    # f(t)/t should grow on a grid; for p > 1 it fails to grow only where f
-    # overflows to inf or NaN, and those fail the comparisons
-    t = np.array([1e2, 1e4, 1e6])
-    with np.errstate(all="ignore"):
-        v = np.asarray(f(t)) / t
-    if not (v[1] > v[0] and v[2] > v[1]):
-        raise PreconditionError("integrand lacks superlinear growth")
-
-
 def _dyadic_blocks(f):
     a = 2.0 ** np.arange(_K_MAX + 1)
     t = a[:, None] * (1.0 + _GL_X)  # row k: block [2^k, 2^{k+1}]
@@ -110,20 +99,25 @@ def _fit_exponent(sums):
     return float(coef[0])
 
 
-def tail_integral_verdict(f):
-    """Convergence of int_2^inf f(t) t^-3 dt (= int_0^{1/2} f(1/r) r dr) for
-    a ``LogPower`` f, in closed form from its (p, gamma)."""
-    _check_integrand(f, "tail_integral_verdict")
-    _check_superlinear(f)
-    sums = _dyadic_blocks(f)
-    fitted = _fit_exponent(sums)
+def tail_status(f):
+    """(status, rule) of int_2^inf f(t) t^-3 dt (= int_0^{1/2} f(1/r) r dr)
+    for a ``LogPower`` f, in closed form from its (p, gamma)."""
+    _check_integrand(f, "tail_status")
     if f.p < 2.0:
-        return TailVerdict(CONVERGES, fitted, sums, rule="closed_form p<2")
+        return CONVERGES, "closed_form p<2"
     if f.p > 2.0:
-        return TailVerdict(DIVERGES, fitted, sums, rule="closed_form p>2")
-    status = CONVERGES if f.gamma < -1.0 else DIVERGES
-    return TailVerdict(status, fitted, sums,
-                       rule=f"closed_form p=2, gamma {'<' if f.gamma < -1 else '>='} -1")
+        return DIVERGES, "closed_form p>2"
+    if f.gamma < -1.0:
+        return CONVERGES, "closed_form p=2, gamma < -1"
+    return DIVERGES, "closed_form p=2, gamma >= -1"
+
+
+def tail_integral_verdict(f):
+    """``tail_status`` of a ``LogPower`` f, with its dyadic block sums and
+    their fitted decay exponent as diagnostics, for ``classify``'s report."""
+    status, rule = tail_status(f)
+    sums = _dyadic_blocks(f)
+    return TailVerdict(status, _fit_exponent(sums), sums, rule)
 
 
 _PAIR_GRID = np.logspace(0.0, 8.0, 60)
@@ -150,11 +144,11 @@ def _check_pair(phi_vals, psi_vals):
         raise PreconditionError("phi is not dominated by psi on the sampled grid")
 
 
-def _verdict(phi_tail, psi_star_tail):
-    """(verdict, rule) from the two tail verdicts: Gap iff both converge."""
-    if phi_tail.status == DIVERGES:
+def _verdict(phi_status, psi_star_status):
+    """(verdict, rule) from the two tail statuses: Gap iff both converge."""
+    if phi_status == DIVERGES:
         return NO_GAP, "phi tail integral infinite"
-    if psi_star_tail.status == DIVERGES:
+    if psi_star_status == DIVERGES:
         return NO_GAP, "psi* tail integral infinite"
     return GAP, "both tail integrals finite"
 
@@ -165,7 +159,7 @@ def classify(phi, psi):
 
     phi_tail = tail_integral_verdict(phi)
     psi_star_tail = tail_integral_verdict(conjugate(psi))
-    verdict, rule = _verdict(phi_tail, psi_star_tail)
+    verdict, rule = _verdict(phi_tail.status, psi_star_tail.status)
 
     # duality: for the conjugate pair (psi*, phi*) the roles swap and its
     # psi*-tail is that of phi** = phi, so a diverging phi tail decides it too
@@ -190,40 +184,38 @@ def classify_alpha_beta(alpha, beta, p=2.0):
 def phase_diagram(alphas, betas, p=2.0):
     """Verdict table over the (alpha, beta) grid, ordered by (alpha, beta).
 
-    Each row's verdict is ``classify_alpha_beta(alpha, beta, p).verdict``.
-    The integrand of each distinct beta (phi) and alpha (psi), its pair-check
-    values and its tail verdict (of phi, and of psi*) are built once, at
-    their first use, walking the cells in row order; each cell runs only the
-    pair check.  A cell outside the double-phase regime (alpha + beta <= 0)
-    reads ``"SinglePhase"`` and builds nothing; the first other failing cell
+    Each row's verdict is ``classify_alpha_beta(alpha, beta, p).verdict``,
+    read from ``tail_status`` without block sums.  Each distinct beta (phi)
+    and alpha (psi) builds its integrand and pair-check values at its first
+    use, walking the cells in row order, and its tail status (of phi, or of
+    psi*) at its first passing pair check; each cell runs only the pair
+    check.  A cell outside the double-phase regime (alpha + beta <= 0) reads
+    ``"SinglePhase"`` and builds nothing; the first other failing cell
     raises what ``classify_alpha_beta`` raises for it, and an empty axis
     raises RangeError.
     """
     if len(alphas) == 0 or len(betas) == 0:
         raise RangeError("phase diagram needs at least one alpha and one beta")
 
-    # axis value -> (integrand, its pair-check values), and -> tail verdict:
-    # phi's own tail per beta, the tail of conjugate(psi) per alpha
-    phis, psis, phi_tails, psi_star_tails = {}, {}, {}, {}
+    # axis value -> [integrand, its pair-check values, tail status]: phi's
+    # own status per beta, that of conjugate(psi) per alpha
+    phis, psis = {}, {}
 
-    def integrand(memo, key, gamma):
+    def axis(memo, key, gamma):
         if key not in memo:
             f = LogPower(p, gamma)
-            memo[key] = (f, _pair_values(f))
+            memo[key] = [f, _pair_values(f), None]
         return memo[key]
 
     def cell(a, b):
         if _single_phase(a, b):
             return "SinglePhase"
-        phi, phi_vals = integrand(phis, b, -b)
-        psi, psi_vals = integrand(psis, a, a)
-        _check_pair(phi_vals, psi_vals)
-        if b not in phi_tails:
-            phi_tails[b] = tail_integral_verdict(phi)
-        if a not in psi_star_tails:
-            psi_star_tails[a] = tail_integral_verdict(conjugate(psi))
-        return _verdict(phi_tails[b], psi_star_tails[a])[0]
+        phi, psi = axis(phis, b, -b), axis(psis, a, a)
+        _check_pair(phi[1], psi[1])
+        # after the pair check, as in classify: conjugate(psi) can raise
+        phi[2] = phi[2] or tail_status(phi[0])[0]
+        psi[2] = psi[2] or tail_status(conjugate(psi[0]))[0]
+        return _verdict(phi[2], psi[2])[0]
 
     return [(float(a), float(b), cell(a, b))
             for a in sorted(alphas) for b in sorted(betas)]
-

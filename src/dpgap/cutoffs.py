@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .classifier import DIVERGES, tail_integral_verdict
+from .classifier import DIVERGES, tail_status
 from .errors import (DomainError, EnergyOverflowError,
                      NoRemovableSingularityError, NormalizationError,
                      RangeError)
@@ -115,22 +115,18 @@ def solve_normalization_constant(psi, r1, r2):
 
     lo = hi = 0.0
     g = gap(0.0)
-    if g < 0.0:
+    if g < 0.0 or g > 0.0:
+        # step ln c by ln 2 up from gap < 0, or down from gap > 0, to a sign change
+        step = np.log(2.0) if g < 0.0 else -np.log(2.0)
+        x = 0.0
         for _ in range(_MAX_BRACKET_EXPANSIONS):
-            hi += np.log(2.0)
-            if gap(hi) >= 0.0:
+            x += step
+            if step * gap(x) >= 0.0:
                 break
         else:
-            raise NormalizationError("no upper bracket for the normalization constant")
-        lo = hi - np.log(2.0)
-    elif g > 0.0:
-        for _ in range(_MAX_BRACKET_EXPANSIONS):
-            lo -= np.log(2.0)
-            if gap(lo) <= 0.0:
-                break
-        else:
-            raise NormalizationError("no lower bracket for the normalization constant")
-        hi = lo + np.log(2.0)
+            side = "upper" if step > 0.0 else "lower"
+            raise NormalizationError(f"no {side} bracket for the normalization constant")
+        lo, hi = sorted((x, x - step))
     ln_c = float(brentq(gap, lo, hi, rtol=8.9e-16, xtol=1e-15))
     if abs(gap(ln_c)) > 1e-8:
         raise NormalizationError("normalization residual above tolerance")
@@ -158,19 +154,20 @@ def build_psi_harmonic_cutoff(psi, r1, r2):
 def find_inner_radius(psi, r2, delta):
     """Largest dyadic r1 = r2 / 2^k with normalization constant <= delta.
 
-    Only possible when int_0 psi*(1/r) r dr diverges; in the gap regime the
-    constant stays bounded away from 0 and the search fails by design.  Near
-    the borderline the required r1 can underflow double precision; that is
-    reported as a normalization error rather than silently clamped.
+    Only possible when int_0 psi*(1/r) r dr diverges (``tail_status`` of
+    ``conjugate(psi)``); in the gap regime the constant stays bounded away
+    from 0 and the search fails by design.  Near the borderline the required
+    r1 can underflow double precision; that is reported as a normalization
+    error rather than silently clamped.
     """
     if not (0.0 < delta < np.inf):
         raise RangeError("energy budget delta must be positive and finite")
     if not (0.0 < r2 <= 0.5):
         raise RangeError("outer radius must lie in (0, 1/2]")
-    verdict = tail_integral_verdict(conjugate(psi))
-    if verdict.status != DIVERGES:
+    status, _ = tail_status(conjugate(psi))
+    if status != DIVERGES:
         raise NoRemovableSingularityError(
-            f"dual tail integral verdict is {verdict.status}; "
+            f"dual tail integral verdict is {status}; "
             "a vanishing-energy cutoff requires divergence")
     ln_r2 = np.log(r2)
     ln_delta = np.log(delta)

@@ -315,6 +315,9 @@ _NEWTON_MAX_STEPS = 200
 # the Newton step divides by at least this slope, so it stays finite; a slope
 # that underflowed to 0 below a knot sends it out of the bracket
 _MIN_SLOPE = 1e-200
+# from this iterate on, one whose |g| has not halved since the last is followed
+# by the midpoint, which breaks 2-cycles of Newton steps inside the bracket
+_PROGRESS_CHECK_FROM = 30
 
 
 def _newton_in_log(f, ln_s, lo, hi, g_lo, g_hi):
@@ -326,9 +329,10 @@ def _newton_in_log(f, ln_s, lo, hi, g_lo, g_hi):
     its slope from one call of ``log_deriv_with_slope``, whose value the
     callers also read for g at the ends, and narrows its bracket; the next
     iterate is its Newton step if that lies strictly inside and the
-    bracket's midpoint otherwise.  An entry stops once |g| is within 2 ulp of
-    max(1, |ln s|), or when its next iterate would not move; from then on the
-    iteration runs on the entries still going.
+    bracket's midpoint otherwise, or where |g| has not halved since the last
+    iterate from the ``_PROGRESS_CHECK_FROM``-th on.  An entry stops once |g|
+    is within 2 ulp of max(1, |ln s|), or when its next iterate would not
+    move; from then on the iteration runs on the entries still going.
     """
     straddle = (g_lo < 0.0) & (g_hi > 0.0)
     frac = np.divide(g_lo, g_lo - g_hi, out=np.full_like(lo, 0.5), where=straddle)
@@ -336,7 +340,8 @@ def _newton_in_log(f, ln_s, lo, hi, g_lo, g_hi):
     tol = 2.0 * np.spacing(np.maximum(1.0, np.abs(ln_s)))
     out = np.empty_like(x)
     active = np.arange(x.size)
-    for _ in range(_NEWTON_MAX_STEPS):
+    last = np.full_like(x, math.inf)  # g at the previous iterate
+    for k in range(_NEWTON_MAX_STEPS):
         if active.size == 0:
             break
         value, slope = f.log_deriv_with_slope(x)
@@ -345,12 +350,16 @@ def _newton_in_log(f, ln_s, lo, hi, g_lo, g_hi):
         lo = np.where(above, lo, x)
         hi = np.where(above, x, hi)
         x_next = x - g / np.maximum(slope, _MIN_SLOPE)
-        x_next = np.where((lo < x_next) & (x_next < hi), x_next, 0.5 * (lo + hi))
+        newton = (lo < x_next) & (x_next < hi)
+        if k >= _PROGRESS_CHECK_FROM:
+            newton &= np.abs(g) <= 0.5 * np.abs(last)
+        x_next = np.where(newton, x_next, 0.5 * (lo + hi))
         going = (np.abs(g) > tol) & (x_next != x)
+        last = g
         if not going.all():
             out[active[~going]] = x[~going]
-            active, x_next, lo, hi, ln_s, tol = (
-                v[going] for v in (active, x_next, lo, hi, ln_s, tol))
+            active, x_next, lo, hi, ln_s, tol, last = (
+                v[going] for v in (active, x_next, lo, hi, ln_s, tol, last))
         x = x_next
     out[active] = x
     return out

@@ -6,7 +6,7 @@ import pytest
 from dpgap import classifier
 from dpgap.classifier import (CONVERGES, DIVERGES, GAP, NO_GAP,
                               classify, classify_alpha_beta, phase_diagram,
-                              tail_integral_verdict)
+                              tail_integral_verdict, tail_status)
 from dpgap.errors import DomainError, NumericalError, PreconditionError
 from dpgap.orlicz import LogPower, PurePower, conjugate
 
@@ -36,6 +36,16 @@ class TestTailVerdict:
     def test_generic_path_pure_power(self):
         assert tail_integral_verdict(PurePower(1.5)).status == CONVERGES
         assert tail_integral_verdict(PurePower(2.5)).status == DIVERGES
+
+    @pytest.mark.parametrize("f, status, rule", [
+        (LogPower(1.5, 3.0), CONVERGES, "closed_form p<2"),
+        (PurePower(2.5), DIVERGES, "closed_form p>2"),
+        (LogPower(2.0, -1.5), CONVERGES, "closed_form p=2, gamma < -1"),
+        (LogPower(2.0, -1.0), DIVERGES, "closed_form p=2, gamma >= -1")])
+    def test_report_reads_the_one_closed_form_rule(self, f, status, rule):
+        assert tail_status(f) == (status, rule)
+        v = tail_integral_verdict(f)
+        assert (v.status, v.rule) == (status, rule)
 
     def test_sublinear_precondition(self):
         with pytest.raises(PreconditionError):
@@ -140,15 +150,29 @@ class TestClassify:
     @pytest.mark.parametrize("alpha, beta, p, error", [
         (1e308, 1.0, 2.0, PreconditionError),  # psi overflows on the pair grid
         (2.0, 2.0, 1e6, PreconditionError),  # and phi'' on the knot grid
-        (2.0, -1.0, 1.0000001, PreconditionError),  # psi* overflows in the growth check
+        # the block sums of psi* = LogPower(~1e7, ~-2e7) overflow; the phase
+        # diagram computes none and reads the cell's verdict
+        (2.0, -1.0, 1.0000001, NumericalError),
         (2.0, 2.0, 1.0000001, DomainError),  # phi's knot lies past t ~ 1e154
     ])
     def test_extreme_inputs_raise_without_warning(self, alpha, beta, p, error):
         # RuntimeWarning is an error here; the cell's check decides instead
         with pytest.raises(error):
             classify_alpha_beta(alpha, beta, p)
+        if error is NumericalError:
+            assert phase_diagram([alpha], [beta], p) == [(alpha, beta, NO_GAP)]
+            return
         with pytest.raises(error):
             phase_diagram([alpha], [beta], p)
+
+    @pytest.mark.parametrize("alpha, beta, p", [(1.0, 1.0, 1.06), (2.0, 2.0, 1.09)])
+    def test_superlinear_integrand_near_p_one_is_classified(self, alpha, beta, p):
+        # t^p log^-beta(e + t) / t -> inf for every p > 1, though across
+        # t = 1e2, 1e4, 1e6 it still falls here; psi* has p / (p - 1) > 2
+        rep = classify_alpha_beta(alpha, beta, p)
+        assert rep.verdict == NO_GAP
+        assert rep.phi_tail.status == CONVERGES
+        assert rep.psi_star_tail.status == DIVERGES
 
     def test_report_round_trip(self):
         d = classify_alpha_beta(2.0, 2.0).to_dict()
@@ -188,7 +212,8 @@ class TestPhaseDiagram:
     @pytest.mark.parametrize("alphas, betas, p", [
         # two SinglePhase cells and a valid one, then a ratio that barely decays
         ([2.0, -1.0], [0.5, 3.0, -2.0 + 1e-10], 2.0),
-        # psi* = LogPower(~1e7, ~-2e7) overflows in the growth check
+        # classify's block sums of psi* = LogPower(~1e7, ~-2e7) overflow at
+        # (2, -1), which the phase diagram reads as NoGap; (2, 2) fails first
         ([2.0], [-1.0, 2.0], 1.0000001),
         # phi's knot lies past t ~ 1e154
         ([2.0], [2.0, 3.0], 1.0000001),
@@ -202,6 +227,9 @@ class TestPhaseDiagram:
             except PreconditionError as exc:
                 expected = exc
                 break
+            except NumericalError as exc:
+                # only the report's block sums; the phase diagram reads none
+                assert str(exc) == "non-finite dyadic block sum"
         else:
             pytest.fail("no failing cell")
         with pytest.raises(PreconditionError) as got:
@@ -215,23 +243,35 @@ class TestPhaseDiagram:
         assert [v for _, _, v in rows] == ["SinglePhase"] * 4
 
     def test_work_is_per_axis_value(self, monkeypatch):
-        built, tails = [], []
+        built, statuses = [], []
         post_init = LogPower.__post_init__
-        verdict = classifier.tail_integral_verdict
+        status = classifier.tail_status
 
         def counted_init(self):
             built.append((self.p, self.gamma))
             post_init(self)
 
-        def counted_verdict(f):
-            tails.append(f)
-            return verdict(f)
+        def counted_status(f):
+            statuses.append(f)
+            return status(f)
+
+        def no_blocks(f):
+            raise AssertionError("phase_diagram computed dyadic block sums")
 
         monkeypatch.setattr(LogPower, "__post_init__", counted_init)
-        monkeypatch.setattr(classifier, "tail_integral_verdict", counted_verdict)
+        monkeypatch.setattr(classifier, "tail_status", counted_status)
+        monkeypatch.setattr(classifier, "_dyadic_blocks", no_blocks)
         rows = phase_diagram(GRID, GRID)
         assert len(rows) == 36
         # 6 phi and 6 psi integrands, and 6 conjugates of psi
         assert len(built) <= 12 + 6
-        assert len(tails) <= 12
+        # one closed-form status per phi and one per psi*
+        assert len(statuses) == 12
 
+    def test_rows_past_the_block_sum_range(self):
+        # the block sums leave the double range from p ~ 19; the rows need
+        # only the closed form: p > 2, so every phi tail diverges
+        assert phase_diagram([1.0, 2.0], [1.0, 2.0], p=25.0) == [
+            (1.0, 1.0, NO_GAP), (1.0, 2.0, NO_GAP), (2.0, 1.0, NO_GAP), (2.0, 2.0, NO_GAP)]
+        with pytest.raises(NumericalError, match="dyadic"):
+            classify_alpha_beta(2.0, 2.0, 25.0)

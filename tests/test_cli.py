@@ -203,6 +203,16 @@ class TestSmallCommands:
         for sample in report["samples"]:
             assert 0.2 <= sample["ratio"] <= 5.0
 
+    def test_conjugate_near_p_one(self, capsys):
+        # sup_t (1.2 t - t^1.02 log^0.5(e + t)) = 0.0698479206..., by a dense
+        # grid; plain Newton steps on ln f' 2-cycle at s = 1.2
+        code, out, _ = run(capsys, "conjugate", "--p", "1.02", "--gamma", "0.5",
+                           "--s", "1.19,1.2,1.21")
+        assert code == 0
+        numeric = [sample["numeric"] for sample in json.loads(out)["samples"]]
+        assert numeric[1] == pytest.approx(0.0698479206, rel=1e-9)
+        assert numeric == sorted(numeric)
+
     def test_fields_csv_header(self, capsys, tmp_path):
         out_path = tmp_path / "fields.csv"
         code, _, _ = run(capsys, "fields", "--res", "8", "--out", str(out_path))

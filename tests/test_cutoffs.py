@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dpgap import cutoffs, orlicz
+from dpgap import classifier, cutoffs, orlicz
 from dpgap.cutoffs import (build_loglog_cutoff, build_psi_harmonic_cutoff,
                            cutoff_energy, euler_lagrange_residual,
                            find_inner_radius, solve_normalization_constant)
@@ -183,6 +183,26 @@ class TestLogDerivInverse:
         assert got.ravel().tobytes() == log_deriv_inverse(psi, ln_s.ravel()).tobytes()
         assert log_deriv_inverse(psi, float(ln_s[1, 2])) == got[1, 2]
 
+    def test_every_root_is_reached(self):
+        # knotted and plain (p, gamma) alike: each ln s above ln psi'(0+) has
+        # a root, and the inverse ends at it to a few roundings of the terms
+        # of ln psi', which grow with |ln t|.  Plain Newton steps 2-cycle
+        # strictly inside the bracket at some p < 1.5 with a large gamma,
+        # e.g. (1.44, 6.5).
+        ln_s = np.linspace(-40.0, 40.0, 801)
+        for p in np.linspace(1.06, 6.0, 40)[::3]:
+            for gamma in np.linspace(-8.0, 8.0, 33):
+                try:
+                    psi = LogPower(float(p), float(gamma))
+                except DomainError:  # no knot in the double range
+                    continue
+                has_root = ln_s > psi.log_deriv_with_slope(-np.inf)[0]
+                x = log_deriv_inverse(psi, ln_s)
+                g = psi.log_deriv_with_slope(x)[0] - ln_s
+                scale = np.maximum(1.0, np.maximum(np.abs(ln_s), np.abs(x)))
+                bad = has_root & (np.abs(g) > 16.0 * np.spacing(scale))
+                assert not bad.any(), (p, gamma, ln_s[bad], g[bad])
+
     def test_flat_below_knot_without_warning(self):
         # far below the knot the slope of ln psi' underflows to 0 and no root
         # exists; the step is guarded, not divided by 0 (RuntimeWarning is an
@@ -217,6 +237,12 @@ class TestPsiHarmonic:
         cut = build_psi_harmonic_cutoff(LogPower(2.0, 1.0), 1e-5, 0.5)
         assert euler_lagrange_residual(cut) < 1e-6
 
+    def test_euler_lagrange_residual_near_p_one(self):
+        # plain Newton steps 2-cycle on three of the 4096 inversions here,
+        # which puts ln eta' off by up to 0.28 and the residual at 239
+        cut = build_psi_harmonic_cutoff(LogPower(1.02, 0.5), 0.0625, 0.5)
+        assert euler_lagrange_residual(cut) < 1e-9
+
     def test_energy_decays_with_budget(self):
         psi = PurePower(2.0)
         energies = []
@@ -244,6 +270,19 @@ class TestPsiHarmonic:
                 find_inner_radius(PurePower(2.0), 0.5, delta)
 
     def test_gap_regime_rejected(self):
+        with pytest.raises(NoRemovableSingularityError):
+            find_inner_radius(LogPower(2.0, 2.0), 0.5, 0.25)
+
+    def test_dual_tail_from_the_closed_form(self, monkeypatch):
+        # the dual tail's status alone decides; no block sums are computed,
+        # so psi* = t^101 (p = 1.01) is no obstacle
+        def no_blocks(f):
+            raise AssertionError("find_inner_radius computed dyadic block sums")
+
+        monkeypatch.setattr(classifier, "_dyadic_blocks", no_blocks)
+        r1 = find_inner_radius(PurePower(1.01), 0.5, 0.25)
+        assert 0.0 < r1 < 0.5
+        assert find_inner_radius(LogPower(2.0, 0.5), 0.5, 0.25) > 0.0
         with pytest.raises(NoRemovableSingularityError):
             find_inner_radius(LogPower(2.0, 2.0), 0.5, 0.25)
 

@@ -447,6 +447,18 @@ class TestConjugate:
         for i in range(0, s.size, 16):
             assert np.float64(conjugate_numeric(f, float(s[i]))).tobytes() == got[i].tobytes()
 
+    @pytest.mark.parametrize("p, gamma, s", [(1.02, 0.5, 1.19), (1.02, 0.5, 1.2), (1.02, 0.5, 1.21),
+                                             (2.0, 1.0, 1e3), (1.5, -3.0, 50.0), (1.2, 3.0, 3.0),
+                                             (1.5, 8.0, 1e3)])
+    def test_numeric_is_the_grid_supremum(self, p, gamma, s):
+        # sup_t (s t - f(t)) on a log grid over the bracket, then on a linear
+        # grid between the neighbours of its best point
+        f = LogPower(p, gamma)
+        t = np.logspace(-12.0, 12.0, 200001)
+        i = int(np.argmax(s * t - f(t)))
+        t = np.linspace(t[max(i - 1, 0)], t[min(i + 1, t.size - 1)], 200001)
+        assert conjugate_numeric(f, s) == pytest.approx(float(np.max(s * t - f(t))), rel=1e-9)
+
     def test_endpoint_branch(self):
         # f'(1e-12) >= s: the supremum sits at t = 1e-12 and is clipped at 0
         f = LogPower(2.0, -5.0)  # f'(0+) = a1 > 0, so small s stay at the endpoint
