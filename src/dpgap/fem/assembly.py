@@ -213,5 +213,5 @@ def separating_functional(u):
     """u -> int b2 . grad u; vanishes on conforming fields under refinement."""
     rule = enrichment_rule(u.mesh)
     if isinstance(u, EnrichedField):
-        return float(rule.L @ u.base.values) + float(u.s) * rule.L_s
-    return float(rule.L @ u.values)
+        return float(np.sum(rule.L * u.base.values)) + float(u.s) * rule.L_s
+    return float(np.sum(rule.L * u.values))

@@ -15,6 +15,12 @@ x2 = 1; the edge x1 = 0 is left free (a natural boundary).
 gives the full quadrature rule of a range of elements; enriched assembly reads
 it a block at a time (``assembly.enrichment_rule``), and qpts, qw and qel hold
 it over every element for tests and the benchmark's checks.
+
+Transients stay bounded by ``_BLOCK``: ``build_mesh`` computes each element's
+edges, area, basis gradients and centroid phase ``_BLOCK`` elements at a
+time, into the arrays it keeps, and ``locate`` and ``evaluate`` take their
+points ``_BLOCK`` at a time. Every element and every point gets the same
+arithmetic in any block, so no array or output depends on the block size.
 """
 
 from __future__ import annotations
@@ -44,6 +50,10 @@ ORIGIN_SUBDIV_LEVELS = 3
 # triangles, and a quadrant gap level at n = 512 already peaks near 1 GiB
 MAX_MESH_RESOLUTION = 1024
 
+# elements or query points per block of transients in build_mesh, locate and
+# evaluate: the (block, 3, 2) vertex gathers stay near 1.5 MiB
+_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class MeshSpace:
@@ -54,11 +64,12 @@ class MeshSpace:
     grading: float
     xs: np.ndarray = field(repr=False)          # shared 1D grid, 2n+1 or n+1 lines
     nodes: np.ndarray = field(repr=False)       # (Nv, 2)
-    tris: np.ndarray = field(repr=False)        # (Ne, 3) vertex ids, CCW
+    tris: np.ndarray = field(repr=False)        # (Ne, 3) int32 vertex ids, CCW
     area: np.ndarray = field(repr=False)        # (Ne,)
     phase: np.ndarray = field(repr=False)       # (Ne,) weight a in {0,1}
     # discrete gradient G, CSR (2 Ne, Nv): rows 2e and 2e+1 hold d/dx1 and
-    # d/dx2 of element e's three basis functions, in tris order, read-only
+    # d/dx2 of element e's three basis functions, in tris order, read-only;
+    # its int32 indices are tris with each row repeated
     grad: sp.csr_matrix = field(repr=False)
     boundary_mask: np.ndarray = field(repr=False)
 
@@ -103,15 +114,23 @@ class MeshSpace:
         point on a shared edge or vertex goes to the lowest such element id.
         A point that no triangle of its cell holds (one outside the mesh, or
         with a non-finite coordinate) raises MeshError naming the first such
-        point in input order.
+        point in input order. Points are taken ``_BLOCK`` at a time, so only
+        the int64 ids and (N, 3) coordinates grow with their number.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        elems = np.empty(len(pts), dtype=np.int64)
+        barys = np.empty((len(pts), 3))
+        for lo in range(0, len(pts), _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            self._locate_block(pts[block], elems[block], barys[block])
+        return elems, barys
+
+    def _locate_block(self, pts, elems, barys):
+        """``locate`` of one block of points, written into elems and barys."""
         m = len(self.xs) - 1
         ix = np.clip(np.searchsorted(self.xs, pts[:, 0], side="right") - 1, 0, m - 1)
         iy = np.clip(np.searchsorted(self.xs, pts[:, 1], side="right") - 1, 0, m - 1)
         cell = ix * m + iy
-        elems = np.empty(len(pts), dtype=np.int64)
-        barys = np.empty((len(pts), 3))
         todo = np.arange(len(pts))
         # one batched solve per candidate slot, over the points still unlocated
         for j in range(4):
@@ -129,17 +148,23 @@ class MeshSpace:
             todo = todo[~hit]
         if todo.size:
             raise MeshError(f"point {pts[todo[0]]} not located in its cell")
-        return elems, barys
 
     def evaluate(self, values, points):
         """Point values of the conforming nodal field at points (..., 2).
 
-        The result has shape (...): a scalar for a single point (2,).
+        The result has shape (...): a scalar for a single point (2,). Points
+        are located and summed ``_BLOCK`` at a time, each block through
+        ``locate``, into the one output array.
         """
         pts = np.asarray(points, dtype=np.float64)
-        elems, barys = self.locate(pts.reshape(-1, 2))
+        flat = pts.reshape(-1, 2)
         v = np.asarray(values, dtype=np.float64)
-        return np.einsum("pj,pj->p", v[self.tris[elems]], barys).reshape(pts.shape[:-1])[()]
+        out = np.empty(len(flat))
+        for lo in range(0, len(flat), _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            elems, barys = self.locate(flat[block])
+            out[block] = np.einsum("pj,pj->p", v[self.tris[elems]], barys)
+        return out.reshape(pts.shape[:-1])[()]
 
 
 def _graded_axis(n, grading):
@@ -227,7 +252,10 @@ def build_mesh(n, grading=1.0, quadrant=False):
     center_nodes = np.column_stack([ccx.ravel(), ccy.ravel()])
     nodes = np.vstack([grid_nodes, center_nodes])
 
-    ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    # int32 ids: the full mesh at n = 1024 has 8.4M vertices, and
+    # G.indices is tris with each row repeated, so it is not copied
+    ii, jj = np.meshgrid(np.arange(m, dtype=np.int32), np.arange(m, dtype=np.int32),
+                         indexing="ij")
     ii, jj = ii.ravel(), jj.ravel()
     v00 = ii * ng + jj
     v10 = (ii + 1) * ng + jj
@@ -235,33 +263,40 @@ def build_mesh(n, grading=1.0, quadrant=False):
     v11 = (ii + 1) * ng + (jj + 1)
     vc = ng * ng + ii * m + jj
     # 4 triangles per cell, CCW, in a fixed deterministic order
-    tris = np.empty((4 * m * m, 3), dtype=np.int64)
+    ne = 4 * m * m
+    tris = np.empty((ne, 3), dtype=np.int32)
     tris[0::4] = np.column_stack([v00, v10, vc])
     tris[1::4] = np.column_stack([v10, v11, vc])
     tris[2::4] = np.column_stack([v11, v01, vc])
     tris[3::4] = np.column_stack([v01, v00, vc])
-
-    p = nodes[tris]  # (Ne, 3, 2)
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    if np.any(area < 1e-14):
-        raise MeshError("degenerate triangle in mesh construction")
+    del ii, jj, v00, v10, v01, v11, vc
 
     # gradients of the barycentric basis: inverse transpose of the edge matrix;
     # G is built from its CSR arrays, 3 entries per row in tris order
-    det = 2.0 * area
-    gb = np.empty((len(tris), 2, 3))
-    gb[:, 0, 1:] = np.column_stack([e2[:, 1], -e1[:, 1]]) / det[:, None]
-    gb[:, 1, 1:] = np.column_stack([-e2[:, 0], e1[:, 0]]) / det[:, None]
-    gb[:, :, 0] = -gb[:, :, 1] - gb[:, :, 2]
+    area = np.empty(ne)
+    gb = np.empty((ne, 2, 3))
+    phase = np.empty(ne)
+    for lo in range(0, ne, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        p = nodes[tris[block]]  # (block, 3, 2)
+        e1 = p[:, 1] - p[:, 0]
+        e2 = p[:, 2] - p[:, 0]
+        a = area[block]
+        a[:] = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        # before the block divides by its determinants
+        if np.any(a < 1e-14):
+            raise MeshError("degenerate triangle in mesh construction")
+        det = 2.0 * a
+        g = gb[block]
+        g[:, 0, 1:] = np.column_stack([e2[:, 1], -e1[:, 1]]) / det[:, None]
+        g[:, 1, 1:] = np.column_stack([-e2[:, 0], e1[:, 0]]) / det[:, None]
+        g[:, :, 0] = -g[:, :, 1] - g[:, :, 2]
+        phase[block] = eval_weight(*p.mean(axis=1).T)
     grad = sp.csr_matrix((gb.ravel(), np.repeat(tris, 2, axis=0).ravel(),
-                          np.arange(0, 6 * len(tris) + 1, 3)),
-                         shape=(2 * len(tris), len(nodes)))
+                          np.arange(0, 6 * ne + 1, 3, dtype=np.int32)),
+                         shape=(2 * ne, len(nodes)))
     for arr in (grad.data, grad.indices, grad.indptr):
         arr.setflags(write=False)
-
-    phase = eval_weight(*p.mean(axis=1).T)
 
     boundary_mask = np.zeros(len(nodes), dtype=bool)
     gx_idx, gy_idx = np.divmod(np.arange(ng * ng), ng)

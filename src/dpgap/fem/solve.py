@@ -132,7 +132,7 @@ def _newton_direction(K, c, h_ss, g):
     yz = spla.spsolve(K, np.column_stack([-g[:-1], c]), permc_spec="MMD_AT_PLUS_A")
     y, z = yz[:, 0], yz[:, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        d_s = (-g[-1] - c @ y) / (h_ss + 1e-14 - c @ z)
+        d_s = (-g[-1] - np.sum(c * y)) / (h_ss + 1e-14 - np.sum(c * z))
         return np.append(y - d_s * z, d_s)
 
 
@@ -147,14 +147,14 @@ def _newton_descent(obj, x, g):
         d = _newton_direction(*obj.hess(x), g)
     except RuntimeError:
         return None
-    if not np.all(np.isfinite(d)) or float(d @ g) >= 0.0:
+    if not np.all(np.isfinite(d)) or float(np.sum(d * g)) >= 0.0:
         return None
     return d
 
 
 def _backtrack(obj, x, f, d, g):
     """(step, value) of the first Armijo step in 1, 1/2, ..., 2^-49, or None."""
-    slope = float(d @ g)
+    slope = float(np.sum(d * g))
     step = 1.0
     for _ in range(50):
         f_new = obj.value(x + step * d)

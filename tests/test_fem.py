@@ -1,5 +1,8 @@
 """Assembly, enrichment and minimization on the checkerboard mesh."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import dpgap
 from dpgap.errors import GapPreconditionError, RangeError
 from dpgap.fem import (DofField, EnrichedField, build_mesh, cone_trace_diagnostic,
                        gap_experiment, minimize, modular_energy, separating_functional)
@@ -697,6 +701,25 @@ class TestGapExperiment:
         with pytest.raises(RangeError, match="whole numbers"):
             gap_experiment(2.0, 0.5, [8, 8.9])
         assert gap_experiment(2.0, 2.0, [np.float64(8.0)]).to_dict()["levels"][0]["n"] == 8
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="OpenBLAS runs one thread on one CPU, so the runs cannot differ")
+    def test_report_bytes_independent_of_blas_threads(self):
+        # OpenBLAS splits a long ddot over its threads and sums the parts in
+        # another order: with c @ y and d @ g, s_opt and sep_value of this
+        # level moved in the last bit between one thread and two
+        code = ("from dpgap.cli import main; "
+                "main(['gap', '--alpha', '2', '--beta', '2', '--levels', '128'])")
+        src = os.path.dirname(os.path.dirname(dpgap.__file__))
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 timeout=600, check=True)
+            reports.append(run.stdout)
+        assert b'"s_opt"' in reports[0]
+        assert reports[0] == reports[1]
 
     def test_report_round_trip(self):
         report = gap_experiment(2.0, 2.0, [8])

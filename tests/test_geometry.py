@@ -199,6 +199,18 @@ class TestFluxAndAudit:
         assert table.shape == (256, 6)
         assert set(np.unique(table[:, 2])) <= {0.0, 1.0}
 
+    def test_fields_grid_blocks_keep_the_bits(self, monkeypatch):
+        # 37^2 = 1369 rows in blocks of 50: the last block is partial and
+        # blocks start inside grid rows; each row is the meshgrid point
+        xs = (np.arange(37) + 0.5) / 37 * 2.0 - 1.0
+        X1, X2 = np.meshgrid(xs, xs, indexing="ij")
+        monkeypatch.setattr(geometry, "_FIELDS_BLOCK", 1 << 62)
+        ref = geometry.sample_fields_grid(37)
+        assert ref[:, 0].tobytes() == X1.ravel().tobytes()
+        assert ref[:, 1].tobytes() == X2.ravel().tobytes()
+        monkeypatch.setattr(geometry, "_FIELDS_BLOCK", 50)
+        assert geometry.sample_fields_grid(37).tobytes() == ref.tobytes()
+
 
 class TestShapeConvention:
     """Array input gives an array of its shape, scalar input a scalar.

@@ -1,9 +1,12 @@
 """Graded criss-cross mesh invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dpgap.errors import MeshError
+from dpgap.fem import mesh as fem_mesh
 from dpgap.fem.mesh import (_QBARY, _QWEIGHTS, MAX_MESH_RESOLUTION, ORIGIN_SUBDIV_LEVELS,
                             MeshSpace, build_mesh)
 from dpgap.geometry import eval_weight
@@ -62,6 +65,10 @@ class TestConstruction:
     @pytest.mark.parametrize("n", [16.0, np.int64(16), np.float64(16.0)], ids=repr)
     def test_integral_resolution_of_any_type(self, n):
         assert build_mesh(n).n == 16
+
+    def test_int32_vertex_ids(self, mesh8):
+        assert mesh8.tris.dtype == np.int32
+        assert mesh8.grad.indices.dtype == np.int32
 
 
 class TestPhase:
@@ -261,6 +268,106 @@ class TestLocate:
         pts = np.array([[0.1, 0.2], [1.5, 0.25], [-0.3, 0.4], [0.5, -2.0]])
         with pytest.raises(MeshError, match=r"point \[1\.5 +0\.25\] not located"):
             mesh8.locate(pts)
+
+
+_ONE_BLOCK = 1 << 62
+
+
+def _mesh_arrays(mesh):
+    G = mesh.grad
+    return {"xs": mesh.xs, "nodes": mesh.nodes, "tris": mesh.tris, "area": mesh.area,
+            "phase": mesh.phase, "boundary_mask": mesh.boundary_mask,
+            "G.data": G.data, "G.indices": G.indices, "G.indptr": G.indptr}
+
+
+class TestBlocks:
+    """Blocks of 7 elements or points give the bits of a single block."""
+
+    @pytest.mark.parametrize("n, grading, quadrant",
+                             [(8, 1.0, False), (16, 2.0, False), (8, 2.0, True), (16, 1.0, True)],
+                             ids=["8-1.0", "16-2.0", "quadrant-8-2.0", "quadrant-16-1.0"])
+    def test_build(self, monkeypatch, n, grading, quadrant):
+        monkeypatch.setattr(fem_mesh, "_BLOCK", _ONE_BLOCK)
+        ref = _mesh_arrays(build_mesh(n, grading, quadrant=quadrant))
+        monkeypatch.setattr(fem_mesh, "_BLOCK", 7)
+        got = _mesh_arrays(build_mesh(n, grading, quadrant=quadrant))
+        for name, arr in ref.items():
+            assert got[name].dtype == arr.dtype, name
+            assert got[name].shape == arr.shape, name
+            assert got[name].tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("quadrant", [False, True], ids=["full", "quadrant"])
+    def test_locate_and_evaluate(self, monkeypatch, quadrant):
+        mesh = build_mesh(16, 2.0, quadrant=quadrant)
+        rng = np.random.default_rng(3)
+        lo = 0.0 if quadrant else -1.0
+        pts = np.vstack([_tie_points(mesh), rng.uniform(lo, 1.0, size=(500, 2))])
+        values = rng.standard_normal(mesh.n_vertices)
+        monkeypatch.setattr(fem_mesh, "_BLOCK", _ONE_BLOCK)
+        ref_el, ref_bary = mesh.locate(pts)
+        ref_val = mesh.evaluate(values, pts)
+        monkeypatch.setattr(fem_mesh, "_BLOCK", 7)
+        el, bary = mesh.locate(pts)
+        assert el.tobytes() == ref_el.tobytes()
+        assert bary.tobytes() == ref_bary.tobytes()
+        # evaluate goes through locate once per block, where the benchmark's
+        # tracer counts the located points
+        sizes = []
+        locate = MeshSpace.locate
+
+        def counted(self, points):
+            sizes.append(len(points))
+            return locate(self, points)
+
+        monkeypatch.setattr(MeshSpace, "locate", counted)
+        val = mesh.evaluate(values, pts)
+        assert val.tobytes() == ref_val.tobytes()
+        assert sum(sizes) == len(pts) and max(sizes) == 7
+        shaped = mesh.evaluate(values, pts[:12].reshape(2, 3, 2, 2))
+        assert shaped.shape == (2, 3, 2)
+        assert shaped.tobytes() == ref_val[:12].tobytes()
+        assert mesh.evaluate(values, pts[5]) == ref_val[5]
+
+    @pytest.mark.parametrize("method", ["locate", "evaluate"])
+    def test_first_unlocatable_point_across_blocks(self, monkeypatch, mesh8, method):
+        monkeypatch.setattr(fem_mesh, "_BLOCK", 7)
+        pts = np.random.default_rng(4).uniform(-0.9, 0.9, size=(30, 2))
+        pts[9] = [1.5, 0.25]    # block 1
+        pts[20] = [-3.0, 0.0]   # block 2
+        with pytest.raises(MeshError, match=r"point \[1\.5 +0\.25\] not located"):
+            if method == "locate":
+                mesh8.locate(pts)
+            else:
+                mesh8.evaluate(np.zeros(mesh8.n_vertices), pts)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestPeakMemory:
+    def test_evaluate_below_a_few_outputs(self):
+        # 200k points: gathering every point's (3, 2) vertices and 2 x 2
+        # system at once peaked at 30 outputs, blocks of 32768 points at 6.5
+        mesh = build_mesh(16, grading=2.0)
+        pts = np.random.default_rng(6).uniform(-1.0, 1.0, size=(200_000, 2))
+        values = np.ones(mesh.n_vertices)
+        out, peak = _traced_peak(lambda: mesh.evaluate(values, pts))
+        assert peak < 8 * out.nbytes
+
+    def test_build_below_the_kept_bytes(self):
+        # the (Ne, 3, 2) vertex gather, the edges and the int64 tris with its
+        # repeated copy for G took 2.35 times the kept bytes at n = 128; blocks
+        # of 32768 elements and int32 ids take 1.28
+        mesh, peak = _traced_peak(lambda: build_mesh(128, grading=2.0))
+        kept = sum(arr.nbytes for arr in _mesh_arrays(mesh).values())
+        assert peak < 1.5 * kept
 
 
 class TestQuadrant:
