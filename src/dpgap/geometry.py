@@ -211,7 +211,7 @@ def sample_fields_grid(resolution):
         x1, x2 = xs[k // n], xs[k % n]
         gu = eval_grad_u2(x1, x2)
         b = eval_b2(x1, x2)
-        table[k] = np.column_stack([
+        table[lo:lo + len(k)] = np.column_stack([
             x1, x2,
             eval_weight(x1, x2),
             eval_u2(x1, x2),
