@@ -5,26 +5,27 @@ The gap criterion for the checkerboard pair (phi, psi) is: both
 substitution t = 1/r these become ``int_2^inf f(t) t^-3 dt``, finite iff
 p < 2, or p = 2 and gamma < -1, for f = t^p log^gamma(e + t) (a ``LogPower``,
 of which the pure power t^p is the gamma = 0 member).  ``tail_status`` is
-this closed form, so the borderline cells are decided exactly; the dyadic
-block sums and fitted decay exponent of ``tail_integral_verdict`` are only
-reported.  psi* is ``orlicz.conjugate(psi)``, in closed form.
+this closed form in (p, gamma), and psi*'s are ``orlicz.conjugate_exponents``
+of psi's, so the borderline cells are decided exactly; the dyadic block sums
+and fitted decay exponent of ``tail_integral_verdict`` are only reported.
 
 A verdict has three parts, shared by ``classify`` and ``phase_diagram``: the
 pair check on phi and psi values at a fixed 60-point grid, one tail status
 each for phi and psi*, and the status-to-verdict rule.  For the family
-phi = t^p log^-beta, psi = t^p log^alpha the phi tail depends on beta alone
-and the psi* tail on alpha alone, so a phase diagram costs one integrand and
-one closed-form status per distinct axis value plus one pair check per cell.
+phi = t^p log^-beta, psi = t^p log^alpha a phase diagram costs one integrand
+per distinct log exponent, one conjugate exponent map per distinct alpha,
+and one pair check per cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, PreconditionError, RangeError
-from .orlicz import LogPower, _check_integrand, conjugate
+from .errors import DomainError, PreconditionError, RangeError
+from .orlicz import LogPower, _check_integrand, conjugate_exponents
 
 CONVERGES = "Converges"
 DIVERGES = "Diverges"
@@ -44,17 +45,9 @@ _GL_W = 0.5 * _GL_W
 @dataclass
 class TailVerdict:
     status: str
-    fitted_exponent: float
-    block_sums: list = field(repr=False)
+    fitted_exponent: float | None
     rule: str
-
-    def to_dict(self):
-        return {
-            "status": self.status,
-            "fitted_exponent": self.fitted_exponent,
-            "rule": self.rule,
-            "block_sums": list(self.block_sums),
-        }
+    block_sums: list | None = field(repr=False)
 
 
 @dataclass
@@ -66,26 +59,17 @@ class RegimeReport:
     dual_rule: str | None = None
 
     def to_dict(self):
-        return {
-            "phi_tail": self.phi_tail.to_dict(),
-            "psi_star_tail": self.psi_star_tail.to_dict(),
-            "verdict": self.verdict,
-            "rule": self.rule,
-            "dual_rule": self.dual_rule,
-        }
+        return asdict(self)
 
 
 def _dyadic_blocks(f):
     a = 2.0 ** np.arange(_K_MAX + 1)
     t = a[:, None] * (1.0 + _GL_X)  # row k: block [2^k, 2^{k+1}]
-    # f(t)/t^3 = exp(log f - 3 ln t); past p ~ 19 the sums leave the
-    # double range, which the check below reports
+    # f(t)/t^3 = exp(log f - 3 ln t); past p ~ 19 the sums overflow: None
     with np.errstate(over="ignore"):
         vals = np.exp(np.asarray(f.log_eval(np.log(t))) - 3.0 * np.log(t))
         sums = np.sum(_GL_W * vals, axis=1) * a
-    if not np.all(np.isfinite(sums)):
-        raise NumericalError("non-finite dyadic block sum")
-    return sums.tolist()
+    return sums.tolist() if np.all(np.isfinite(sums)) else None
 
 
 def _fit_exponent(sums):
@@ -94,30 +78,34 @@ def _fit_exponent(sums):
     vals = np.array(sums[k0:k1 + 1])
     pos = vals > 0.0
     if pos.sum() < 5:
-        return -np.inf
+        return None
     coef = np.polyfit(np.log(ks[pos].astype(float)), np.log(vals[pos]), 1)
     return float(coef[0])
 
 
-def tail_status(f):
+def tail_status(p, gamma):
     """(status, rule) of int_2^inf f(t) t^-3 dt (= int_0^{1/2} f(1/r) r dr)
-    for a ``LogPower`` f, in closed form from its (p, gamma)."""
-    _check_integrand(f, "tail_status")
-    if f.p < 2.0:
+    for f = t^p log^gamma(e + t), in closed form."""
+    if p < 2.0:
         return CONVERGES, "closed_form p<2"
-    if f.p > 2.0:
+    if p > 2.0:
         return DIVERGES, "closed_form p>2"
-    if f.gamma < -1.0:
+    if gamma < -1.0:
         return CONVERGES, "closed_form p=2, gamma < -1"
     return DIVERGES, "closed_form p=2, gamma >= -1"
 
 
-def tail_integral_verdict(f):
-    """``tail_status`` of a ``LogPower`` f, with its dyadic block sums and
-    their fitted decay exponent as diagnostics, for ``classify``'s report."""
-    status, rule = tail_status(f)
-    sums = _dyadic_blocks(f)
-    return TailVerdict(status, _fit_exponent(sums), sums, rule)
+def tail_integral_verdict(p, gamma):
+    """``tail_status(p, gamma)``, with the dyadic block sums of
+    ``LogPower(p, gamma)`` and their fitted decay exponent as diagnostics, for
+    ``classify``'s report; each is None where its knot search fails, a sum
+    overflows, or fewer than 5 sums are positive to fit."""
+    status, rule = tail_status(p, gamma)
+    try:
+        sums = _dyadic_blocks(LogPower(p, gamma))
+    except DomainError:
+        sums = None
+    return TailVerdict(status, None if sums is None else _fit_exponent(sums), rule, sums)
 
 
 _PAIR_GRID = np.logspace(0.0, 8.0, 60)
@@ -155,10 +143,12 @@ def _verdict(phi_status, psi_star_status):
 
 def classify(phi, psi):
     """RegimeReport for the double-phase pair: Gap iff both tails converge."""
+    _check_integrand(phi, "classify")
+    _check_integrand(psi, "classify")
     _check_pair(_pair_values(phi), _pair_values(psi))
 
-    phi_tail = tail_integral_verdict(phi)
-    psi_star_tail = tail_integral_verdict(conjugate(psi))
+    phi_tail = tail_integral_verdict(phi.p, phi.gamma)
+    psi_star_tail = tail_integral_verdict(*conjugate_exponents(psi.p, psi.gamma))
     verdict, rule = _verdict(phi_tail.status, psi_star_tail.status)
 
     # duality: for the conjugate pair (psi*, phi*) the roles swap and its
@@ -185,11 +175,11 @@ def phase_diagram(alphas, betas, p=2.0):
     """Verdict table over the (alpha, beta) grid, ordered by (alpha, beta).
 
     Each row's verdict is ``classify_alpha_beta(alpha, beta, p).verdict``,
-    read from ``tail_status`` without block sums.  Each distinct beta (phi)
-    and alpha (psi) builds its integrand and pair-check values at its first
-    use, walking the cells in row order, and its tail status (of phi, or of
-    psi*) at its first passing pair check; each cell runs only the pair
-    check.  A cell outside the double-phase regime (alpha + beta <= 0) reads
+    read from ``tail_status`` without block sums.  Walking the cells in row
+    order, each distinct log exponent (-beta of phi, alpha of psi) builds its
+    integrand and pair-check values at its first use, and each distinct alpha
+    maps psi's exponents to psi*'s at its first passing pair check.  A cell
+    outside the double-phase regime (alpha + beta <= 0) reads
     ``"SinglePhase"`` and builds nothing; the first other failing cell
     raises what ``classify_alpha_beta`` raises for it, and an empty axis
     raises RangeError.
@@ -197,25 +187,19 @@ def phase_diagram(alphas, betas, p=2.0):
     if len(alphas) == 0 or len(betas) == 0:
         raise RangeError("phase diagram needs at least one alpha and one beta")
 
-    # axis value -> [integrand, its pair-check values, tail status]: phi's
-    # own status per beta, that of conjugate(psi) per alpha
-    phis, psis = {}, {}
+    @functools.cache
+    def pair_values(gamma):
+        return _pair_values(LogPower(p, gamma))
 
-    def axis(memo, key, gamma):
-        if key not in memo:
-            f = LogPower(p, gamma)
-            memo[key] = [f, _pair_values(f), None]
-        return memo[key]
+    @functools.cache
+    def psi_star_status(alpha):
+        return tail_status(*conjugate_exponents(p, alpha))[0]
 
     def cell(a, b):
         if _single_phase(a, b):
             return "SinglePhase"
-        phi, psi = axis(phis, b, -b), axis(psis, a, a)
-        _check_pair(phi[1], psi[1])
-        # after the pair check, as in classify: conjugate(psi) can raise
-        phi[2] = phi[2] or tail_status(phi[0])[0]
-        psi[2] = psi[2] or tail_status(conjugate(psi[0]))[0]
-        return _verdict(phi[2], psi[2])[0]
+        _check_pair(pair_values(-b), pair_values(a))
+        return _verdict(tail_status(p, -b)[0], psi_star_status(a))[0]
 
     return [(float(a), float(b), cell(a, b))
             for a in sorted(alphas) for b in sorted(betas)]

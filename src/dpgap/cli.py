@@ -11,8 +11,8 @@ single machine-parsable line ``CODE: message`` on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
 
@@ -22,7 +22,8 @@ from . import classifier, cutoffs, geometry
 from .errors import (DpgapError, NonConvergedError, NumericalError, PreconditionError,
                      RangeError)
 from .fem.solve import OBJECTIVE_DIRICHLET, OBJECTIVE_G, gap_experiment
-from .orlicz import LogPower, conjugate_log_power, conjugate_numeric, luxemburg_norm
+from .orlicz import (LogPower, conjugate_exponents, conjugate_log_power, conjugate_numeric,
+                     luxemburg_norm)
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -57,26 +58,28 @@ def _dump_json(obj, indent=0):
     return pad + json.dumps(obj)
 
 
-def _write_text(path, text):
+def _open_out(path):
+    """stdout for a path of None or "-", else the file at path, to write."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w")
+
+
+def _write_text(path, text):
+    with _open_out(path) as fh:
+        fh.write(text)
         if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            fh.write("\n")
 
 
 def _write_csv(path, header, rows):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_format_float(v) if isinstance(v, (float, np.floating))
-                    else v for v in row])
-    _write_text(path, buf.getvalue())
+    """The header, then each row as it is drawn from the iterable rows."""
+    with _open_out(path) as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_format_float(v) if isinstance(v, (float, np.floating))
+                        else v for v in row])
 
 
 def _parse_floats(text):
@@ -157,8 +160,7 @@ def _cmd_cutoff(args):
         raise RangeError(f"unknown cutoff kind {args.kind!r}")
 
     table = cut.profile_table()
-    _write_csv(args.out, ["r", "eta", "eta_prime"],
-               [tuple(row[:3]) for row in table])
+    _write_csv(args.out, ["r", "eta", "eta_prime"], (row[:3].tolist() for row in table))
     cert = {
         "kind": cut.kind, "r1": cut.r1, "r2": cut.r2,
         "ln_r1": cut.ln_r1, "ln_r2": cut.ln_r2,
@@ -190,7 +192,7 @@ def _cmd_norm(args):
 
 def _cmd_conjugate(args):
     star = conjugate_log_power(args.p, args.gamma)
-    back = conjugate_log_power(star.p, star.gamma)
+    back = conjugate_exponents(star.p, star.gamma)
     samples = _parse_floats(args.s)
     if not all(s > 0.0 for s in samples):
         raise RangeError("conjugate samples must be positive")
@@ -207,7 +209,7 @@ def _cmd_conjugate(args):
     _write_text(args.out, _dump_json({
         "p": args.p, "gamma": args.gamma,
         "conjugate": {"p": star.p, "gamma": star.gamma},
-        "round_trip": {"p": back.p, "gamma": back.gamma},
+        "round_trip": {"p": back[0], "gamma": back[1]},
         "samples": ratios,
     }))
     return EXIT_OK
@@ -224,7 +226,7 @@ def _cmd_flux(args):
 def _cmd_fields(args):
     table = geometry.sample_fields_grid(args.res)
     _write_csv(args.out, ["x1", "x2", "a", "u2", "grad_u2_norm", "b2_norm"],
-               [tuple(row) for row in table])
+               (row.tolist() for row in table))
     return EXIT_OK
 
 

@@ -10,10 +10,11 @@ identity is satisfied to solver precision.
 
 The psi-harmonic builders take a ``LogPower`` psi (a ``PurePower`` is one):
 the inverse is ``orlicz.log_deriv_inverse``, a safeguarded Newton iteration
-on ln psi' as a function of ln t, and the dual tail of ``find_inner_radius``
-is that of ``orlicz.conjugate``.  Energies take a ``LogPower`` or a
-``DoublePhase`` of them and read the integrand through its
-``log_eval(ln_t, k)``.
+on ln psi' as a function of ln t.  The dual tail of ``find_inner_radius`` is
+the closed-form ``tail_status`` of psi*'s exponents, which
+``orlicz.conjugate_exponents`` maps from psi's; no psi* is built.  Energies
+take a ``LogPower`` or a ``DoublePhase`` of them and read the integrand
+through its ``log_eval(ln_t, k)``.
 
 Inner radii and slopes routinely leave double-precision range (r1 = e^{-1/eps}
 for the log-log family, eta' ~ c/r near a borderline inner radius), so all
@@ -34,7 +35,7 @@ from .classifier import DIVERGES, tail_status
 from .errors import (DomainError, EnergyOverflowError,
                      NoRemovableSingularityError, NormalizationError,
                      RangeError)
-from .orlicz import DoublePhase, _check_integrand, conjugate, log_deriv_inverse
+from .orlicz import DoublePhase, _check_integrand, conjugate_exponents, log_deriv_inverse
 
 LOGLOG = "LogLog"
 PSI_HARMONIC = "PsiHarmonic"
@@ -155,8 +156,8 @@ def find_inner_radius(psi, r2, delta):
     """Largest dyadic r1 = r2 / 2^k with normalization constant <= delta.
 
     Only possible when int_0 psi*(1/r) r dr diverges (``tail_status`` of
-    ``conjugate(psi)``); in the gap regime the constant stays bounded away
-    from 0 and the search fails by design.  Near the borderline the required
+    ``conjugate_exponents(psi.p, psi.gamma)``); in the gap regime the
+    constant stays bounded away from 0 and the search fails by design.  Near the borderline the required
     r1 can underflow double precision; that is reported as a normalization
     error rather than silently clamped.
     """
@@ -164,7 +165,8 @@ def find_inner_radius(psi, r2, delta):
         raise RangeError("energy budget delta must be positive and finite")
     if not (0.0 < r2 <= 0.5):
         raise RangeError("outer radius must lie in (0, 1/2]")
-    status, _ = tail_status(conjugate(psi))
+    _check_integrand(psi, "find_inner_radius")
+    status, _ = tail_status(*conjugate_exponents(psi.p, psi.gamma))
     if status != DIVERGES:
         raise NoRemovableSingularityError(
             f"dual tail integral verdict is {status}; "

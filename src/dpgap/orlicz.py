@@ -11,7 +11,8 @@ member: log^0 = 1 and there is no knot.  This module is the only one that
 knows how the integrand behaves in log space (``log_eval``, and
 ``log_deriv_with_slope``, the one evaluator of ln Phi', which returns it
 with its slope d ln Phi' / d ln t) and which closed-form conjugate stands
-for its growth class (``conjugate``).
+for its growth class (``conjugate_exponents``, and ``conjugate_log_power``
+built from them).
 Every quantity goes through one rule, ``_split_at_knot``: the substitute
 below the knot, in t for the value and its two derivatives and in ln t for
 the log-space ones.
@@ -365,37 +366,34 @@ def _newton_in_log(f, ln_s, lo, hi, g_lo, g_hi):
     return out
 
 
-def conjugate_log_power(p, gamma):
-    """Closed-form conjugate exponents: (p, gamma) -> (p', gamma/(1-p)).
+def conjugate_exponents(p, gamma):
+    """Closed-form conjugate exponents: (p, gamma) -> (p/(p-1), gamma/(1-p)).
 
     Rational arithmetic on each parameter's nearest fraction with denominator
     <= 10^12 where it rounds back to the parameter (1.1 is 11/10), else on its
-    binary value; the result is a growth-class representative.
+    binary value; the pair is that of a growth-class representative.
     """
     if not (1.0 < p < math.inf):
-        raise DomainError("conjugate_log_power requires a finite p > 1")
+        raise DomainError("conjugate_exponents requires a finite p > 1")
     if not math.isfinite(gamma):
-        raise DomainError("conjugate_log_power requires a finite gamma")
+        raise DomainError("conjugate_exponents requires a finite gamma")
     fp, fg = (f if float(f := Fraction(x).limit_denominator(10**12)) == x else Fraction(x)
               for x in (p, gamma))
     try:
-        q, gq = float(fp / (fp - 1)), float(fg / (1 - fp))
+        return float(fp / (fp - 1)), float(fg / (1 - fp))
     except OverflowError as exc:
         raise DomainError("conjugate exponent gamma/(1-p) overflows") from exc
-    return LogPower(q, gq)
+
+
+def conjugate_log_power(p, gamma):
+    """The ``LogPower`` with ``conjugate_exponents(p, gamma)``."""
+    return LogPower(*conjugate_exponents(p, gamma))
 
 
 def _check_integrand(f, caller):
     if not isinstance(f, LogPower):
         raise DomainError(f"{caller} takes a LogPower or a PurePower, "
                           f"not {type(f).__name__}")
-
-
-def conjugate(f):
-    """The conjugate that stands for f*: the closed-form growth-class
-    representative ``conjugate_log_power(f.p, f.gamma)``."""
-    _check_integrand(f, "conjugate")
-    return conjugate_log_power(f.p, f.gamma)
 
 
 def conjugate_numeric(f, s):

@@ -7,49 +7,47 @@ from dpgap import classifier
 from dpgap.classifier import (CONVERGES, DIVERGES, GAP, NO_GAP,
                               classify, classify_alpha_beta, phase_diagram,
                               tail_integral_verdict, tail_status)
-from dpgap.errors import DomainError, NumericalError, PreconditionError
-from dpgap.orlicz import LogPower, PurePower, conjugate
+from dpgap.cutoffs import find_inner_radius
+from dpgap.errors import DomainError, PreconditionError
+from dpgap.orlicz import LogPower, PurePower, conjugate_exponents, conjugate_log_power
 
 GRID = [0.25, 0.5, 1.0, 1.25, 2.0, 3.0]
 
 
 class TestTailVerdict:
     def test_closed_form_subquadratic(self):
-        v = tail_integral_verdict(LogPower(1.5, 3.0))
+        v = tail_integral_verdict(1.5, 3.0)
         assert v.status == CONVERGES
 
     def test_closed_form_superquadratic(self):
-        v = tail_integral_verdict(LogPower(2.5, -3.0))
+        v = tail_integral_verdict(2.5, -3.0)
         assert v.status == DIVERGES
 
     def test_borderline_log_exponent(self):
-        assert tail_integral_verdict(LogPower(2.0, -1.5)).status == CONVERGES
-        assert tail_integral_verdict(LogPower(2.0, -1.0)).status == DIVERGES
-        assert tail_integral_verdict(LogPower(2.0, -0.5)).status == DIVERGES
-        assert tail_integral_verdict(LogPower(2.0, 2.0)).status == DIVERGES
+        assert tail_integral_verdict(2.0, -1.5).status == CONVERGES
+        assert tail_integral_verdict(2.0, -1.0).status == DIVERGES
+        assert tail_integral_verdict(2.0, -0.5).status == DIVERGES
+        assert tail_integral_verdict(2.0, 2.0).status == DIVERGES
 
     def test_dyadic_fit_matches_closed_form(self):
         # for t^2 L^gamma the block sums decay like k^gamma
-        v = tail_integral_verdict(LogPower(2.0, -2.0))
+        v = tail_integral_verdict(2.0, -2.0)
         assert v.fitted_exponent == pytest.approx(-2.0, abs=0.1)
 
     def test_generic_path_pure_power(self):
-        assert tail_integral_verdict(PurePower(1.5)).status == CONVERGES
-        assert tail_integral_verdict(PurePower(2.5)).status == DIVERGES
+        assert tail_integral_verdict(1.5, 0.0).status == CONVERGES
+        assert tail_integral_verdict(2.5, 0.0).status == DIVERGES
 
+    # f is the integrand's (p, gamma)
     @pytest.mark.parametrize("f, status, rule", [
-        (LogPower(1.5, 3.0), CONVERGES, "closed_form p<2"),
-        (PurePower(2.5), DIVERGES, "closed_form p>2"),
-        (LogPower(2.0, -1.5), CONVERGES, "closed_form p=2, gamma < -1"),
-        (LogPower(2.0, -1.0), DIVERGES, "closed_form p=2, gamma >= -1")])
+        ((1.5, 3.0), CONVERGES, "closed_form p<2"),
+        ((2.5, 0.0), DIVERGES, "closed_form p>2"),
+        ((2.0, -1.5), CONVERGES, "closed_form p=2, gamma < -1"),
+        ((2.0, -1.0), DIVERGES, "closed_form p=2, gamma >= -1")])
     def test_report_reads_the_one_closed_form_rule(self, f, status, rule):
-        assert tail_status(f) == (status, rule)
-        v = tail_integral_verdict(f)
+        assert tail_status(*f) == (status, rule)
+        v = tail_integral_verdict(*f)
         assert (v.status, v.rule) == (status, rule)
-
-    def test_sublinear_precondition(self):
-        with pytest.raises(PreconditionError):
-            tail_integral_verdict(lambda t: np.sqrt(t))
 
     @pytest.mark.parametrize("p, status", [(1.5, CONVERGES), (1.95, CONVERGES),
                                            (1.99, CONVERGES), (1.999, CONVERGES),
@@ -58,15 +56,26 @@ class TestTailVerdict:
     def test_pure_power_closed_form(self, p, status):
         # int_2^inf t^(p-3) dt is finite iff p < 2; the block sums decay like
         # 2^(k(p-2)), which a power fit in k reads as -0.26 for p = 1.99
-        v = tail_integral_verdict(PurePower(p))
+        v = tail_integral_verdict(p, 0.0)
         assert v.status == status
         assert v.rule.startswith("closed_form")
+
+    # the tails take exponents; classify and find_inner_radius read them from
+    # their integrands, and refuse one of another type
+
+    def test_sublinear_precondition(self):
+        with pytest.raises(PreconditionError):
+            classify(lambda t: np.sqrt(t), LogPower(2.0, 1.0))
 
     @pytest.mark.parametrize("f", [lambda t: t**3, np.square, "t^3", None],
                              ids=["lambda", "ufunc", "str", "None"])
     def test_other_integrand_raises(self, f):
-        with pytest.raises(DomainError, match="LogPower or a PurePower"):
-            tail_integral_verdict(f)
+        # either argument of classify is checked before the pair check calls it
+        for call in (lambda: classify(f, LogPower(2.0, 1.0)),
+                     lambda: classify(LogPower(2.0, -1.0), f),
+                     lambda: find_inner_radius(f, 0.5, 0.25)):
+            with pytest.raises(DomainError, match="LogPower or a PurePower"):
+                call()
 
 
 def _dyadic_blocks_reference(f):
@@ -83,18 +92,17 @@ def _dyadic_blocks_reference(f):
 
 class TestDyadicBlocks:
     def test_matches_blockwise_reference(self):
-        cases = [PurePower(2.5), conjugate(PurePower(3.0))]
+        cases = [PurePower(2.5), conjugate_log_power(3.0, 0.0)]
         for gamma in np.linspace(0.0, 3.0, 13):
             for g in {gamma, -gamma}:
                 f = LogPower(2.0, float(g))
-                cases += [f, conjugate(f)]
+                cases += [f, conjugate_log_power(f.p, f.gamma)]
         for f in cases:
             assert classifier._dyadic_blocks(f) == _dyadic_blocks_reference(f), f
 
-    def test_non_finite_sum_raises(self):
+    def test_non_finite_sum_reads_none(self):
         # t^400 / t^3 overflows past t ~ 2^2.6
-        with pytest.raises(NumericalError):
-            classifier._dyadic_blocks(PurePower(400.0))
+        assert classifier._dyadic_blocks(PurePower(400.0)) is None
 
 
 class TestClassify:
@@ -150,20 +158,36 @@ class TestClassify:
     @pytest.mark.parametrize("alpha, beta, p, error", [
         (1e308, 1.0, 2.0, PreconditionError),  # psi overflows on the pair grid
         (2.0, 2.0, 1e6, PreconditionError),  # and phi'' on the knot grid
-        # the block sums of psi* = LogPower(~1e7, ~-2e7) overflow; the phase
-        # diagram computes none and reads the cell's verdict
-        (2.0, -1.0, 1.0000001, NumericalError),
         (2.0, 2.0, 1.0000001, DomainError),  # phi's knot lies past t ~ 1e154
     ])
     def test_extreme_inputs_raise_without_warning(self, alpha, beta, p, error):
         # RuntimeWarning is an error here; the cell's check decides instead
         with pytest.raises(error):
             classify_alpha_beta(alpha, beta, p)
-        if error is NumericalError:
-            assert phase_diagram([alpha], [beta], p) == [(alpha, beta, NO_GAP)]
-            return
         with pytest.raises(error):
             phase_diagram([alpha], [beta], p)
+
+    # which diagnostics of (phi, psi*) read None: none, the fit, or both
+    FINE, NO_FIT, NEITHER = (False, False), (False, True), (True, True)
+
+    @pytest.mark.parametrize("alpha, beta, p, missing", [
+        # the block sums of psi* = LogPower(~1e7, ~-2e7) overflow
+        (2.0, -1.0, 1.0000001, (FINE, NEITHER)),
+        (2.0, 2.0, 19.035, (NEITHER, FINE)),  # phi's sums overflow
+        (1.0, 0.01, 1.04, (FINE, NEITHER)),  # psi* = LogPower(26, -25)'s overflow
+        # phi's sums overflow, and psi* = LogPower(1.05, -0.151) has no knot
+        (3.0, 2.0, 20.84, (NEITHER, NEITHER)),
+        # psi* = LogPower(11, -500): too few positive sums to fit
+        (50.0, 2.0, 1.1, (FINE, NO_FIT)),
+    ])
+    def test_verdict_where_diagnostics_fail(self, alpha, beta, p, missing):
+        # RuntimeWarning is an error here; the closed form gives the verdict,
+        # the phase diagram's
+        rep = classify_alpha_beta(alpha, beta, p)
+        assert rep.verdict == NO_GAP
+        assert phase_diagram([alpha], [beta], p) == [(alpha, beta, NO_GAP)]
+        assert tuple((t.block_sums is None, t.fitted_exponent is None)
+                     for t in (rep.phi_tail, rep.psi_star_tail)) == missing
 
     @pytest.mark.parametrize("alpha, beta, p", [(1.0, 1.0, 1.06), (2.0, 2.0, 1.09)])
     def test_superlinear_integrand_near_p_one_is_classified(self, alpha, beta, p):
@@ -201,7 +225,8 @@ class TestPhaseDiagram:
     # borderline values, a duplicate, unsorted, and single-phase cells
     AXIS = [3.0, 1.0 + 1e-9, 0.25, 1.0, -0.5, 1.0 - 1e-9, 2.0, 1.0, 0.0]
 
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    # from p = 20.84 psi* of alpha = 3 has no knot; its exponents decide
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 20.84, 25.0])
     def test_rows_match_classify_alpha_beta(self, p):
         rows = phase_diagram(self.AXIS, self.AXIS[::-1], p)
         expected = [(a, b, "SinglePhase" if -b >= a else classify_alpha_beta(a, b, p).verdict)
@@ -212,8 +237,7 @@ class TestPhaseDiagram:
     @pytest.mark.parametrize("alphas, betas, p", [
         # two SinglePhase cells and a valid one, then a ratio that barely decays
         ([2.0, -1.0], [0.5, 3.0, -2.0 + 1e-10], 2.0),
-        # classify's block sums of psi* = LogPower(~1e7, ~-2e7) overflow at
-        # (2, -1), which the phase diagram reads as NoGap; (2, 2) fails first
+        # (2, -1) is NoGap, then phi's knot at (2, 2) lies past t ~ 1e154
         ([2.0], [-1.0, 2.0], 1.0000001),
         # phi's knot lies past t ~ 1e154
         ([2.0], [2.0, 3.0], 1.0000001),
@@ -227,9 +251,6 @@ class TestPhaseDiagram:
             except PreconditionError as exc:
                 expected = exc
                 break
-            except NumericalError as exc:
-                # only the report's block sums; the phase diagram reads none
-                assert str(exc) == "non-finite dyadic block sum"
         else:
             pytest.fail("no failing cell")
         with pytest.raises(PreconditionError) as got:
@@ -243,35 +264,35 @@ class TestPhaseDiagram:
         assert [v for _, _, v in rows] == ["SinglePhase"] * 4
 
     def test_work_is_per_axis_value(self, monkeypatch):
-        built, statuses = [], []
+        built, maps = [], []
         post_init = LogPower.__post_init__
-        status = classifier.tail_status
 
         def counted_init(self):
             built.append((self.p, self.gamma))
             post_init(self)
 
-        def counted_status(f):
-            statuses.append(f)
-            return status(f)
+        def counted_map(p, gamma):
+            maps.append(gamma)
+            return conjugate_exponents(p, gamma)
 
         def no_blocks(f):
             raise AssertionError("phase_diagram computed dyadic block sums")
 
         monkeypatch.setattr(LogPower, "__post_init__", counted_init)
-        monkeypatch.setattr(classifier, "tail_status", counted_status)
+        monkeypatch.setattr(classifier, "conjugate_exponents", counted_map)
         monkeypatch.setattr(classifier, "_dyadic_blocks", no_blocks)
         rows = phase_diagram(GRID, GRID)
         assert len(rows) == 36
-        # 6 phi and 6 psi integrands, and 6 conjugates of psi
-        assert len(built) <= 12 + 6
-        # one closed-form status per phi and one per psi*
-        assert len(statuses) == 12
+        # 6 phi and 6 psi integrands, and no psi*
+        assert len(built) <= 12
+        # the Fraction arithmetic of the exponent map runs once per alpha
+        assert len(maps) == len(set(maps))
 
     def test_rows_past_the_block_sum_range(self):
-        # the block sums leave the double range from p ~ 19; the rows need
+        # the block sums leave the double range from p ~ 19; the verdicts need
         # only the closed form: p > 2, so every phi tail diverges
         assert phase_diagram([1.0, 2.0], [1.0, 2.0], p=25.0) == [
             (1.0, 1.0, NO_GAP), (1.0, 2.0, NO_GAP), (2.0, 1.0, NO_GAP), (2.0, 2.0, NO_GAP)]
-        with pytest.raises(NumericalError, match="dyadic"):
-            classify_alpha_beta(2.0, 2.0, 25.0)
+        rep = classify_alpha_beta(2.0, 2.0, 25.0)
+        assert rep.verdict == NO_GAP
+        assert rep.phi_tail.block_sums is None

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,30 @@ class TestClassify:
         assert code == 2
         assert err.splitlines()[0].split(":")[0] == "PRECONDITION"
 
+    @pytest.mark.parametrize("alpha, beta, p, nulls", [
+        ("2", "2", "19.035", ["phi_tail"]),  # phi's block sums overflow
+        ("1", "0.01", "1.04", ["psi_star_tail"]),  # psi*'s block sums overflow
+        # phi's block sums overflow, and psi* has no knot
+        ("3", "2", "20.84", ["phi_tail", "psi_star_tail"]),
+    ])
+    def test_verdict_where_the_diagnostics_fail(self, capsys, alpha, beta, p, nulls):
+        code, out, err = run(capsys, "classify", "--alpha", alpha, "--beta", beta, "--p", p)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["verdict"] == "NoGap"
+        for tail in ("phi_tail", "psi_star_tail"):
+            missing = [report[tail][key] is None for key in ("block_sums", "fitted_exponent")]
+            assert missing == [tail in nulls] * 2
+
+    def test_unfitted_exponent_is_null(self, capsys):
+        # psi* = LogPower(11, -500): too few positive block sums to fit, and
+        # -inf would not be JSON
+        code, out, _ = run(capsys, "classify", "--alpha", "50", "--beta", "2", "--p", "1.1")
+        assert code == 0
+        psi_star = json.loads(out)["psi_star_tail"]
+        assert psi_star["fitted_exponent"] is None
+        assert len(psi_star["block_sums"]) == 61
+
 
 class TestPhaseDiagram:
     def test_csv_grid(self, capsys, tmp_path):
@@ -82,6 +107,16 @@ class TestPhaseDiagram:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("DOMAIN: ")
+
+    @pytest.mark.parametrize("p", ["20.84", "25"])
+    def test_rows_where_psi_star_has_no_knot(self, capsys, p):
+        # psi* of alpha = 3 is LogPower(1.05, -0.15) at p = 20.84; its
+        # exponents decide its tail, and p > 2 every phi tail
+        code, out, err = run(capsys, "phase-diagram", "--p", p)
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 36
+        assert {r["verdict"] for r in rows} == {"NoGap"}
 
     def test_idempotent_rerun_bit_identical(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"
@@ -167,6 +202,14 @@ class TestCutoff:
         assert code == 3
         assert err.startswith("NO_REMOVABLE_SINGULARITY:")
 
+    def test_dual_tail_without_a_psi_star(self, capsys):
+        # psi* has exponent 1.05 < 2, so its tail converges, as for any alpha;
+        # its LogPower(1.05, -0.15) has no knot and is never built
+        code, _, err = run(capsys, "cutoff", "--kind", "psi-harmonic", "--alpha", "3",
+                           "--p", "20.84", "--delta", "0.25")
+        assert code == 3
+        assert err.startswith("NO_REMOVABLE_SINGULARITY:")
+
 
 class TestSmallCommands:
     def test_flux_prints_one(self, capsys):
@@ -219,6 +262,22 @@ class TestSmallCommands:
         assert code == 0
         header = out_path.open().readline().strip().split(",")
         assert header == ["x1", "x2", "a", "u2", "grad_u2_norm", "b2_norm"]
+
+
+class TestPeakMemory:
+    def test_fields_streams_its_rows(self, tmp_path):
+        # the whole CSV text held in memory before the file is written peaks at
+        # 7.8 times the table's bytes at res 512; row by row, at 1.7
+        res = 512
+        out_path = tmp_path / "fields.csv"
+        tracemalloc.start()
+        try:
+            code = main(["fields", "--res", str(res), "--out", str(out_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 3 * res * res * 6 * 8
 
 
 class TestRangeErrors:
@@ -316,8 +375,9 @@ class TestExitCodeContract:
     @given(alpha=st.sampled_from(EXTREMES), beta=st.sampled_from(EXTREMES),
            p=st.sampled_from(EXTREMES))
     @example(alpha=2.0, beta=2.0, p=1.0000001)  # knot beyond the double range
-    @example(alpha=2.0, beta=-3.0, p=1.0000001)  # psi* overflows
-    @example(alpha=2.0, beta=2.0, p=20.0)  # the dyadic block sums overflow
+    @example(alpha=2.0, beta=-3.0, p=1.0000001)  # single-phase: refused before any integrand
+    @example(alpha=2.0, beta=2.0, p=20.0)  # phi's dyadic block sums overflow: null
+    @example(alpha=2.0, beta=2.0, p=19.035)  # the same, just past the range
     def test_classify(self, capsys, alpha, beta, p):
         code, _, err = run(capsys, "classify", _flag("alpha", [alpha]),
                            _flag("beta", [beta]), _flag("p", [p]))
@@ -327,7 +387,8 @@ class TestExitCodeContract:
     @given(alphas=_axis, betas=_axis, p=st.sampled_from(EXTREMES))
     @example(alphas=[1e308], betas=[1.0], p=2.0)  # psi overflows on the pair grid
     @example(alphas=[2.0], betas=[2.0], p=1e6)  # Phi'' overflows on the knot grid
-    @example(alphas=[1.0, 2.0], betas=[1.0, 2.0], p=20.0)  # the dyadic block sums overflow
+    @example(alphas=[1.0, 2.0], betas=[1.0, 2.0], p=20.0)  # past the block sums' range
+    @example(alphas=[3.0], betas=[2.0], p=20.84)  # psi* has no knot
     def test_phase_diagram(self, capsys, alphas, betas, p):
         code, _, err = run(capsys, "phase-diagram", _flag("alphas", alphas),
                            _flag("betas", betas), _flag("p", [p]))

@@ -371,7 +371,7 @@ class TestEnergy:
 
     @pytest.mark.parametrize("f", [lambda t: t * t, "t^2", None], ids=["lambda", "str", "None"])
     def test_other_integrand_raises(self, f):
-        # the refusal conjugate gives, not an AttributeError from inside
+        # the type check's refusal, not an AttributeError from inside
         cut = build_psi_harmonic_cutoff(PurePower(2.0), 1e-2, 0.5)
         for call in (lambda: solve_normalization_constant(f, 0.01, 0.5),
                      lambda: build_psi_harmonic_cutoff(f, 0.01, 0.5),
