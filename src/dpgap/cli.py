@@ -336,7 +336,8 @@ def _apply_config(argv):
     flags = []
     for key, value in cfg.items():
         flag = "--" + str(key).replace("_", "-")
-        if isinstance(value, bool):
+        # false and null add no flag, so a null leaves its flag at the default
+        if value is None or isinstance(value, bool):
             if value:
                 flags.append(flag)
         elif isinstance(value, list):

@@ -17,8 +17,9 @@ in 50 halvings, the same iteration takes the gradient direction from the same
 point. If that has no Armijo step either, the loop returns.
 
 Assembly returns the nodal part and the s part of gradient and Hessian
-separately. Only this module knows the bordered layout of the reduced
-unknowns, [interior nodal values..., s].
+separately. A minimization starts from a field and returns one: only
+``_Objective`` maps fields to and from the reduced unknowns, [interior
+nodal values..., s], whose trailing s ``_newton_direction`` eliminates.
 
 In G mode the linear term int b2 . grad u is taken in its solenoidal-exact
 form: it vanishes on every conforming field, so only the enrichment pairing
@@ -41,7 +42,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..classifier import GAP, classify_alpha_beta
-from ..errors import GapPreconditionError, RangeError
+from ..errors import DomainError, GapPreconditionError, RangeError
 from ..geometry import eval_u2
 from ..orlicz import double_phase_log
 from .assembly import (enrichment_rule, modular_energy, modular_gradient,
@@ -49,8 +50,6 @@ from .assembly import (enrichment_rule, modular_energy, modular_gradient,
 from .fields import DofField, EnrichedField
 from .mesh import build_mesh
 
-CONFORMING = "conforming"
-ENRICHED = "enriched"
 OBJECTIVE_G = "G"
 OBJECTIVE_DIRICHLET = "dirichlet"
 
@@ -66,24 +65,30 @@ class MinimizeResult:
     value: float
     iterations: int
     converged: bool
-    grad_norm: float
 
 
 class _Objective:
-    """Reduced view of F or G over interior dofs (+ trailing s for enriched)."""
+    """Reduced view of F or G over the start's interior values (+ s if enriched)."""
 
-    def __init__(self, space, objective, pair, mesh, boundary_data=0.0):
+    def __init__(self, objective, pair, start):
+        base = start.base if isinstance(start, EnrichedField) else start
+        if not isinstance(base, DofField):
+            raise DomainError("a minimization starts from a DofField or an EnrichedField")
         self.pair = pair
-        self.mesh = mesh
-        self.interior = mesh.interior
-        self.enriched = space == ENRICHED
-        self.full = np.zeros(mesh.n_vertices)
-        self.full[mesh.boundary_mask] = boundary_data
+        self.mesh = base.mesh
+        self.interior = self.mesh.interior
+        self.enriched = base is not start
+        self.full = base.values
+        self.x0 = np.append(base.values[self.interior], [start.s] if self.enriched else [])
         # G keeps only the b2 pairing of the jump amplitude: by the
-        # solenoidal-exact identity (see assembly._b2_pairing) L . values is 0
+        # solenoidal-exact identity (see assembly._b2_pairing) L . values is 0,
+        # which holds for zero boundary values only
         self.L_s = 0.0
-        if objective == OBJECTIVE_G and self.enriched:
-            self.L_s = enrichment_rule(mesh).L_s
+        if objective == OBJECTIVE_G:
+            if np.any(base.values[self.mesh.boundary_mask]):
+                raise RangeError("G mode needs zero boundary values in the start field")
+            if self.enriched:
+                self.L_s = enrichment_rule(self.mesh).L_s
 
     def make_field(self, x):
         values = self.full.copy()
@@ -168,46 +173,43 @@ def _newton(obj, x0):
     x = np.asarray(x0, dtype=np.float64).copy()
     f = obj.value(x)
     iterations = 0
-    grad_norm = np.inf
     rel = np.inf
     for iterations in range(1, MAX_ITERATIONS + 1):
         g = obj.grad(x)
         grad_norm = float(np.max(np.abs(g))) if g.size else 0.0
         if grad_norm < GRAD_TOL and rel < REL_DECREASE_TOL:
-            return x, f, iterations - 1, True, grad_norm
+            return x, f, iterations - 1, True
         d = _newton_descent(obj, x, g)
         accepted = None if d is None else _backtrack(obj, x, f, d, g)
         if accepted is None:
             d = -g
             accepted = _backtrack(obj, x, f, d, g)
             if accepted is None:
-                return x, f, iterations, grad_norm < GRAD_TOL, grad_norm
+                return x, f, iterations, grad_norm < GRAD_TOL
         step, f_new = accepted
         x = x + step * d
         rel = abs(f - f_new) / max(abs(f), abs(f_new), 1e-30)
         f = f_new
-    return x, f, iterations, False, grad_norm
+    return x, f, iterations, False
 
 
-def minimize(space, objective, pair, mesh, boundary_data=0.0, x0=None):
+def minimize(objective, pair, start):
     """Damped Newton with backtracking on the convex objective.
 
-    ``space`` in {conforming, enriched}; ``objective`` in {G, dirichlet}.
-    Dirichlet mode minimizes the modular energy alone under the given
-    boundary data; G mode adds the linear term at zero boundary values.
+    ``objective`` in {G, dirichlet}. A DofField start minimizes over the
+    conforming space and an EnrichedField start over the enriched one. The
+    start gives the mesh and the fixed boundary values, and its interior
+    values (and s) are the first iterate; it is left unchanged. Dirichlet
+    mode minimizes the modular energy alone. G mode adds the linear term,
+    whose solenoidal-exact form holds at zero boundary values only, so a
+    G-mode start with a nonzero boundary value raises RangeError. A start of
+    any other type raises DomainError.
     """
-    if space not in (CONFORMING, ENRICHED):
-        raise RangeError(f"unknown space: {space}")
     if objective not in (OBJECTIVE_G, OBJECTIVE_DIRICHLET):
         raise RangeError(f"unknown objective: {objective}")
-    if objective == OBJECTIVE_G:
-        boundary_data = 0.0
-    obj = _Objective(space, objective, pair, mesh, boundary_data)
-    if x0 is None:
-        n_int = len(mesh.interior)
-        x0 = np.zeros(n_int + (1 if space == ENRICHED else 0))
-    x, f, iterations, converged, grad_norm = _newton(obj, x0)
-    return MinimizeResult(obj.make_field(x), f, iterations, converged, grad_norm)
+    obj = _Objective(objective, pair, start)
+    x, f, iterations, converged = _newton(obj, obj.x0)
+    return MinimizeResult(obj.make_field(x), f, iterations, converged)
 
 
 @dataclass
@@ -274,15 +276,11 @@ def gap_experiment(alpha, beta, levels, grading=2.0, mode=None, force_g=False):
         mesh = build_mesh(n, grading, quadrant=True)
         # G mode starts from zero; Dirichlet takes the u2 trace and interpolant
         if mode == OBJECTIVE_G:
-            start = np.zeros(mesh.n_vertices)
+            start = DofField(mesh, np.zeros(mesh.n_vertices))
         else:
-            start = np.asarray(eval_u2(mesh.nodes[:, 0], mesh.nodes[:, 1]))
-        bdata = start[mesh.boundary_mask]
-        conf = minimize(CONFORMING, mode, pair, mesh, boundary_data=bdata,
-                        x0=start[mesh.interior])
-        x0e = np.concatenate([conf.field.values[mesh.interior], [0.0]])
-        enr = minimize(ENRICHED, mode, pair, mesh, boundary_data=bdata,
-                       x0=x0e)
+            start = DofField.interpolate(mesh, eval_u2)
+        conf = minimize(mode, pair, start)
+        enr = minimize(mode, pair, EnrichedField(conf.field, 0.0))
         # full-domain values: each integral is 4 times its quadrant part
         E1, E2 = 4.0 * enr.value, 4.0 * conf.value
         sep = 4.0 * separating_functional(enr.field)
@@ -319,16 +317,12 @@ def cone_trace_diagnostic(u, mesh, radii):
                          "smallest mesh ring: the log-log fit takes log(log(1/r)), "
                          "which needs r < 1")
     ang_top = np.linspace(np.deg2rad(65.0), np.deg2rad(115.0), 41)
-    ang_bot = ang_top + np.pi
-    u0 = float(u.evaluate([0.0, 0.0]))
-    rows = []
-    for r in radii:
-        top = np.column_stack([r * np.cos(ang_top), r * np.sin(ang_top)])
-        bot = np.column_stack([r * np.cos(ang_bot), r * np.sin(ang_bot)])
-        rows.append((float(r),
-                     float(np.mean(u.evaluate(top))),
-                     float(np.mean(u.evaluate(bot)))))
-    table = np.array(rows)
+    ang = np.concatenate([ang_top, ang_top + np.pi])
+    arcs = radii[:, None, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    # the origin and every arc point in one evaluate call
+    vals = u.evaluate(np.concatenate([[[0.0, 0.0]], arcs.reshape(-1, 2)]))
+    u0 = float(vals[0])
+    table = np.column_stack([radii, vals[1:].reshape(len(radii), 2, 41).mean(axis=2)])
     dev = 0.5 * (np.abs(table[:, 1] - u0) + np.abs(table[:, 2] - u0))
     good = dev > 1e-14
     if np.unique(table[good, 0]).size >= 3:

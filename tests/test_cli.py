@@ -567,6 +567,25 @@ class TestConfig:
         assert code == 0
         assert json.loads(out)["verdict"] == "NoGap"
 
+    def test_null_out_writes_no_file(self, capsys, tmp_path, monkeypatch):
+        # a null was passed on as the string "None": flux wrote a file of that name
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "flux", "nquad": 64, "out": None}))
+        code, out, _ = run(capsys, "--config", str(cfg))
+        assert code == 0
+        assert float(out) == float(run(capsys, "flux", "--nquad", "64")[1])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_null_mode_takes_the_default(self, capsys, tmp_path):
+        # a null mode was the invalid choice 'None' and exited 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "gap", "alpha": 2, "beta": 2,
+                                   "levels": [8], "mode": None}))
+        code, out, err = run(capsys, "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["mode"] == "G"
+
     def test_missing_config_exits_four(self, capsys, tmp_path):
         code, _, err = run(capsys, "--config", str(tmp_path / "nope.json"))
         assert code == 4

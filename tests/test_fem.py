@@ -11,13 +11,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import dpgap
-from dpgap.errors import GapPreconditionError, RangeError
+from dpgap.errors import DomainError, GapPreconditionError, RangeError
 from dpgap.fem import (DofField, EnrichedField, build_mesh, cone_trace_diagnostic,
                        gap_experiment, minimize, modular_energy, separating_functional)
 from dpgap.fem import assembly, solve
 from dpgap.fem.assembly import enrichment_rule, modular_gradient, modular_hessian
 from dpgap.fem.fields import enrichment_gradient, enrichment_value
-from dpgap.fem.solve import CONFORMING, ENRICHED, OBJECTIVE_DIRICHLET, OBJECTIVE_G
+from dpgap.fem.solve import OBJECTIVE_DIRICHLET, OBJECTIVE_G
 from dpgap.geometry import eval_b2, eval_u2
 from dpgap.orlicz import DoublePhase, LogPower, PurePower, double_phase_log
 
@@ -35,6 +35,10 @@ def mesh16():
 def _grad_basis(mesh):
     """(Ne, 3, 2) gradients of each element's basis functions, read off G."""
     return mesh.grad.data.reshape(-1, 2, 3).transpose(0, 2, 1)
+
+
+def _zero_field(mesh):
+    return DofField(mesh, np.zeros(mesh.n_vertices))
 
 
 def _random_interior_field(mesh, rng, amp=1.0):
@@ -106,9 +110,8 @@ class TestGradient:
             an = float(nodal @ d) + s_grad * ds
             assert an == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
-    @pytest.mark.parametrize("space", [CONFORMING, ENRICHED])
-    def test_hessian_matches_gradient_difference(self, mesh, space):
-        enriched = space == ENRICHED
+    @pytest.mark.parametrize("enriched", [False, True], ids=["conforming", "enriched"])
+    def test_hessian_matches_gradient_difference(self, mesh, enriched):
         pair = double_phase_log(2.0, 2.0)
         rng = np.random.default_rng(3)
         u = _random_interior_field(mesh, rng, amp=0.3)
@@ -137,12 +140,12 @@ class TestGradient:
         mask = np.abs(fd) > 1e-6
         np.testing.assert_allclose(hv[mask], fd[mask], rtol=2e-4)
 
-    @pytest.mark.parametrize("space", [CONFORMING, ENRICHED])
-    def test_stiffness_matches_element_matrices(self, mesh, space):
+    @pytest.mark.parametrize("enriched", [False, True], ids=["conforming", "enriched"])
+    def test_stiffness_matches_element_matrices(self, mesh, enriched):
         """K = (D G)^T G against element matrices B M B^T summed by COO."""
         rng = np.random.default_rng(4)
         u = _random_interior_field(mesh, rng, amp=0.3)
-        if space == ENRICHED:
+        if enriched:
             u = EnrichedField(u, 0.2)
         pair = double_phase_log(2.0, 2.0)
         g, t, w, a, starts, _ = assembly._points(u)
@@ -193,8 +196,8 @@ def _tensor_hessian(u, pair):
 class TestHessianBits:
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("pair_args", [(2.0, 2.0), (2.0, 0.5)])
-    @pytest.mark.parametrize("space", [CONFORMING, ENRICHED])
-    def test_equals_tensor_formula(self, n, pair_args, space):
+    @pytest.mark.parametrize("enriched", [False, True], ids=["conforming", "enriched"])
+    def test_equals_tensor_formula(self, n, pair_args, enriched):
         # every bit of K (its storage order too), the border and h_ss
         mesh = build_mesh(n, grading=2.0, quadrant=True)
         pair = double_phase_log(*pair_args)
@@ -202,7 +205,7 @@ class TestHessianBits:
         u2 = np.where(mesh.boundary_mask, 0.0, eval_u2(mesh.nodes[:, 0], mesh.nodes[:, 1]))
         for u in (_random_interior_field(mesh, rng, amp=0.3), DofField(mesh, u2),
                   DofField(mesh, np.zeros(mesh.n_vertices))):
-            if space == ENRICHED:
+            if enriched:
                 u = EnrichedField(u, 0.2)
             K, border, h_ss = modular_hessian(u, pair)
             K_ref, border_ref, h_ss_ref = _tensor_hessian(u, pair)
@@ -211,7 +214,7 @@ class TestHessianBits:
                              (K.data, K_ref.data)):
                 np.testing.assert_array_equal(got, ref)
                 assert got.tobytes() == ref.tobytes()
-            if space == CONFORMING:
+            if not enriched:
                 assert border is None and h_ss is None
             else:
                 assert border.tobytes() == border_ref.tobytes()
@@ -239,8 +242,9 @@ class TestHessianBits:
         zero = h01 == 0.0
         assert zero.sum() == 5 and not np.any(np.signbit(h01[zero]))
 
-    @pytest.mark.parametrize("space, bound", [(CONFORMING, 5.5), (ENRICHED, 7.0)])
-    def test_peak_memory_per_matrix(self, space, bound):
+    @pytest.mark.parametrize("enriched, bound", [(False, 5.5), (True, 7.0)],
+                             ids=["conforming-5.5", "enriched-7.0"])
+    def test_peak_memory_per_matrix(self, enriched, bound):
         # tracemalloc peak of one Hessian over the bytes of the K it returns,
         # on the n = 64 quadrant: the (points, 2, 2) tensor, its weighted copy,
         # the BSR D and G^T D read 6.7 (conforming) and 8.5 (enriched); D G on
@@ -248,7 +252,7 @@ class TestHessianBits:
         mesh = build_mesh(64, grading=2.0, quadrant=True)
         enrichment_rule(mesh)
         u = _random_interior_field(mesh, np.random.default_rng(0), amp=0.3)
-        if space == ENRICHED:
+        if enriched:
             u = EnrichedField(u, 0.2)
         pair = double_phase_log(2.0, 2.0)
         tracemalloc.start()
@@ -394,12 +398,10 @@ class TestSplitRule:
         monkeypatch.setattr(solve, "enrichment_rule", counting)
         fresh = build_mesh(8, grading=2.0)
         pair = double_phase_log(2.0, 2.0)
-        bdata = np.asarray(eval_u2(fresh.nodes[fresh.boundary_mask, 0],
-                                   fresh.nodes[fresh.boundary_mask, 1]))
-        minimize(CONFORMING, OBJECTIVE_G, pair, fresh)
-        minimize(CONFORMING, OBJECTIVE_DIRICHLET, pair, fresh, boundary_data=bdata)
+        minimize(OBJECTIVE_G, pair, _zero_field(fresh))
+        minimize(OBJECTIVE_DIRICHLET, pair, DofField.interpolate(fresh, eval_u2))
         assert calls == []
-        minimize(ENRICHED, OBJECTIVE_G, pair, fresh)
+        minimize(OBJECTIVE_G, pair, EnrichedField(_zero_field(fresh)))
         assert calls and all(m is fresh for m in calls)
 
     def test_full_rule_never_built_by_the_solver(self):
@@ -409,15 +411,14 @@ class TestSplitRule:
         full, quad = build_mesh(8, grading=2.0), build_mesh(8, grading=2.0, quadrant=True)
         for m in (full, quad):
             base = DofField.interpolate(m, eval_u2)
-            minimize(CONFORMING, OBJECTIVE_G, pair, m)
-            minimize(CONFORMING, OBJECTIVE_DIRICHLET, pair, m,
-                     boundary_data=base.values[m.boundary_mask])
+            minimize(OBJECTIVE_G, pair, _zero_field(m))
+            minimize(OBJECTIVE_DIRICHLET, pair, base)
             m.locate(m.nodes)
             m.evaluate(base.values, [0.1, 0.2])
             if m is full:  # the cone trace reads arcs on both sides of the origin
                 for u in (base, EnrichedField(base, 0.7)):
                     cone_trace_diagnostic(u, m, radii=[0.05, 0.1, 0.2])
-            res = minimize(ENRICHED, OBJECTIVE_G, pair, m)
+            res = minimize(OBJECTIVE_G, pair, EnrichedField(_zero_field(m)))
             separating_functional(res.field)
             assert "_enrichment_rule" in vars(m)
             assert "_full_rule" not in vars(m)
@@ -525,34 +526,71 @@ class TestMinimize:
     def test_dirichlet_linear_data_reproduced(self, mesh):
         # boundary trace of an affine function: the minimizer of a
         # phase-independent integrand is that function
-        bdata = mesh.nodes[mesh.boundary_mask, 0]
+        start = DofField(mesh, np.where(mesh.boundary_mask, mesh.nodes[:, 0], 0.0))
         pair = DoublePhase(PurePower(2.0), _ZeroPsi())
-        res = minimize(CONFORMING, OBJECTIVE_DIRICHLET, pair, mesh, boundary_data=bdata)
+        res = minimize(OBJECTIVE_DIRICHLET, pair, start)
         assert res.converged
         np.testing.assert_allclose(res.field.values, mesh.nodes[:, 0], atol=1e-8)
         assert res.value == pytest.approx(4.0, rel=1e-10)
 
     def test_conforming_g_minimum_is_zero(self, mesh):
         pair = double_phase_log(2.0, 2.0)
-        res = minimize(CONFORMING, OBJECTIVE_G, pair, mesh)
+        res = minimize(OBJECTIVE_G, pair, _zero_field(mesh))
         assert res.converged
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_enriched_g_descends_below_zero(self, mesh):
         pair = double_phase_log(2.0, 2.0)
-        res = minimize(ENRICHED, OBJECTIVE_G, pair, mesh)
+        res = minimize(OBJECTIVE_G, pair, EnrichedField(_zero_field(mesh)))
         assert res.converged
         assert res.value < -1e-3
         assert res.field.s > 0.0
 
     def test_convexity_along_segment(self, mesh):
-        # the objective the solver minimizes, over [interior values..., s]
-        objective = solve._Objective(ENRICHED, OBJECTIVE_G, double_phase_log(2.0, 2.0), mesh)
+        # the objective the solver minimizes, over its reduced unknowns
+        pair = double_phase_log(2.0, 2.0)
         rng = np.random.default_rng(5)
-        a = np.append(_random_interior_field(mesh, rng).values[mesh.interior], 0.1)
-        b = np.append(_random_interior_field(mesh, rng).values[mesh.interior], -0.2)
+        a, b = (solve._Objective(OBJECTIVE_G, pair,
+                                 EnrichedField(_random_interior_field(mesh, rng), s)).x0
+                for s in (0.1, -0.2))
+        objective = solve._Objective(OBJECTIVE_G, pair, EnrichedField(_zero_field(mesh)))
         fm = objective.value(0.5 * (a + b))
         assert fm <= 0.5 * (objective.value(a) + objective.value(b)) + 1e-10
+
+    def test_start_must_be_a_field(self, mesh):
+        pair = double_phase_log(2.0, 2.0)
+        for start in (np.zeros(mesh.n_vertices), np.zeros(len(mesh.interior)), None,
+                      EnrichedField(np.zeros(mesh.n_vertices))):
+            with pytest.raises(DomainError):
+                minimize(OBJECTIVE_DIRICHLET, pair, start)
+        # a wrong-length start cannot be built
+        with pytest.raises(DomainError):
+            DofField(mesh, np.zeros(3))
+
+    @pytest.mark.parametrize("enriched", [False, True])
+    def test_g_mode_needs_zero_boundary_values(self, mesh, enriched):
+        # G drops L . values, which is 0 for zero boundary values only
+        values = np.zeros(mesh.n_vertices)
+        values[np.flatnonzero(mesh.boundary_mask)[3]] = 1.0
+        start = DofField(mesh, values)
+        with pytest.raises(RangeError, match="zero boundary values"):
+            minimize(OBJECTIVE_G, double_phase_log(2.0, 2.0),
+                     EnrichedField(start) if enriched else start)
+
+    @pytest.mark.parametrize("objective", [OBJECTIVE_G, OBJECTIVE_DIRICHLET])
+    def test_start_left_unchanged(self, mesh, objective):
+        pair = double_phase_log(2.0, 2.0)
+        u2 = DofField.interpolate(mesh, eval_u2)
+        if objective == OBJECTIVE_G:
+            u2.values[mesh.boundary_mask] = 0.0
+        for start in (u2, EnrichedField(u2, 0.4)):
+            before = u2.values.copy()
+            res = minimize(objective, pair, start)
+            np.testing.assert_array_equal(u2.values, before)
+            assert res.field is not start
+            values = getattr(res.field, "base", res.field).values
+            np.testing.assert_array_equal(values[mesh.boundary_mask], before[mesh.boundary_mask])
+        assert start.s == 0.4
 
 
 class _SingularBorderObjective:
@@ -591,19 +629,19 @@ class _RayObjective:
 
 
 class TestNewtonDirection:
-    @pytest.mark.parametrize("space, objective", [(ENRICHED, OBJECTIVE_G),
-                                                  (CONFORMING, OBJECTIVE_DIRICHLET)])
-    def test_matches_full_solve(self, mesh16, space, objective):
+    @pytest.mark.parametrize("enriched, objective",
+                             [(True, OBJECTIVE_G), (False, OBJECTIVE_DIRICHLET)],
+                             ids=["enriched-G", "conforming-dirichlet"])
+    def test_matches_full_solve(self, mesh16, enriched, objective):
         pair = double_phase_log(2.0, 2.0)
-        bdata = np.asarray(eval_u2(mesh16.nodes[mesh16.boundary_mask, 0],
-                                   mesh16.nodes[mesh16.boundary_mask, 1]))
-        obj = solve._Objective(space, objective, pair, mesh16, boundary_data=bdata)
-        rng = np.random.default_rng(11)
-        x = 0.3 * rng.standard_normal(len(mesh16.interior))
-        if obj.enriched:
-            x = np.append(x, 0.3)
+        u = _random_interior_field(mesh16, np.random.default_rng(11), amp=0.3)
+        if objective == OBJECTIVE_DIRICHLET:
+            boundary = mesh16.boundary_mask
+            u.values[boundary] = eval_u2(mesh16.nodes[boundary, 0], mesh16.nodes[boundary, 1])
+        obj = solve._Objective(objective, pair, EnrichedField(u, 0.3) if enriched else u)
+        x = obj.x0
         K, c, h_ss = obj.hess(x)
-        assert (c is None) == (not obj.enriched)
+        assert (c is None) == (not enriched)
         g = obj.grad(x)
         d = solve._newton_direction(K, c, h_ss, g)
         H = _bordered(K, c, h_ss)
@@ -625,11 +663,11 @@ class TestNewtonDirection:
         counting(solve.spla, "spsolve", "spsolve")
         counting(solve, "modular_hessian", "hessian")
         pair = double_phase_log(2.0, 2.0)
-        res = minimize(CONFORMING, OBJECTIVE_G, pair, mesh)
+        res = minimize(OBJECTIVE_G, pair, _zero_field(mesh))
         assert calls == {"spsolve": 0, "hessian": 0}
         assert res.converged and res.iterations == 1
         assert res.value == 0.0
-        minimize(ENRICHED, OBJECTIVE_G, pair, mesh)
+        minimize(OBJECTIVE_G, pair, EnrichedField(res.field))
         assert calls["spsolve"] >= 1 and calls["hessian"] >= 1
 
     def test_singular_border_falls_back_to_gradient(self, monkeypatch):
@@ -641,8 +679,8 @@ class TestNewtonDirection:
             return directions[-1]
 
         monkeypatch.setattr(solve, "_newton_direction", recording)
-        x, f, _, converged, _ = solve._newton(_SingularBorderObjective(),
-                                              np.array([1.0, 2.0, 3.0]))
+        x, f, _, converged = solve._newton(_SingularBorderObjective(),
+                                           np.array([1.0, 2.0, 3.0]))
         assert not np.all(np.isfinite(directions[0]))
         # the gradient step -x lands on the minimizer of |x|^2 / 2
         assert converged
@@ -660,7 +698,7 @@ class TestNewtonDirection:
 
         monkeypatch.setattr(solve.spla, "spsolve", counting)
         obj = _RayObjective()
-        x, f, iterations, converged, _ = solve._newton(obj, np.array([1.0, 2.0]))
+        x, f, iterations, converged = solve._newton(obj, np.array([1.0, 2.0]))
         # no Armijo step on the Newton direction: one Hessian and one solve,
         # then the gradient step to the minimizer and a zero step confirming it
         assert (obj.hessians, len(solves)) == (1, 1)
@@ -668,7 +706,7 @@ class TestNewtonDirection:
         assert (f, iterations, converged) == (0.0, 2, True)
         # the gradient step is taken in the same iteration as the failed one
         monkeypatch.setattr(solve, "MAX_ITERATIONS", 1)
-        x, _, iterations, _, _ = solve._newton(_RayObjective(), np.array([1.0, 2.0]))
+        x, _, iterations, _ = solve._newton(_RayObjective(), np.array([1.0, 2.0]))
         np.testing.assert_array_equal(x, 0.0)
         assert iterations == 1
 
@@ -733,14 +771,10 @@ def _full_domain_level(alpha, beta, mode, n):
     the starts gap_experiment takes."""
     mesh = build_mesh(n, 2.0)
     pair = double_phase_log(alpha, beta)
-    start = (np.zeros(mesh.n_vertices) if mode == OBJECTIVE_G
-             else eval_u2(mesh.nodes[:, 0], mesh.nodes[:, 1]))
-    bdata = start[mesh.boundary_mask]
-    conf = minimize(CONFORMING, mode, pair, mesh, boundary_data=bdata,
-                    x0=start[mesh.interior])
-    x0e = np.append(conf.field.values[mesh.interior], 0.0)
-    enr = minimize(ENRICHED, mode, pair, mesh, boundary_data=bdata, x0=x0e)
-    return conf, enr
+    start = (_zero_field(mesh) if mode == OBJECTIVE_G
+             else DofField.interpolate(mesh, eval_u2))
+    conf = minimize(mode, pair, start)
+    return conf, minimize(mode, pair, EnrichedField(conf.field, 0.0))
 
 
 class TestQuadrantSolve:
@@ -821,3 +855,20 @@ class TestConeTrace:
             cone_trace_diagnostic(u, mesh16, radii=radii)
         table, _ = cone_trace_diagnostic(u, mesh16, radii=radii[:-1])
         assert len(table) == 11
+
+    def test_one_locate_per_trace(self, mesh16, monkeypatch):
+        # the origin and all arcs of every radius go through one evaluate call
+        calls = []
+        real = type(mesh16).locate
+
+        def counting(self, points):
+            calls.append(len(np.atleast_2d(points)))
+            return real(self, points)
+
+        monkeypatch.setattr(type(mesh16), "locate", counting)
+        base = DofField.interpolate(mesh16, eval_u2)
+        for u in (base, EnrichedField(base, 0.7)):
+            calls.clear()
+            table, _ = cone_trace_diagnostic(u, mesh16, radii=[0.05, 0.1, 0.2, 0.4])
+            assert calls == [1 + 4 * 82]
+            assert table.shape == (4, 3)
