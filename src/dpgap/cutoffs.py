@@ -29,13 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .classifier import DIVERGES, tail_status
 from .errors import (DomainError, EnergyOverflowError,
                      NoRemovableSingularityError, NormalizationError,
                      RangeError)
-from .orlicz import DoublePhase, _check_integrand, conjugate_exponents, log_deriv_inverse
+from .orlicz import (DoublePhase, _brent_root, _check_integrand, conjugate_exponents,
+                     log_deriv_inverse)
 
 LOGLOG = "LogLog"
 PSI_HARMONIC = "PsiHarmonic"
@@ -128,7 +128,7 @@ def solve_normalization_constant(psi, r1, r2):
             side = "upper" if step > 0.0 else "lower"
             raise NormalizationError(f"no {side} bracket for the normalization constant")
         lo, hi = sorted((x, x - step))
-    ln_c = float(brentq(gap, lo, hi, rtol=8.9e-16, xtol=1e-15))
+    ln_c = _brent_root(gap, lo, hi, xtol=1e-15, rtol=8.9e-16)
     if abs(gap(ln_c)) > 1e-8:
         raise NormalizationError("normalization residual above tolerance")
     return float(np.exp(ln_c))

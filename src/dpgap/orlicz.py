@@ -23,6 +23,9 @@ is the one inverse of Phi': a safeguarded Newton iteration in ln t that
 evaluates ``log_deriv_with_slope`` once per iterate.  The psi-harmonic
 cutoffs and ``conjugate_numeric`` both go through it.  ``luxemburg_norm``
 finds the modular's threshold by false position in (ln gamma, ln M).
+The scalar root solves, the convexification knot here and the cutoffs'
+normalization constant, go through ``_brent_root``: Brent's method, ported
+from SciPy's ``brentq`` so that it returns the same roots bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, NormOverflowError, NumericalError, UnboundedConjugateError
 
@@ -46,6 +48,10 @@ _CONJ_BRACKET = (1.0e-12, 1.0e12)
 # smallest acceptable slope ratio Phi'(t0) t0 / Phi(t0) at the knot; below 1
 # the quadratic substitute would need a negative leading coefficient
 _KNOT_MIN_RATIO = 1.05
+# Brent's method stops after this many iterations and takes no relative
+# tolerance below 4 ulp
+_BRENT_MAXITER = 100
+_BRENT_RTOL_MIN = 4.0 * np.finfo(np.float64).eps
 
 
 def _check_arg(t):
@@ -69,6 +75,71 @@ def _logpower_second_deriv(t, p, gamma):
 def _slope_ratio(t, p, gamma):
     # Phi'(t) t / Phi(t) for the raw formula
     return p + gamma * t / ((np.e + t) * np.log(np.e + t))
+
+
+def _brent_root(f, a, b, xtol, rtol):
+    """A root of f on [a, b], where f changes sign, by Brent's method
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973).
+
+    This is SciPy's ``brentq`` with maxiter 100, step for step in double
+    arithmetic, so it returns the same root to the last bit.  f is called
+    with Python floats, so float overflow in f raises OverflowError rather
+    than warning.  Raises NumericalError for a tolerance that is too small, a
+    NaN value of f, no sign change on [a, b], or no convergence in 100
+    iterations.
+    """
+    if xtol <= 0:
+        raise NumericalError(f"root finder: xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL_MIN:
+        raise NumericalError(f"root finder: rtol too small ({rtol:g} < {_BRENT_RTOL_MIN:g})")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericalError(f"root finder: the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NumericalError("root finder: f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan  # bisect unless an interpolation step is short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass  # in C the step is inf or NaN and fails the test below
+        # min(b, a) is C's MIN(a, b) = a < b ? a : b, also where a or b is NaN
+        if 2 * abs(stry) < min(3 * abs(sbis) - delta, abs(spre)):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NumericalError(f"root finder: no convergence in {_BRENT_MAXITER} iterations, "
+                         f"value is {xcur}")
 
 
 def _knot_search(p, gamma):
@@ -97,7 +168,7 @@ def _knot_search(p, gamma):
                 hi *= 10.0
                 if hi > 1e280:  # pragma: no cover
                     raise DomainError("convexification knot search failed")
-        t0 = brentq(
+        t0 = _brent_root(
             lambda t: _logpower_second_deriv(t, p, gamma),
             grid[i], hi, xtol=1e-14, rtol=1e-13,
         )
@@ -108,7 +179,7 @@ def _knot_search(p, gamma):
                 hi *= 2.0
                 if hi > 1e250:  # pragma: no cover
                     raise DomainError("convexification knot search failed")
-            t0 = brentq(
+            t0 = _brent_root(
                 lambda t: _slope_ratio(t, p, gamma) - _KNOT_MIN_RATIO,
                 hi / 2.0, hi, xtol=1e-14, rtol=1e-13,
             )
@@ -117,8 +188,8 @@ def _knot_search(p, gamma):
         a2 = (r - 1.0) * val / t0**2
         a1 = (2.0 - r) * val / t0
     except OverflowError as exc:
-        # float arithmetic in brentq's calls overflows where the sign change
-        # sits past t ~ 1e154 (t**2 in Phi''), e.g. p = 1 + 1e-7, gamma = -2
+        # _brent_root calls Phi'' with Python floats, so its t**2 raises where
+        # the sign change sits past t ~ 1e154, e.g. p = 1 + 1e-7, gamma = -2
         raise DomainError("convexification knot search failed") from exc
     return t0, a2, a1
 

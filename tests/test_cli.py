@@ -5,7 +5,10 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import dpgap
 from dpgap.cli import _build_parser, main
 from dpgap.cutoffs import find_inner_radius
 from dpgap.errors import DpgapError, RangeError
@@ -262,6 +266,21 @@ class TestSmallCommands:
         assert code == 0
         header = out_path.open().readline().strip().split(",")
         assert header == ["x1", "x2", "a", "u2", "grad_u2_norm", "b2_norm"]
+
+
+class TestImports:
+    def test_cli_imports_only_the_scipy_it_uses(self):
+        # checked in a fresh interpreter: this process already holds
+        # scipy.optimize, which the tests compare against
+        code = ("import sys, dpgap.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'special'], "
+                "['scipy', 'spatial'], ['scipy', 'fft'])))")
+        src = os.path.dirname(os.path.dirname(dpgap.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert run.stdout.strip() == "[]"
 
 
 class TestPeakMemory:

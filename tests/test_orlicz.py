@@ -1,16 +1,20 @@
 """Orlicz integrand machinery: conjugates, norms, double-phase pairs."""
 
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from dpgap.errors import DomainError, NumericalError, UnboundedConjugateError
+from dpgap import cutoffs, orlicz
+from dpgap.errors import DomainError, DpgapError, NumericalError, UnboundedConjugateError
 from dpgap.geometry import sample_fields_grid
-from dpgap.orlicz import (LogPower, PurePower, conjugate_exponents, conjugate_log_power,
-                          conjugate_numeric, double_phase_log, luxemburg_norm)
+from dpgap.orlicz import (LogPower, PurePower, _brent_root, _knot_search, conjugate_exponents,
+                          conjugate_log_power, conjugate_numeric, double_phase_log,
+                          luxemburg_norm)
 
 
 class Quadratic:
@@ -327,6 +331,97 @@ class TestLogPower:
             f = LogPower(2.0, gamma)
             t = np.logspace(-10.0, 8.0, 200)
             assert np.all(np.asarray(f.second_deriv(t)) >= 0.0)
+
+
+def _scipy_brent_root(f, a, b, xtol, rtol):
+    """SciPy's brentq behind _brent_root's signature and exit contract."""
+    try:
+        return brentq(f, a, b, xtol=xtol, rtol=rtol)
+    except (ValueError, RuntimeError) as exc:
+        raise NumericalError(str(exc)) from exc
+
+
+def _outcome(call, *args):
+    """The root, or the class of the error raised."""
+    try:
+        return call(*args)
+    except (DpgapError, OverflowError) as exc:
+        return type(exc)
+
+
+def _brent_family(rng):
+    """(f, a, b, xtol, rtol) cases: smooth, flat, stepped and tiny-valued
+    functions, roots at either end, and brackets too wide to converge in
+    100 iterations."""
+    c = float(rng.uniform(-2.0, 2.0))
+    s = float(rng.uniform(0.1, 5.0))
+    fs = [lambda x: (x - c) ** 3 + s * (x - c),
+          lambda x: math.tanh(s * (x - c)),
+          lambda x: math.exp(s * x) - math.exp(s * c),
+          lambda x: math.floor(4.0 * (x - c)) + 0.5,
+          lambda x: math.atan(x - c) + 1e-3 * math.sin(50.0 * x),
+          # the inverse quadratic step's denominator dblk*dpre*(fblk - fpre)
+          # underflows to 0 here
+          lambda x: 1e-300 * ((x - c) ** 3 + s)]
+    a, b = float(rng.uniform(-6.0, -2.0)), float(rng.uniform(2.0, 6.0))
+    xtol, rtol = float(10.0 ** rng.uniform(-15, -2)), float(10.0 ** rng.uniform(-15.3, -3))
+    cases = [(f, a, b, xtol, rtol) for f in fs]
+    cases += [(fs[0], c, b, xtol, rtol), (fs[1], a, c, xtol, rtol),
+              (fs[1], -1e300, 3e300, 1e-300, rtol)]
+    return cases
+
+
+class TestBrentRoot:
+    def test_bit_identical_to_brentq(self):
+        rng = np.random.default_rng(20261022)
+        outcomes = set()
+        for _ in range(200):
+            for case in _brent_family(rng):
+                want = _outcome(_scipy_brent_root, *case)
+                assert _outcome(_brent_root, *case) == want, case[1:]
+                outcomes.add(want if isinstance(want, type) else float)
+        # roots, and failures: no sign change, no convergence, rtol below 4 ulp
+        assert outcomes == {float, NumericalError}
+
+    def test_calls_f_with_python_floats(self):
+        seen = []
+        _brent_root(lambda x: seen.append(type(x)) or x - 0.5,
+                    np.float64(0.0), np.float64(2.0), 1e-12, 1e-12)
+        assert set(seen) == {float}
+
+    def test_nan_value_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="NaN"):
+            _brent_root(lambda x: -1.0 if x < 0.5 else math.nan, 0.0, 1.0, 1e-12, 1e-12)
+
+    def test_no_sign_change_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="different signs"):
+            _brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-12)
+
+    @pytest.mark.parametrize("xtol, rtol", [(0.0, 1e-12), (-1.0, 1e-12), (1e-12, 1e-16)])
+    def test_bad_tolerance_is_numerical_error(self, xtol, rtol):
+        with pytest.raises(NumericalError, match="too small"):
+            _brent_root(lambda x: x, -1.0, 1.0, xtol, rtol)
+
+    def test_no_convergence_is_numerical_error(self):
+        # bisection from a bracket of width 4e300 down to xtol = 1e-300
+        with pytest.raises(NumericalError, match="no convergence in 100 iterations"):
+            _brent_root(lambda x: math.atan(x - 1.0), -1e300, 3e300, 1e-300, 1e-15)
+
+    def test_knot_search_matches_brentq(self, monkeypatch):
+        cases = [(float(p), float(-g)) for p in np.linspace(1.05, 6.0, 12)
+                 for g in np.geomspace(0.05, 30.0, 12)]
+        here = [_outcome(_knot_search, p, g) for p, g in cases]
+        monkeypatch.setattr(orlicz, "_brent_root", _scipy_brent_root)
+        assert here == [_outcome(_knot_search, p, g) for p, g in cases]
+        assert any(isinstance(r, tuple) and r[0] > 0.0 for r in here)
+
+    def test_normalization_constant_matches_brentq(self, monkeypatch):
+        psis = [PurePower(2.0), LogPower(2.0, 0.0), LogPower(2.0, 0.5), LogPower(2.0, 1.0)]
+        r1s = [1e-200, 1e-30, 1e-4, 0.1]
+        here = [cutoffs.solve_normalization_constant(psi, r1, 0.5) for psi in psis for r1 in r1s]
+        monkeypatch.setattr(cutoffs, "_brent_root", _scipy_brent_root)
+        assert here == [cutoffs.solve_normalization_constant(psi, r1, 0.5)
+                        for psi in psis for r1 in r1s]
 
 
 class TestConjugate:
